@@ -84,14 +84,13 @@ def emission_log_probs(params: HmmParams, seq: CountSequence) -> np.ndarray:
     return coeff[:, None] + terms.sum(axis=1)
 
 
-def _scaled_passes(
+def _forward(
     pi: np.ndarray, T: np.ndarray, log_b: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Scaled forward and backward recursions.
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """Scaled forward recursion.
 
-    Returns (log-likelihood, alphas, betas, scales, shifted emissions). Alphas
-    are normalized filtering distributions; betas carry the matching scaling
-    so gamma_t is proportional to alpha_t * beta_t.
+    Returns (log-likelihood, alphas, scales, shifted emissions). Alphas are
+    normalized filtering distributions, scales the per-position normalizers.
     """
     L, m = log_b.shape
     shift = log_b.max(axis=1)
@@ -116,12 +115,20 @@ def _scaled_passes(
         alphas[t] = vec / s
         scales[t] = s
     log_like = float(np.log(scales).sum() + shift.sum())
+    return log_like, alphas, scales, b
 
+
+def _backward(T: np.ndarray, b: np.ndarray, scales: np.ndarray) -> np.ndarray:
+    """Scaled backward recursion matching :func:`_forward`'s scaling.
+
+    gamma_t is proportional to alpha_t * beta_t.
+    """
+    L, m = b.shape
     betas = np.empty((L, m))
     betas[L - 1] = 1.0
     for t in range(L - 2, -1, -1):
         betas[t] = (T.T @ (b[t + 1] * betas[t + 1])) / scales[t + 1]
-    return log_like, alphas, betas, scales, b
+    return betas
 
 
 def log_likelihood(params: HmmParams, seq: CountSequence) -> float:
@@ -130,7 +137,7 @@ def log_likelihood(params: HmmParams, seq: CountSequence) -> float:
     if len(seq) < 1:
         raise DataError("cannot score an empty sequence")
     log_b = emission_log_probs(params, seq)
-    log_like, *_ = _scaled_passes(params.initial_dist, params.transition, log_b)
+    log_like, *_ = _forward(params.initial_dist, params.transition, log_b)
     return log_like
 
 
@@ -208,7 +215,7 @@ def em_fit(seq: CountSequence, num_states: int, config: EmConfig) -> EmTrace:
     lls: list[float] = []
     for _ in range(config.max_iters):
         log_b = emission_log_probs(params, seq)
-        log_like, alphas, betas, scales, b = _scaled_passes(
+        log_like, alphas, scales, b = _forward(
             params.initial_dist, params.transition, log_b
         )
         lls.append(log_like)
@@ -218,6 +225,7 @@ def em_fit(seq: CountSequence, num_states: int, config: EmConfig) -> EmTrace:
             and lls[-1] - lls[-2] <= config.rel_ll_tolerance * abs(lls[-2])
         ):
             break
+        betas = _backward(params.transition, b, scales)
         params = _m_step(seq, alphas, betas, scales, b, params.transition, single_cell)
         validate_params(params)
     return EmTrace(log_likelihoods=lls, params=params, iterations=len(lls))

@@ -8,6 +8,12 @@ with one (coverage, methylated) column pair per cell type. Replicates can be
 merged at load time by summing consecutive column pairs two at a time, and a
 context filter keeps only rows whose context matches (e.g. "CG").
 
+Tables are read and written by column: the integer columns go through
+numpy's text parser into int64 arrays and are validated with whole-array
+masks, and the writer lays out every row's digits in one byte buffer. The
+text columns are split out of the lines only when a filter or a record needs
+them.
+
 Model files are JSON with an explicit schema version. Floats go through
 Python's shortest-round-trip repr, so a save/load cycle reproduces every
 parameter bit for bit.
@@ -21,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, ParameterError
 from .model import CountSequence, HmmParams, validate_params
 
 __all__ = [
@@ -52,8 +58,30 @@ class MethylationRecord:
     meth: tuple[int, ...]
 
 
+def _check_bin_size(bin_size: int) -> None:
+    if bin_size < 1:
+        raise ParameterError(f"bin_size must be >= 1, got {bin_size}")
+
+
+def _read_lines(path) -> list[str]:
+    """The file's lines as UTF-8 text; "\\r\\n" and a lone "\\r" end a line as "\\n" does."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data:
+        raise DataError(f"{path}: empty file")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start]
+        lineno = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        raise DataError(f"{path}:{lineno}: not valid UTF-8 ({exc.reason})") from exc
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
+
+
 def _parse_header(line: str) -> int:
-    fields = line.rstrip("\n").split("\t")
+    fields = line.split("\t")
     if tuple(fields[:3]) != TSV_COLUMNS:
         raise DataError(
             f"header must start with {' '.join(TSV_COLUMNS)}, got {fields[:3]}"
@@ -70,50 +98,133 @@ def _parse_header(line: str) -> int:
     return len(rest) // 2
 
 
+def _parse_columns(lines: list[str], num_cells: int) -> np.ndarray:
+    """``bin_start`` and the count columns of lines with the right field count.
+
+    numpy's C parser reads each field as a decimal integer with an optional
+    sign and surrounding whitespace, and raises ValueError on anything else,
+    including values outside int64.
+    """
+    width = 1 + 2 * num_cells
+    if not lines:
+        return np.empty((0, width), dtype=np.int64)
+    return np.loadtxt(
+        lines,
+        dtype=np.int64,
+        delimiter="\t",
+        comments=None,
+        usecols=(1, *range(3, 2 + width)),
+        ndmin=2,
+    )
+
+
+def _first_unparsable(lines: list[str], num_cells: int) -> int:
+    """Index of the first line :func:`_parse_columns` rejects, when one does.
+
+    Bisects on halves of the still-unsettled range, so it parses about twice
+    as many lines as there are.
+    """
+    lo, hi = 0, len(lines)  # lines[:lo] parse; the first failure is in lines[lo:hi]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            _parse_columns(lines[lo:mid], num_cells)
+        except ValueError:
+            hi = mid
+        else:
+            lo = mid
+    return lo
+
+
+def _line_error(line: str, num_cells: int, bin_size: int) -> str:
+    """Why a rejected data line is invalid: the first failed check, in reading order."""
+    fields = line.split("\t")
+    if len(fields) != 3 + 2 * num_cells:
+        return f"expected {3 + 2 * num_cells} fields, got {len(fields)}"
+    try:
+        bin_start = int(fields[1])
+        counts = [int(x) for x in fields[3:]]
+    except ValueError as exc:
+        return str(exc)
+    if bin_start < 0 or bin_start % bin_size != 0:
+        return f"bin_start {bin_start} is not a multiple of {bin_size}"
+    for j, (c, mu) in enumerate(zip(counts[0::2], counts[1::2])):
+        if c < 0 or mu < 0 or mu > c:
+            return f"cell {j + 1} has meth {mu} outside [0, {c}]"
+    # int() took it but numpy did not: digit separators, non-ASCII digits, overflow
+    return "bin_start and counts must be plain decimal integers within the 64-bit range"
+
+
+@dataclass(frozen=True)
+class _CountTable:
+    """A validated count table: integer columns, with the text columns left in the lines."""
+
+    lines: list[str]  # the file's lines, header first
+    rows: np.ndarray  # index into ``lines`` of each data row, in file order
+    columns: np.ndarray  # (rows, 1 + 2 * cells) int64: bin_start, cov_1, meth_1, ...
+
+    def text_column(self, j: int) -> list[str]:
+        """Column 0 (``chrom``) or 2 (``context``) of every data row."""
+        return [self.lines[i].split("\t", 3)[j] for i in self.rows.tolist()]
+
+
+def _read_table(path, bin_size: int) -> _CountTable:
+    """Parse and validate a count table, naming the first bad line on failure.
+
+    Blank and whitespace-only lines are skipped. A data line is rejected for
+    the wrong field count, a field that is not an integer, a misaligned or
+    negative ``bin_start``, or a meth count outside ``[0, cov]``; the error
+    names the first rejected line in the file.
+    """
+    _check_bin_size(bin_size)
+    lines = _read_lines(path)
+    num_cells = _parse_header(lines[0])
+    # tab count per line; -1 marks the header and the skipped blank lines
+    tabs = np.array(
+        [line.count("\t") if line.strip() else -1 for line in lines], dtype=np.int64
+    )
+    tabs[0] = -1
+    rows = np.flatnonzero(tabs >= 0)
+    wrong_width = np.flatnonzero(tabs[rows] != 2 + 2 * num_cells)
+    end = int(wrong_width[0]) if wrong_width.size else rows.size
+    # rows[:end] have the right field count; every later check only shortens end
+    body = [lines[i] for i in rows[:end].tolist()]
+    try:
+        columns = _parse_columns(body, num_cells)
+    except ValueError:
+        end = _first_unparsable(body, num_cells)
+        columns = _parse_columns(body[:end], num_cells)
+    bin_start, cov, meth = columns[:, 0], columns[:, 1::2], columns[:, 2::2]
+    invalid = (
+        (bin_start < 0)
+        | (bin_start % bin_size != 0)
+        | ((meth < 0) | (meth > cov)).any(axis=1)
+    )
+    if invalid.any():
+        end = int(invalid.argmax())
+    if end < rows.size:
+        i = int(rows[end])
+        raise DataError(f"{path}:{i + 1}: {_line_error(lines[i], num_cells, bin_size)}")
+    return _CountTable(lines=lines, rows=rows, columns=columns)
+
+
 def load_methylation_records(
     path, bin_size: int = DEFAULT_BIN_SIZE
 ) -> list[MethylationRecord]:
     """Parse a count table into records, validating counts and bin alignment."""
-    records: list[MethylationRecord] = []
-    with open(path) as fh:
-        header = fh.readline()
-        if not header:
-            raise DataError(f"{path}: empty file")
-        num_cells = _parse_header(header)
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) != 3 + 2 * num_cells:
-                raise DataError(
-                    f"{path}:{lineno}: expected {3 + 2 * num_cells} fields, got {len(fields)}"
-                )
-            try:
-                bin_start = int(fields[1])
-                counts = [int(x) for x in fields[3:]]
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
-            if bin_start < 0 or bin_start % bin_size != 0:
-                raise DataError(
-                    f"{path}:{lineno}: bin_start {bin_start} is not a multiple of {bin_size}"
-                )
-            cov = tuple(counts[0::2])
-            meth = tuple(counts[1::2])
-            for j, (c, mu) in enumerate(zip(cov, meth)):
-                if c < 0 or mu < 0 or mu > c:
-                    raise DataError(
-                        f"{path}:{lineno}: cell {j + 1} has meth {mu} outside [0, {c}]"
-                    )
-            records.append(
-                MethylationRecord(
-                    chrom=fields[0],
-                    bin_start=bin_start,
-                    context=fields[2],
-                    coverage=cov,
-                    meth=meth,
-                )
-            )
-    return records
+    table = _read_table(path, bin_size)
+    return [
+        MethylationRecord(
+            chrom=chrom,
+            bin_start=row[0],
+            context=context,
+            coverage=tuple(row[1::2]),
+            meth=tuple(row[2::2]),
+        )
+        for chrom, context, row in zip(
+            table.text_column(0), table.text_column(2), table.columns.tolist()
+        )
+    ]
 
 
 def load_methylation_tsv(
@@ -127,13 +238,16 @@ def load_methylation_tsv(
     ``merge_replicates`` sums consecutive column pairs two at a time, so a
     four-cell file of two replicates each becomes a two-cell sequence.
     """
-    records = load_methylation_records(path, bin_size=bin_size)
+    table = _read_table(path, bin_size)
+    columns = table.columns
     if context_filter is not None:
-        records = [r for r in records if r.context == context_filter]
-    if not records:
+        keep = np.array(
+            [context == context_filter for context in table.text_column(2)], dtype=bool
+        )
+        columns = columns[keep]
+    if len(columns) == 0:
         raise DataError(f"{path}: no rows left after filtering")
-    cov = np.array([r.coverage for r in records], dtype=np.int64)
-    meth = np.array([r.meth for r in records], dtype=np.int64)
+    cov, meth = columns[:, 1::2], columns[:, 2::2]
     if merge_replicates:
         if cov.shape[1] % 2 != 0:
             raise DataError(
@@ -144,6 +258,42 @@ def load_methylation_tsv(
     return CountSequence(cov, meth)
 
 
+def _format_rows(fields: list[np.ndarray], seps: list[str]) -> np.ndarray:
+    """UTF-8 text of rows of non-negative integers, as one byte array.
+
+    Row r is ``seps[0] str(fields[0][r]) seps[1] str(fields[1][r]) ... "\\n"``.
+    Every field's place in the buffer follows from its digit count, so each
+    separator byte and each decimal place is written in one pass over all rows.
+    """
+    sep_bytes = [sep.encode("utf-8") for sep in seps]
+    ndigits = []
+    for field in fields:
+        count = np.ones(len(field), dtype=np.int64)
+        power = 10
+        while power <= field.max(initial=0):
+            count += field >= power
+            power *= 10
+        ndigits.append(count)
+    row_len = 1 + sum(len(sep) + count for sep, count in zip(sep_bytes, ndigits))
+    row_end = np.cumsum(row_len)
+    buf = np.empty(int(row_len.sum()), dtype=np.uint8)
+    buf[row_end - 1] = ord("\n")
+    end = row_end - row_len  # one past what is laid out so far in each row
+    for field, count, sep in zip(fields, ndigits, sep_bytes):
+        for byte in sep:
+            buf[end] = byte
+            end += 1
+        end += count
+        value, last, digits = field, end - 1, count
+        for place in range(int(count.max(initial=0))):
+            if digits.min() <= place:  # drop the numbers with no digit at this place
+                live = digits > place
+                value, last, digits = value[live], last[live], digits[live]
+            value, digit = np.divmod(value, 10)
+            buf[last - place] = ord("0") + digit
+    return buf
+
+
 def write_methylation_tsv(
     path,
     seq: CountSequence,
@@ -151,20 +301,19 @@ def write_methylation_tsv(
     context: str = "CG",
     bin_size: int = DEFAULT_BIN_SIZE,
 ) -> None:
-    """Write a sequence as a count table with synthetic genomic coordinates."""
+    """Write a sequence as a UTF-8 count table with synthetic genomic coordinates."""
+    _check_bin_size(bin_size)
     k = seq.num_cells
     header = list(TSV_COLUMNS) + [
         col for j in range(1, k + 1) for col in (f"cov_{j}", f"meth_{j}")
     ]
-    with open(path, "w") as fh:
-        fh.write("\t".join(header) + "\n")
-        for t in range(len(seq)):
-            counts = [
-                str(x)
-                for j in range(k)
-                for x in (int(seq.coverage[t, j]), int(seq.meth[t, j]))
-            ]
-            fh.write("\t".join([chrom, str(t * bin_size), context] + counts) + "\n")
+    fields = [np.arange(len(seq), dtype=np.int64) * bin_size]
+    for j in range(k):
+        fields += [np.ascontiguousarray(seq.coverage[:, j]), np.ascontiguousarray(seq.meth[:, j])]
+    seps = [f"{chrom}\t", f"\t{context}\t"] + ["\t"] * (2 * k - 1)
+    with open(path, "wb") as fh:
+        fh.write(("\t".join(header) + "\n").encode("utf-8"))
+        fh.write(_format_rows(fields, seps))
 
 
 @dataclass(eq=False)

@@ -15,6 +15,9 @@ import numpy as np
 from scipy.special import betainc, logsumexp
 from scipy.stats import binom as binom_dist
 
+from betahmm.errors import DataError
+from betahmm.io import MethylationRecord
+from betahmm.model import CountSequence
 from betahmm.moments import MomentSet
 
 # Maximum number of hidden paths the brute-force likelihood will enumerate.
@@ -170,3 +173,108 @@ def naive_moment_means(f1, f2, f3):
         p23 += np.outer(b, c)
         t123 += a[:, None, None] * b[None, :, None] * c[None, None, :]
     return p12 / n, p13 / n, p23 / n, t123 / n
+
+
+# The count-table reader and writer as they were before the columnar rewrite:
+# one text-mode line at a time, one record per row, one int() per field.
+REFERENCE_TSV_COLUMNS = ("chrom", "bin_start", "context")
+
+
+def _reference_header(line: str) -> int:
+    fields = line.rstrip("\n").split("\t")
+    if tuple(fields[:3]) != REFERENCE_TSV_COLUMNS:
+        raise DataError(
+            f"header must start with {' '.join(REFERENCE_TSV_COLUMNS)}, got {fields[:3]}"
+        )
+    rest = fields[3:]
+    if not rest or len(rest) % 2 != 0:
+        raise DataError("header must carry cov_i/meth_i column pairs")
+    for idx in range(0, len(rest), 2):
+        cell = idx // 2 + 1
+        if rest[idx] != f"cov_{cell}" or rest[idx + 1] != f"meth_{cell}":
+            raise DataError(
+                f"expected columns cov_{cell} meth_{cell}, got {rest[idx]} {rest[idx + 1]}"
+            )
+    return len(rest) // 2
+
+
+def reference_load_records(path, bin_size: int = 100) -> list:
+    """Row-by-row count-table parser: the reference for the columnar reader."""
+    records = []
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline()
+        if not header:
+            raise DataError(f"{path}: empty file")
+        num_cells = _reference_header(header)
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            fields = line.rstrip("\n").split("\t")
+            if len(fields) != 3 + 2 * num_cells:
+                raise DataError(
+                    f"{path}:{lineno}: expected {3 + 2 * num_cells} fields, got {len(fields)}"
+                )
+            try:
+                bin_start = int(fields[1])
+                counts = [int(x) for x in fields[3:]]
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from exc
+            if bin_start < 0 or bin_start % bin_size != 0:
+                raise DataError(
+                    f"{path}:{lineno}: bin_start {bin_start} is not a multiple of {bin_size}"
+                )
+            cov = tuple(counts[0::2])
+            meth = tuple(counts[1::2])
+            for j, (c, mu) in enumerate(zip(cov, meth)):
+                if c < 0 or mu < 0 or mu > c:
+                    raise DataError(
+                        f"{path}:{lineno}: cell {j + 1} has meth {mu} outside [0, {c}]"
+                    )
+            records.append(
+                MethylationRecord(
+                    chrom=fields[0],
+                    bin_start=bin_start,
+                    context=fields[2],
+                    coverage=cov,
+                    meth=meth,
+                )
+            )
+    return records
+
+
+def reference_load_tsv(
+    path, context_filter=None, merge_replicates: bool = False, bin_size: int = 100
+) -> CountSequence:
+    """Reference :func:`betahmm.io.load_methylation_tsv` built on the row parser."""
+    records = reference_load_records(path, bin_size=bin_size)
+    if context_filter is not None:
+        records = [r for r in records if r.context == context_filter]
+    if not records:
+        raise DataError(f"{path}: no rows left after filtering")
+    cov = np.array([r.coverage for r in records], dtype=np.int64)
+    meth = np.array([r.meth for r in records], dtype=np.int64)
+    if merge_replicates:
+        if cov.shape[1] % 2 != 0:
+            raise DataError(
+                f"{path}: merging replicates needs an even number of cell columns, got {cov.shape[1]}"
+            )
+        cov = cov[:, 0::2] + cov[:, 1::2]
+        meth = meth[:, 0::2] + meth[:, 1::2]
+    return CountSequence(cov, meth)
+
+
+def reference_write_tsv(path, seq, chrom="sim", context="CG", bin_size: int = 100) -> None:
+    """Row-by-row count-table writer: the reference for the columnar writer."""
+    k = seq.num_cells
+    header = list(REFERENCE_TSV_COLUMNS) + [
+        col for j in range(1, k + 1) for col in (f"cov_{j}", f"meth_{j}")
+    ]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\t".join(header) + "\n")
+        for t in range(len(seq)):
+            counts = [
+                str(x)
+                for j in range(k)
+                for x in (int(seq.coverage[t, j]), int(seq.meth[t, j]))
+            ]
+            fh.write("\t".join([chrom, str(t * bin_size), context] + counts) + "\n")

@@ -171,6 +171,30 @@ class TestExitCodes:
         assert code == 2
         capsys.readouterr()
 
+    def test_non_utf8_table_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.tsv"
+        bad.write_bytes(
+            b"chrom\tbin_start\tcontext\tcov_1\tmeth_1\n"
+            b"chr1\t0\tCG\t5\t2\nchr\xe91\t100\tCG\t5\t2\n"
+        )
+        code = main([
+            "fit", "--data", str(bad),
+            "--out", str(tmp_path / "m.json"), "--states", "2",
+        ])
+        assert code == 2
+        assert f"{bad}:3: not valid UTF-8" in capsys.readouterr().err
+
+    def test_count_above_int64_is_data_error(self, tmp_path, capsys):
+        model_path = _fit(tmp_path, _simulate(tmp_path, length=200))
+        bad = tmp_path / "bad.tsv"
+        bad.write_text(
+            "chrom\tbin_start\tcontext\tcov_1\tmeth_1\n"
+            "chr1\t0\tCG\t5\t2\nchr1\t100\tCG\t99999999999999999999\t2\n"
+        )
+        code = main(["eval", "--model", str(model_path), "--data", str(bad)])
+        assert code == 2
+        assert f"{bad}:3: " in capsys.readouterr().err
+
     def test_cell_count_mismatch(self, tmp_path, capsys):
         one_cell = _simulate(tmp_path, "one.tsv", cells=1)
         model_path = _fit(tmp_path, one_cell)
