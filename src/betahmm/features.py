@@ -8,13 +8,15 @@ Beta(mu + 1, c - mu + 1) variable. It concentrates around mu / c as coverage
 grows and degrades gracefully to the uniform vector when coverage is zero.
 
 Bin masses are differences of the regularized incomplete beta function at the
-bin edges, evaluated by scipy's continued-fraction implementation. Vectors for
-distinct (coverage, count) pairs are cached, so long sequences with repeated
-counts are mapped once per distinct pair.
+bin edges, evaluated by scipy's continued-fraction implementation. A sequence
+is mapped through ``feature_table``: one row per distinct (coverage, count)
+pair plus each position's row index, with rows shared through a module cache,
+so long sequences with repeated counts are mapped once per distinct pair.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +30,7 @@ __all__ = [
     "beta_map",
     "concat_map",
     "map_sequence",
+    "feature_table",
     "empirical_prior_weight",
     "prior_weights",
     "cache_stats",
@@ -49,29 +52,37 @@ class BetaMapConfig:
 class _FeatureCache:
     """Per-(coverage, count, granularity) store of computed feature rows.
 
-    Reads are lock-free; insertion is a plain dict write, which is safe for
-    a single writer (or sharded writers touching disjoint keys).
+    One lock guards the rows and both counters, so threads mapping sequences
+    at once count every lookup and store each row once.
     """
 
     def __init__(self) -> None:
         self._rows: dict[tuple[int, int, int], np.ndarray] = {}
+        self._lock = threading.Lock()
         self.computed = 0
         self.requests = 0
 
-    def get(self, key: tuple[int, int, int]) -> np.ndarray | None:
-        self.requests += 1
-        return self._rows.get(key)
+    def get(self, keys: list) -> list:
+        """The cached row of each key, or None where it is missing."""
+        with self._lock:
+            self.requests += len(keys)
+            return [self._rows.get(key) for key in keys]
 
-    def put(self, key: tuple[int, int, int], row: np.ndarray) -> None:
-        row = np.array(row, dtype=np.float64)
-        row.setflags(write=False)
-        self._rows[key] = row
-        self.computed += 1
+    def put(self, keys: list, rows: np.ndarray) -> None:
+        """Store rows for keys that are still missing."""
+        with self._lock:
+            for key, row in zip(keys, rows):
+                if key not in self._rows:
+                    row = np.array(row, dtype=np.float64)
+                    row.setflags(write=False)
+                    self._rows[key] = row
+                    self.computed += 1
 
     def clear(self) -> None:
-        self._rows.clear()
-        self.computed = 0
-        self.requests = 0
+        with self._lock:
+            self._rows.clear()
+            self.computed = 0
+            self.requests = 0
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -120,11 +131,11 @@ def _as_counts(obs) -> tuple[int, int]:
 def beta_map(obs, cfg: BetaMapConfig) -> np.ndarray:
     """Feature vector of one observation; entries are non-negative and sum to 1."""
     c, mu = _as_counts(obs)
-    key = (c, mu, cfg.granularity)
-    row = _CACHE.get(key)
+    key = [(c, mu, cfg.granularity)]
+    row = _CACHE.get(key)[0]
     if row is None:
         row = _beta_bin_masses(np.array([c]), np.array([mu]), cfg.granularity)[0]
-        _CACHE.put(key, row)
+        _CACHE.put(key, [row])
     return row
 
 
@@ -141,32 +152,46 @@ def concat_map(observations, cfg: BetaMapConfig) -> np.ndarray:
     return np.concatenate([beta_map(o, cfg) for o in observations])
 
 
+def feature_table(seq: CountSequence, cfg: BetaMapConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Feature rows of the distinct (coverage, count) pairs of a sequence.
+
+    Returns ``(table, index)``. ``table`` has shape (U, granularity): one row
+    per distinct pair over all cells, in increasing (coverage, count) order.
+    ``index`` has shape (length, num_cells), and ``index[t, j]`` is the table
+    row of cell j at position t. Each pair is encoded as one integer key from
+    the ranks of its two counts among the sequence's count values, so keys
+    stay below (2 * length * num_cells) ** 2 however large the counts are.
+    Rows are read through the module cache; only missing rows are computed.
+    """
+    D = cfg.granularity
+    cov = seq.coverage.ravel()
+    values, ranks = np.unique(np.concatenate([cov, seq.meth.ravel()]), return_inverse=True)
+    radix = values.size
+    keys, index = np.unique(ranks[: cov.size] * radix + ranks[cov.size :], return_inverse=True)
+    cov_u, meth_u = values[keys // radix], values[keys % radix]
+    cache_keys = [(c, mu, D) for c, mu in zip(cov_u.tolist(), meth_u.tolist())]
+    cached = _CACHE.get(cache_keys)
+    table = np.empty((keys.size, D))
+    missing = []
+    for u, row in enumerate(cached):
+        if row is None:
+            missing.append(u)
+        else:
+            table[u] = row
+    if missing:
+        table[missing] = _beta_bin_masses(cov_u[missing], meth_u[missing], D)
+        _CACHE.put([cache_keys[u] for u in missing], table[missing])
+    return table, index.reshape(seq.coverage.shape)
+
+
 def map_sequence(seq: CountSequence, cfg: BetaMapConfig) -> np.ndarray:
     """Feature matrix of a whole sequence, shape (length, num_cells * granularity).
 
-    Distinct (coverage, count) pairs are evaluated once and shared through the
-    module cache; repeated pairs are pure lookups.
+    Built from ``feature_table``: distinct (coverage, count) pairs are
+    evaluated once and shared through the module cache.
     """
-    D = cfg.granularity
-    pairs = np.stack([seq.coverage.ravel(), seq.meth.ravel()], axis=1)
-    uniq, inverse = np.unique(pairs, axis=0, return_inverse=True)
-    rows = np.empty((uniq.shape[0], D))
-    missing = []
-    for idx in range(uniq.shape[0]):
-        c, mu = int(uniq[idx, 0]), int(uniq[idx, 1])
-        row = _CACHE.get((c, mu, D))
-        if row is None:
-            missing.append(idx)
-        else:
-            rows[idx] = row
-    if missing:
-        sel = np.asarray(missing)
-        fresh = _beta_bin_masses(uniq[sel, 0], uniq[sel, 1], D)
-        rows[sel] = fresh
-        for pos, idx in enumerate(missing):
-            _CACHE.put((int(uniq[idx, 0]), int(uniq[idx, 1]), D), fresh[pos])
-    flat = rows[inverse.ravel()]
-    return flat.reshape(len(seq), seq.num_cells * D)
+    table, index = feature_table(seq, cfg)
+    return table[index].reshape(len(seq), seq.num_cells * cfg.granularity)
 
 
 def empirical_prior_weight(seq: CountSequence, cell: int = 0) -> float:

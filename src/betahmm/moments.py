@@ -1,13 +1,28 @@
-"""Streaming co-occurrence moments of consecutive feature triples.
+"""Co-occurrence moments of consecutive feature triples.
 
 For a feature-mapped sequence, every overlapping window (t, t+1, t+2)
 contributes the pairwise outer products of its three feature vectors and one
-order-3 outer product. This module keeps error-compensated running sums of
-those products so genome-length streams average without precision loss, and
-supports sharded accumulation: accumulators built on disjoint chunks merge
-into the same result as a single sequential pass, up to float reassociation.
+order-3 outer product. The accumulator keeps plain running sums of those
+products; accumulators built on disjoint shards merge by adding their sums.
 
-Dense storage is used throughout; the feature dimension is capped so the
+The pass works from distinct (coverage, count) keys, not from positions. A
+sequence arrives as a feature table F with one row per distinct key, and each
+position's row index (``features.feature_table``). A pair moment block is
+``F.T @ N @ F``, where N is the sparse matrix of integer counts of key pairs
+at the two lags (at most one entry per window, never a dense U x U array).
+The triple moment is grouped by the middle key v: ``G_v = A_v.T @ C_v`` sums
+the outer products of the first and last feature vectors over the windows
+whose middle key is v, and the tensor is ``sum_v F[v] (x) G_v``. Row i of
+every ``G_v`` is the sparse (middle key, last key) matrix, weighted by
+coordinate i of the first vectors summed per pair, times F. Batches of
+coordinates share one stacked sparse product, sized so their working arrays
+stay within a fixed number of elements (one coordinate at least). Work is
+O(n d + nnz d^2 + U d^3) for n windows, nnz distinct key pairs and U distinct
+keys. Memory is O(n + U d) beyond that bound: a U x d^2 array forms only when
+it fits within the bound, and a U x U array never. No loop runs over
+positions or keys.
+
+Dense storage is used for the moments; the feature dimension is capped so the
 order-3 array stays manageable.
 """
 
@@ -18,37 +33,63 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, ParameterError
-from .features import BetaMapConfig, concat_map, map_sequence
+from .features import BetaMapConfig, concat_map, feature_table
 from .model import CountSequence, Triple
 
 __all__ = ["MomentSet", "MomentAccumulator", "MAX_FEATURE_DIM"]
 
 MAX_FEATURE_DIM = 256
 
+# float64-sized elements of working memory for one batch of coordinates in
+# the triple pass; bounds it whatever the number of distinct keys
+_BATCH_ELEMENTS = 1 << 20
 
-class _NeumaierSum:
-    """Compensated (Kahan/Neumaier) elementwise sum of equally shaped arrays."""
 
-    __slots__ = ("total", "comp")
+def _pair_counts(rows: np.ndarray, cols: np.ndarray, size: int):
+    """Sparse count matrix of (row key, column key) pairs over positions.
 
-    def __init__(self, shape) -> None:
-        self.total = np.zeros(shape)
-        self.comp = np.zeros(shape)
+    Entry [u, w] counts the positions whose row key is u and column key is w.
+    Also returns, for each position, the slot of its pair in the matrix's
+    data array.
+    """
+    # imported here: scipy.sparse adds about 20 ms to every start of the CLI,
+    # and only fits need it
+    from scipy.sparse import csr_matrix
 
-    def add(self, value: np.ndarray) -> None:
-        t = self.total + value
-        big = np.abs(self.total) >= np.abs(value)
-        self.comp += np.where(big, (self.total - t) + value, (value - t) + self.total)
-        self.total = t
+    codes, slot = np.unique(rows * size + cols, return_inverse=True)
+    indptr = np.searchsorted(codes, np.arange(size + 1) * size)
+    counts = np.bincount(slot, minlength=codes.size)
+    return csr_matrix((counts, codes % size, indptr), shape=(size, size)), slot
 
-    def value(self) -> np.ndarray:
-        return self.total + self.comp
 
-    def copy(self) -> "_NeumaierSum":
-        out = _NeumaierSum(self.total.shape)
-        out.total = self.total.copy()
-        out.comp = self.comp.copy()
-        return out
+def _triple_block(table: np.ndarray, pairs, slot: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Sum over windows of F[first] (x) F[middle] (x) F[last], grouped by middle key.
+
+    ``pairs`` counts the (middle key, last key) pairs of the windows and
+    ``slot`` maps each window to its pair. Weighting each pair by coordinate
+    i of its summed first vectors instead of its count gives row i of every
+    ``G_v = A_v.T @ C_v`` in one sparse product with F; contracting with
+    ``F[v]`` gives slice i of the block. Coordinates go in batches whose
+    working arrays stay within ``_BATCH_ELEMENTS``.
+    """
+    from scipy.sparse import csr_matrix
+
+    size, D = table.shape
+    nnz = pairs.nnz
+    # summed first vectors of each pair's windows are firsts @ table
+    firsts = csr_matrix((np.ones(slot.size), (slot, first)), shape=(nnz, size))
+    step = max(1, min(D, _BATCH_ELEMENTS // (size * D + 3 * nnz)))
+    offsets = np.arange(step)[:, None] * nnz
+    out = np.empty((D, D, D))
+    for lo in range(0, D, step):
+        width = min(step, D - lo)
+        weights = (firsts @ table[:, lo : lo + width]).T.ravel()
+        indptr = np.append((pairs.indptr[:-1] + offsets[:width]).ravel(), width * nnz)
+        stacked = csr_matrix(
+            (weights, np.tile(pairs.indices, width), indptr), shape=(width * size, size)
+        )
+        out[lo : lo + width] = table.T @ (stacked @ table).reshape(width, size, D)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,11 +152,13 @@ class MomentSet:
 
 
 class MomentAccumulator:
-    """Running compensated sums of pairwise and triple outer products.
+    """Running sums of pairwise and triple outer products.
 
-    Accumulate triples one at a time, or whole sequences in vectorised chunks;
-    ``merge`` combines accumulators built on disjoint shards. ``finalize``
-    divides by the triple count and returns a validated :class:`MomentSet`.
+    Every input goes through one pass, ``add_indexed``, which takes a
+    sequence as feature-table rows: ``add_sequence`` maps a count sequence,
+    ``add_features`` and ``accumulate`` add one triple. ``merge`` adds the
+    sums of accumulators built on disjoint shards. ``finalize`` divides by
+    the triple count and returns a validated :class:`MomentSet`.
     """
 
     def __init__(self, feature_dim: int, num_blocks: int = 1) -> None:
@@ -133,12 +176,12 @@ class MomentAccumulator:
         self.num_blocks = num_blocks
         self.count = 0
         d = feature_dim
-        self._p12 = _NeumaierSum((d, d))
-        self._p13 = _NeumaierSum((d, d))
-        self._p23 = _NeumaierSum((d, d))
-        self._t123 = _NeumaierSum((d, d, d))
+        self._p12 = np.zeros((d, d))
+        self._p13 = np.zeros((d, d))
+        self._p23 = np.zeros((d, d))
+        self._t123 = np.zeros((d, d, d))
 
-    def add_features(self, f1: np.ndarray, f2: np.ndarray, f3: np.ndarray) -> None:
+    def add_features(self, f1: np.ndarray, f2: np.ndarray, f3: np.ndarray) -> "MomentAccumulator":
         """Accumulate one already-mapped triple of feature vectors."""
         d = self.feature_dim
         if f1.shape != (d,) or f2.shape != (d,) or f3.shape != (d,):
@@ -146,49 +189,55 @@ class MomentAccumulator:
                 f"feature vectors must have shape ({d},), got "
                 f"{f1.shape}, {f2.shape}, {f3.shape}"
             )
-        self._p12.add(np.outer(f1, f2))
-        self._p13.add(np.outer(f1, f3))
-        self._p23.add(np.outer(f2, f3))
-        self._t123.add(f1[:, None, None] * np.outer(f2, f3)[None, :, :])
-        self.count += 1
+        k = self.num_blocks
+        table = np.concatenate([f1, f2, f3]).reshape(3 * k, d // k)
+        return self.add_indexed(table, np.arange(3 * k).reshape(3, k))
 
     def accumulate(self, triple: Triple, cfg: BetaMapConfig) -> "MomentAccumulator":
         """Map one observation triple and fold it into the running sums."""
         f1 = concat_map(triple.x1, cfg)
         f2 = concat_map(triple.x2, cfg)
         f3 = concat_map(triple.x3, cfg)
-        self.add_features(f1, f2, f3)
-        return self
+        return self.add_features(f1, f2, f3)
 
-    def add_sequence(
-        self, seq: CountSequence, cfg: BetaMapConfig, chunk_size: int | None = None
-    ) -> "MomentAccumulator":
-        """Accumulate every overlapping triple of ``seq`` in vectorised chunks.
+    def add_sequence(self, seq: CountSequence, cfg: BetaMapConfig) -> "MomentAccumulator":
+        """Accumulate every overlapping triple of ``seq``."""
+        table, index = feature_table(seq, cfg)
+        return self.add_indexed(table, index)
 
-        Equivalent to accumulating triple by triple, up to float reassociation
-        (chunk partial sums are folded in through the compensated adders).
+    def add_indexed(self, table: np.ndarray, index: np.ndarray) -> "MomentAccumulator":
+        """Accumulate every window of a sequence given as feature-table rows.
+
+        ``table`` has one feature row per distinct key, shape (U, D), and
+        ``index[t, j]`` is the row of cell j at position t, so each position
+        maps to the concatenation of its cells' rows. Loops run over cells and
+        over batches of coordinates only.
         """
-        if len(seq) < 3:
-            raise DataError(f"insufficient length: need at least 3 positions, got {len(seq)}")
-        feats = map_sequence(seq, cfg)
-        if feats.shape[1] != self.feature_dim:
+        length, cells = index.shape
+        if length < 3:
+            raise DataError(f"insufficient length: need at least 3 positions, got {length}")
+        size, D = table.shape
+        if D * cells != self.feature_dim:
             raise ParameterError(
-                f"sequence maps to dimension {feats.shape[1]}, accumulator expects {self.feature_dim}"
+                f"sequence maps to dimension {D * cells}, accumulator expects {self.feature_dim}"
             )
-        d = self.feature_dim
-        n = len(seq) - 2
-        if chunk_size is None:
-            chunk_size = max(64, (1 << 22) // (d * d))
-        f1, f2, f3 = feats[:-2], feats[1:-1], feats[2:]
-        for lo in range(0, n, chunk_size):
-            hi = min(lo + chunk_size, n)
-            a, b, c = f1[lo:hi], f2[lo:hi], f3[lo:hi]
-            self._p12.add(a.T @ b)
-            self._p13.add(a.T @ c)
-            self._p23.add(b.T @ c)
-            kr = (b[:, :, None] * c[:, None, :]).reshape(hi - lo, d * d)
-            self._t123.add((a.T @ kr).reshape(d, d, d))
-            self.count += hi - lo
+        first, middle, last = index[:-2], index[1:-1], index[2:]
+        block = [slice(j * D, (j + 1) * D) for j in range(cells)]
+        for a in range(cells):
+            for b in range(cells):
+                n12, _ = _pair_counts(first[:, a], middle[:, b], size)
+                n13, _ = _pair_counts(first[:, a], last[:, b], size)
+                self._p12[block[a], block[b]] += table.T @ (n12 @ table)
+                self._p13[block[a], block[b]] += table.T @ (n13 @ table)
+        for b in range(cells):
+            for c in range(cells):
+                pairs, slot = _pair_counts(middle[:, b], last[:, c], size)
+                self._p23[block[b], block[c]] += table.T @ (pairs @ table)
+                for a in range(cells):
+                    self._t123[block[a], block[b], block[c]] += _triple_block(
+                        table, pairs, slot, first[:, a]
+                    )
+        self.count += length - 2
         return self
 
     def merge(self, other: "MomentAccumulator") -> "MomentAccumulator":
@@ -198,11 +247,7 @@ class MomentAccumulator:
         out = MomentAccumulator(self.feature_dim, self.num_blocks)
         out.count = self.count + other.count
         for name in ("_p12", "_p13", "_p23", "_t123"):
-            s = getattr(self, name).copy()
-            o = getattr(other, name)
-            s.add(o.total)
-            s.add(o.comp)
-            setattr(out, name, s)
+            setattr(out, name, getattr(self, name) + getattr(other, name))
         return out
 
     def finalize(self) -> MomentSet:
@@ -210,13 +255,9 @@ class MomentAccumulator:
         if self.count < 1:
             raise DataError("cannot finalize an empty accumulator")
         n = float(self.count)
-        p12 = self._p12.value() / n
-        p13 = self._p13.value() / n
-        p23 = self._p23.value() / n
-        t123 = self._t123.value() / n
-        # compensation can leave -1e-18 residue on exactly-zero cells
-        for arr in (p12, p13, p23, t123):
-            np.maximum(arr, 0.0, out=arr)
+        p12 = self._p12 / n
+        p13 = self._p13 / n
+        p23 = self._p23 / n
         moments = MomentSet(
             p12=p12,
             p21=p12.T.copy(),
@@ -224,7 +265,7 @@ class MomentAccumulator:
             p31=p13.T.copy(),
             p23=p23,
             p32=p23.T.copy(),
-            t123=t123,
+            t123=self._t123 / n,
             count=self.count,
             num_blocks=self.num_blocks,
         )

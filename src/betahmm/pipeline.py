@@ -8,13 +8,14 @@ hands the result to a few EM refinement rounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass
 
 import numpy as np
 
 from .em import EmConfig, EmTrace, em_fit
 from .errors import DataError, ParameterError
-from .features import BetaMapConfig, prior_weights
+from .features import BetaMapConfig, feature_table, prior_weights
 from .model import CountSequence, HmmParams, validate_params
 from .moments import MomentAccumulator, MomentSet
 from .recovery import chain_from_joint, estimate_joint_lsq, recover_meth_probs
@@ -56,7 +57,6 @@ class FtdConfig:
     power_iters: int = 30
     power_restarts: int = 10
     seed: int = 0
-    chunk_size: int | None = None
     lsq_max_iters: int = 5000
     lsq_rel_tol: float = 1e-9
     adaptive_rank: bool = True
@@ -86,7 +86,10 @@ class RecoveredModel:
     ``per_cell_probs`` always has shape (num_cells, num_states);
     ``params.meth_probs`` is its single row for single-cell data.
     ``diagnostics`` records clamping masses, the least-squares fit trace,
-    whitening spectrum, tensor residuals and pre-clamp probabilities.
+    whitening spectrum, tensor residuals and pre-clamp probabilities;
+    ``diagnostics["timings"]`` holds the seconds of each stage, and ``ftd_fit``
+    adds ``diagnostics["distinct_keys"]``, the distinct (coverage, count)
+    pairs of each cell.
     """
 
     params: HmmParams
@@ -142,6 +145,7 @@ def ftd_fit_moments(
     disagreement calibrates the sampling-noise level used for pseudoinverse
     shrinkage and rank selection.
     """
+    start = time.perf_counter()
     dim = moments.dim
     if dim % moments.num_blocks != 0:
         raise ParameterError("moment dimension is not divisible by its block count")
@@ -156,7 +160,8 @@ def ftd_fit_moments(
     g_sym = _symmetric_part(g)
     pair = s3 @ moments.p32
     pair_sym = 0.5 * (pair + pair.T)
-    vals_all, vecs_all = np.linalg.eigh(pair_sym)
+    eig = np.linalg.eigh(pair_sym)
+    vals_all, vecs_all = eig
     order = np.argsort(-vals_all, kind="stable")[:num_states]
     top_vals = vals_all[order]
     top_vecs = vecs_all[:, order]
@@ -185,11 +190,12 @@ def ftd_fit_moments(
         dir_noise = np.zeros(num_states)
         pair_floor = [0.0] * num_states
         rank = num_states
-    whitening, h = whiten(g_sym, s3, moments.p32, rank, s1=s1)
+    whitening, h = whiten(g_sym, s3, moments.p32, rank, s1=s1, eigh=eig)
     result = joint_diagonalization(h)
     means_r = recover_feature_means(
         result, whitening, num_blocks=moments.num_blocks, tensor=g_sym
     )
+    spectral_done = time.perf_counter()
     if rank < num_states:
         # unresolvable states are estimated at the recovered merged positions,
         # heaviest components (smallest whitened eigenvalue) duplicated first
@@ -219,6 +225,10 @@ def ftd_fit_moments(
     pi, T = chain_from_joint(h_full)
     meth = probs[0] if moments.num_blocks == 1 else probs
     params = validate_params(HmmParams(initial_dist=pi, transition=T, meth_probs=meth))
+    timings = {
+        "spectral_s": spectral_done - start,
+        "recovery_s": time.perf_counter() - spectral_done,
+    }
     diagnostics = {
         "triples": moments.count,
         "noise_level": noise,
@@ -237,6 +247,7 @@ def ftd_fit_moments(
         "lsq_objective": joint.objective,
         "lsq_iterations": joint.iterations,
         "lsq_converged": joint.converged,
+        "timings": timings,
     }
     return RecoveredModel(
         params=params,
@@ -252,32 +263,41 @@ def ftd_fit(
 ) -> RecoveredModel:
     """Full spectral fit of a count sequence.
 
-    Long enough sequences are accumulated as two half-stream shards whose
-    merged moments equal the single-pass result; the halves also provide the
-    split-half noise estimate that drives shrinkage and rank selection.
+    The (coverage, count) keys and their feature table are computed once for
+    the whole sequence. Long enough sequences are accumulated as two
+    half-stream shards whose summed moments cover every window once; the
+    halves also provide the split-half noise estimate that drives shrinkage
+    and rank selection.
     """
     if len(seq) < 3:
         raise DataError(f"insufficient length: need at least 3 positions, got {len(seq)}")
-    cfg_map = BetaMapConfig(granularity=config.granularity)
+    start = time.perf_counter()
+    table, index = feature_table(seq, BetaMapConfig(granularity=config.granularity))
     dim = config.granularity * seq.num_cells
     halves = None
     if len(seq) >= 16:
         half = len(seq) // 2
         acc_a = MomentAccumulator(feature_dim=dim, num_blocks=seq.num_cells)
-        acc_a.add_sequence(seq[:half], cfg_map, chunk_size=config.chunk_size)
+        acc_a.add_indexed(table, index[:half])
         # start two positions early so the windows spanning the cut are kept:
         # the merged accumulator then covers every overlapping triple exactly once
         acc_b = MomentAccumulator(feature_dim=dim, num_blocks=seq.num_cells)
-        acc_b.add_sequence(seq[half - 2 :], cfg_map, chunk_size=config.chunk_size)
+        acc_b.add_indexed(table, index[half - 2 :])
         moments = acc_a.merge(acc_b).finalize()
         halves = (acc_a.finalize(), acc_b.finalize())
     else:
         acc = MomentAccumulator(feature_dim=dim, num_blocks=seq.num_cells)
-        acc.add_sequence(seq, cfg_map, chunk_size=config.chunk_size)
-        moments = acc.finalize()
-    return ftd_fit_moments(
+        moments = acc.add_indexed(table, index).finalize()
+    moments_s = time.perf_counter() - start
+    model = ftd_fit_moments(
         moments, num_states, prior_weights(seq), config, split_halves=halves
     )
+    model.diagnostics["distinct_keys"] = [
+        int(np.count_nonzero(np.bincount(index[:, j], minlength=len(table))))
+        for j in range(seq.num_cells)
+    ]
+    model.diagnostics["timings"] = {"moments_s": moments_s, **model.diagnostics["timings"]}
+    return model
 
 
 def ftd_then_em(

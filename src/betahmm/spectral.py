@@ -163,18 +163,20 @@ def whiten(
     num_states: int,
     rank_rtol: float = RANK_RTOL,
     s1: np.ndarray | None = None,
+    eigh: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[WhiteningData, np.ndarray]:
     """Build the whitening map from ``s3 @ p32`` and contract ``g`` with it.
 
     The pair matrix ``s3 @ p32`` equals the middle-view second moment for
     population inputs; its symmetric part is eigendecomposed and the top
-    ``num_states`` directions scaled to unit curvature. Returns the whitening
-    data and the ``num_states`` cubed whitened tensor.
+    ``num_states`` directions scaled to unit curvature. A caller that already
+    holds ``np.linalg.eigh`` of that symmetric part passes it as ``eigh``.
+    Returns the whitening data and the ``num_states`` cubed whitened tensor.
     """
     m = num_states
     pair = s3 @ p32
     pair_sym = 0.5 * (pair + pair.T)
-    vals, vecs = np.linalg.eigh(pair_sym)
+    vals, vecs = np.linalg.eigh(pair_sym) if eigh is None else eigh
     order = np.argsort(-vals, kind="stable")
     vals = vals[order][:m]
     vecs = vecs[:, order][:, :m]

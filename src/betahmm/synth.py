@@ -13,7 +13,7 @@ import csv
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -244,7 +244,7 @@ def _run_row(cfg: SynthConfig, length: int, trial: int, algorithm: str) -> Bench
     start = time.perf_counter()
     try:
         if algorithm == "ftd":
-            fitted = ftd_fit(seq, cfg.num_states, replace(cfg.ftd, seed=fit_seed))
+            fitted = ftd_fit(seq, cfg.num_states, cfg.ftd)
             est = fitted.per_cell_probs[0]
         else:
             em_cfg = EmConfig(

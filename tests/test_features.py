@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from betahmm import (
     map_sequence,
     prior_weights,
 )
+from betahmm.features import feature_table
 
 
 class TestFrozenValues:
@@ -195,3 +198,69 @@ class TestMapSequence:
         meth = np.full(500, 4)
         map_sequence(CountSequence(cov, meth), BetaMapConfig(granularity=6))
         assert cache_stats()["computed"] == 1
+
+
+class TestFeatureTable:
+    def test_rows_and_index_rebuild_the_sequence(self):
+        gen = np.random.default_rng(5)
+        cov = gen.integers(0, 20, size=(60, 2))
+        meth = (cov * gen.uniform(size=cov.shape)).astype(np.int64)
+        seq = CountSequence(cov, meth)
+        cfg = BetaMapConfig(granularity=4)
+        table, index = feature_table(seq, cfg)
+        assert index.shape == (60, 2)
+        pairs = sorted(set(zip(cov.ravel().tolist(), meth.ravel().tolist())))
+        assert table.shape == (len(pairs), 4)
+        for t in range(60):
+            for j in range(2):
+                assert pairs[index[t, j]] == (cov[t, j], meth[t, j])
+                assert np.array_equal(table[index[t, j]], beta_map((cov[t, j], meth[t, j]), cfg))
+
+    def test_counts_near_the_int64_limit_keep_distinct_keys(self):
+        top = 2**63 - 1
+        cov = np.array([top, top, top - 1, top, 0])
+        meth = np.array([top, top - 1, top - 1, 0, 0])
+        table, index = feature_table(CountSequence(cov, meth), BetaMapConfig(granularity=3))
+        assert table.shape == (5, 3)
+        assert sorted(index[:, 0].tolist()) == [0, 1, 2, 3, 4]
+
+
+class TestCacheThreads:
+    def test_concurrent_mapping_counts_every_lookup(self):
+        clear_cache()
+        cfg = BetaMapConfig(granularity=5)
+        gen = np.random.default_rng(21)
+        seqs = []
+        for _ in range(6):
+            cov = gen.integers(0, 25, size=(300, 2))
+            meth = (cov * gen.uniform(size=cov.shape)).astype(np.int64)
+            seqs.append(CountSequence(cov, meth))
+        distinct = [
+            len(set(zip(s.coverage.ravel().tolist(), s.meth.ravel().tolist()))) for s in seqs
+        ]
+        union = set()
+        for s in seqs:
+            union |= set(zip(s.coverage.ravel().tolist(), s.meth.ravel().tolist()))
+        rounds, workers = 5, 4
+        barrier = threading.Barrier(workers)
+
+        def work():
+            barrier.wait()
+            for _ in range(rounds):
+                for s in seqs:
+                    map_sequence(s, cfg)
+
+        threads = [threading.Thread(target=work) for _ in range(workers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        stats = cache_stats()
+        assert stats["entries"] == stats["computed"] == len(union)
+        assert stats["requests"] == workers * rounds * sum(distinct)

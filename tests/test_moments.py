@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,8 +15,11 @@ from betahmm import (
     Observation,
     ParameterError,
     Triple,
+    concat_map,
     iter_triples,
 )
+from betahmm import moments as moments_module
+from betahmm.features import feature_table
 from betahmm.moments import MAX_FEATURE_DIM
 
 from oracles import naive_moment_means
@@ -97,9 +101,8 @@ class TestAddSequence:
         by_triple = MomentAccumulator(4)
         for triple in iter_triples(seq):
             by_triple.accumulate(triple, cfg)
-        for chunk in (None, 1, 3, 1000):
-            whole = MomentAccumulator(4).add_sequence(seq, cfg, chunk_size=chunk)
-            _assert_same_moments(whole.finalize(), by_triple.finalize())
+        whole = MomentAccumulator(4).add_sequence(seq, cfg)
+        _assert_same_moments(whole.finalize(), by_triple.finalize())
 
     def test_two_cells(self, rng):
         cfg = BetaMapConfig(granularity=3)
@@ -168,6 +171,18 @@ class TestMerge:
         full = MomentAccumulator(3).add_sequence(seq, cfg)
         _assert_same_moments(merged.finalize(), full.finalize(), atol=1e-10)
 
+    def test_merged_halves_are_bitwise_order_free(self, rng):
+        cfg = BetaMapConfig(granularity=4)
+        seq = _random_sequence(rng, 101, cells=2)
+        table, index = feature_table(seq, cfg)
+        first = MomentAccumulator(8, num_blocks=2).add_indexed(table, index[:50])
+        second = MomentAccumulator(8, num_blocks=2).add_indexed(table, index[48:])
+        ab = first.merge(second).finalize()
+        ba = second.merge(first).finalize()
+        assert ab.count == ba.count == 99
+        for name in ("p12", "p21", "p13", "p31", "p23", "p32", "t123"):
+            assert np.array_equal(getattr(ab, name), getattr(ba, name)), name
+
     def test_merge_with_empty_is_identity(self, rng):
         acc = MomentAccumulator(3)
         for _ in range(5):
@@ -188,6 +203,44 @@ class TestMerge:
             MomentAccumulator(4).merge(MomentAccumulator(6))
         with pytest.raises(ParameterError, match="layouts"):
             MomentAccumulator(4, num_blocks=1).merge(MomentAccumulator(4, num_blocks=2))
+
+
+class TestCoordinateBatches:
+    @pytest.mark.parametrize("budget", [1, 1000, 1 << 20])
+    def test_batch_size_does_not_change_the_moments(self, rng, monkeypatch, budget):
+        # budget 1 runs one coordinate per batch, 1000 runs batches of two
+        # with a remainder, the default runs all five at once
+        seq = _random_sequence(rng, 60, cells=2, max_cov=8)
+        cfg = BetaMapConfig(granularity=5)
+        monkeypatch.setattr(moments_module, "_BATCH_ELEMENTS", budget)
+        moments = MomentAccumulator(10, num_blocks=2).add_sequence(seq, cfg).finalize()
+        feats = np.array([concat_map(seq.observations(t), cfg) for t in range(len(seq))])
+        p12, p13, p23, t123 = naive_moment_means(feats[:-2], feats[1:-1], feats[2:])
+        np.testing.assert_allclose(moments.t123, t123, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(moments.p13, p13, rtol=0, atol=1e-12)
+
+
+class TestMemory:
+    def test_peak_stays_below_a_distinct_key_square(self):
+        # 20000 positions with coverage up to 400 give over 10k distinct keys;
+        # one U x U array (over 800 MB) or U x d^2 array (over 70 MB) would
+        # break the bound
+        gen = np.random.default_rng(7)
+        cov = gen.integers(0, 401, size=20_000)
+        meth = (cov * gen.uniform(size=cov.size)).astype(np.int64)
+        seq = CountSequence(cov, meth)
+        cfg = BetaMapConfig(granularity=30)
+        table, index = feature_table(seq, cfg)
+        assert len(table) >= 10_000
+        acc = MomentAccumulator(30)
+        tracemalloc.start()
+        try:
+            acc.add_indexed(table, index)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert acc.count == len(seq) - 2
+        assert peak < 24 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestConstructionErrors:
@@ -272,3 +325,32 @@ def test_random_sequences_produce_valid_moments(length, granularity, cells, seed
     assert moments.p23.sum() == pytest.approx(k * k, abs=1e-9)
     assert moments.t123.sum() == pytest.approx(k**3, abs=1e-9)
     assert moments.validate() is moments
+
+
+@given(
+    length=st.integers(6, 40),
+    granularity=st.integers(1, 5),
+    cells=st.integers(1, 2),
+    max_cov=st.sampled_from([3, 60, 2**40]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_split_pass_matches_naive_sums(length, granularity, cells, max_cov, seed):
+    # the halves share one feature table and overlap by two positions, as in
+    # ftd_fit; huge coverages would collide in a key that overflows int64
+    gen = np.random.default_rng(seed)
+    seq = _random_sequence(gen, length, cells=cells, max_cov=max_cov)
+    cfg = BetaMapConfig(granularity=granularity)
+    table, index = feature_table(seq, cfg)
+    half = length // 2
+    dim = granularity * cells
+    first = MomentAccumulator(dim, num_blocks=cells).add_indexed(table, index[:half])
+    second = MomentAccumulator(dim, num_blocks=cells).add_indexed(table, index[half - 2 :])
+    merged = first.merge(second).finalize()
+    feats = np.array([concat_map(seq.observations(t), cfg) for t in range(length)])
+    p12, p13, p23, t123 = naive_moment_means(feats[:-2], feats[1:-1], feats[2:])
+    assert merged.count == length - 2
+    np.testing.assert_allclose(merged.p12, p12, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(merged.p13, p13, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(merged.p23, p23, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(merged.t123, t123, rtol=0, atol=1e-12)

@@ -17,6 +17,8 @@ from betahmm import (
     sample_sequence,
     validate_params,
 )
+from betahmm.features import feature_table
+from betahmm.io import ModelFile, load_model, save_model
 from betahmm.moments import MomentAccumulator, MomentSet
 from betahmm.synth import _row_seeds
 from oracles import chain_joints, exact_feature_map, population_moments
@@ -48,13 +50,13 @@ def _official_sequence(trial, length=8192):
 
 def _split_moments(seq, granularity):
     """Merged moments and split halves, accumulated as ``ftd_fit`` does."""
-    cfg_map = BetaMapConfig(granularity=granularity)
+    table, index = feature_table(seq, BetaMapConfig(granularity=granularity))
     dim = granularity * seq.num_cells
     half = len(seq) // 2
     acc_a = MomentAccumulator(feature_dim=dim, num_blocks=seq.num_cells)
-    acc_a.add_sequence(seq[:half], cfg_map)
+    acc_a.add_indexed(table, index[:half])
     acc_b = MomentAccumulator(feature_dim=dim, num_blocks=seq.num_cells)
-    acc_b.add_sequence(seq[half - 2 :], cfg_map)
+    acc_b.add_indexed(table, index[half - 2 :])
     return acc_a.merge(acc_b).finalize(), (acc_a.finalize(), acc_b.finalize())
 
 
@@ -226,6 +228,38 @@ class TestFtdFit:
         np.testing.assert_array_equal(
             model.feature_means[:, 2], model.feature_means[:, extras[0]]
         )
+
+
+class TestObservability:
+    def test_distinct_keys_and_timings_reach_the_model_file(self, tmp_path):
+        params = generate_params(SynthConfig(num_states=2, num_cells=2), seed=8)
+        seq = sample_sequence(params, 600, 20.0, seed=9)
+        model = ftd_fit(seq, 2, FtdConfig(granularity=6))
+        expected = [
+            len(set(zip(seq.coverage[:, j].tolist(), seq.meth[:, j].tolist())))
+            for j in range(2)
+        ]
+        diag = model.diagnostics
+        assert diag["distinct_keys"] == expected
+        assert list(diag["timings"]) == ["moments_s", "spectral_s", "recovery_s"]
+        assert all(seconds >= 0.0 for seconds in diag["timings"].values())
+        path = tmp_path / "model.json"
+        save_model(
+            ModelFile(
+                num_states=2,
+                num_cells=2,
+                granularity=6,
+                initial_dist=model.params.initial_dist,
+                transition=model.params.transition,
+                meth_probs=model.per_cell_probs,
+                prior_weights=model.prior_weights,
+                diagnostics=diag,
+            ),
+            path,
+        )
+        loaded = load_model(path).diagnostics
+        assert loaded["distinct_keys"] == expected
+        assert loaded["timings"] == diag["timings"]
 
 
 class TestDecompositionDependsOnDataOnly:

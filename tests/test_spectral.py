@@ -117,6 +117,18 @@ class TestWhiten:
         np.testing.assert_allclose(gram, np.eye(3), atol=1e-6)
         assert h.shape == (3, 3, 3)
 
+    def test_given_eigenpairs_give_the_same_bits(self):
+        pi = np.array([0.4, 0.35, 0.25])
+        T = _column_wise([[0.5, 0.3, 0.2], [0.3, 0.5, 0.2], [0.2, 0.2, 0.6]])
+        ms = population_moments(pi, T, np.eye(3))
+        s1, s3, g, _ = symmetrize_moments(ms, num_states=3)
+        pair = s3 @ ms.p32
+        eig = np.linalg.eigh(0.5 * (pair + pair.T))
+        own, h_own = whiten(g, s3, ms.p32, num_states=3, s1=s1)
+        given, h_given = whiten(g, s3, ms.p32, num_states=3, s1=s1, eigh=eig)
+        assert np.array_equal(own.w, given.w)
+        assert np.array_equal(h_own, h_given)
+
     def test_rank_deficient_pair_raises(self):
         g = np.ones((2, 2, 2))
         s3 = np.eye(2)
