@@ -40,7 +40,6 @@ def main(argv=None) -> int:
     parser.add_argument("--granularity", type=int, default=12)
     parser.add_argument("--model-seed", type=int, default=7)
     parser.add_argument("--data-seed", type=int, default=11)
-    parser.add_argument("--fit-seed", type=int, default=3)
     args = parser.parse_args(argv)
 
     params = build_params(args.model_seed)
@@ -48,9 +47,7 @@ def main(argv=None) -> int:
     print("planted per-state gaps:", np.round(np.abs(truth[0] - truth[1]), 3))
 
     seq = sample_sequence(params, args.length, args.coverage, seed=args.data_seed)
-    model = ftd_fit(
-        seq, truth.shape[1], FtdConfig(granularity=args.granularity, seed=args.fit_seed)
-    )
+    model = ftd_fit(seq, truth.shape[1], FtdConfig(granularity=args.granularity))
 
     est = model.per_cell_probs
     print("recovered cell A probs:", np.round(est[0], 3))

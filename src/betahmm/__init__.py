@@ -52,8 +52,8 @@ from .recovery import (
 from .spectral import (
     DecompositionResult,
     WhiteningData,
-    decompose_moments,
     joint_diagonalization,
+    pair_spectrum,
     recover_feature_means,
     symmetrize_moments,
     tensor_power_method,
@@ -102,7 +102,6 @@ __all__ = [
     "chain_via_pinv",
     "clear_cache",
     "concat_map",
-    "decompose_moments",
     "differential_states",
     "em_fit",
     "empirical_prior_weight",
@@ -120,6 +119,7 @@ __all__ = [
     "load_model",
     "log_likelihood",
     "map_sequence",
+    "pair_spectrum",
     "prior_weights",
     "project_to_simplex",
     "random_init",

@@ -55,15 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--algo", choices=("ftd", "em", "ftd+em"), default="ftd")
     fit.add_argument("--states", type=int, required=True)
     fit.add_argument("--granularity", type=int, default=30)
-    fit.add_argument(
-        "--power-iters", type=int, default=30,
-        help="recorded in provenance; the spectral fit is deterministic and ignores it",
-    )
-    fit.add_argument(
-        "--power-restarts", type=int, default=10,
-        help="recorded in provenance; the spectral fit is deterministic and ignores it",
-    )
-    fit.add_argument("--seed", type=int, default=0)
+    fit.add_argument("--seed", type=int, default=0, help="EM initialization seed")
     fit.add_argument("--train-frac", type=float, default=0.9)
     fit.add_argument("--context", help="keep only rows with this context")
     fit.add_argument("--merge-replicates", action="store_true")
@@ -154,12 +146,7 @@ def _cmd_fit(args) -> int:
         args.data, context_filter=args.context, merge_replicates=args.merge_replicates
     )
     train = _split_train(seq, args.train_frac)
-    ftd_cfg = FtdConfig(
-        granularity=args.granularity,
-        power_iters=args.power_iters,
-        power_restarts=args.power_restarts,
-        seed=args.seed,
-    )
+    ftd_cfg = FtdConfig(granularity=args.granularity)
     diagnostics: dict = {}
     granularity: int | None = args.granularity
     if args.algo == "ftd":
@@ -177,10 +164,10 @@ def _cmd_fit(args) -> int:
         diagnostics = {"log_likelihoods": trace.log_likelihoods}
         granularity = None
     else:
-        trace = ftd_then_em(train, args.states, ftd_cfg, rounds=args.em_rounds)
+        model, trace = ftd_then_em(train, args.states, ftd_cfg, rounds=args.em_rounds)
         params, probs = trace.params, trace.params.cell_probs()
-        weights = prior_weights(train)
-        diagnostics = {"log_likelihoods": trace.log_likelihoods}
+        weights = model.prior_weights
+        diagnostics = {**model.diagnostics, "log_likelihoods": trace.log_likelihoods}
     out = model_io.ModelFile(
         num_states=args.states,
         num_cells=seq.num_cells,

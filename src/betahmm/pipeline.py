@@ -22,8 +22,8 @@ from .recovery import chain_from_joint, estimate_joint_lsq, recover_meth_probs
 from .spectral import (
     RANK_RTOL,
     _pinv,
-    _symmetric_part,
     joint_diagonalization,
+    pair_spectrum,
     recover_feature_means,
     symmetrize_moments,
     whiten,
@@ -36,47 +36,25 @@ __all__ = ["FtdConfig", "RecoveredModel", "ftd_fit", "ftd_fit_moments", "ftd_the
 class FtdConfig:
     """Controls for the spectral fit.
 
-    The fit decomposes the whitened tensor by deterministic joint
-    diagonalization, so its output depends on the data alone. ``seed``,
-    ``power_iters`` and ``power_restarts`` no longer affect ``ftd_fit``; they
-    are still validated and written to model provenance.
-
-    ``adaptive_rank`` keeps the decomposition honest on finite samples: pair
-    directions whose curvature falls below the estimated sampling noise are
-    not inverted. When fewer than ``num_states`` directions survive, the
-    decomposition runs at the reduced rank and the missing states are filled
-    with copies of the heaviest recovered components (a merged-state
-    estimate). ``adaptive_rank=False`` always decomposes at full rank, which
-    reproduces the textbook pipeline but lets noise dominate weak directions.
-    ``moment_ridge`` overrides the split-half noise estimate with an absolute
-    operator-norm level; ``ridge_scale`` and ``rank_floor_scale`` multiply
-    that level for pseudoinverse shrinkage and rank selection respectively.
+    ``granularity`` is the number of histogram bins per cell. Pair directions
+    whose curvature falls below the sampling noise are not inverted: when
+    fewer than ``num_states`` directions survive, the decomposition runs at the
+    reduced rank and the missing states are filled with copies of the heaviest
+    recovered components (a merged-state estimate). The noise of each
+    direction comes from the disagreement of the two half-stream moment sets;
+    without them it is ``moment_ridge`` (or, if that is None, a closed-form
+    stand-in) times the norm of the third-view operator. A given
+    ``moment_ridge`` also replaces the reported ``noise_level``.
     """
 
     granularity: int = 30
-    power_iters: int = 30
-    power_restarts: int = 10
-    seed: int = 0
-    lsq_max_iters: int = 5000
-    lsq_rel_tol: float = 1e-9
-    adaptive_rank: bool = True
     moment_ridge: float | None = None
-    ridge_scale: float = 0.0
-    rank_floor_scale: float = 1.0
 
     def __post_init__(self) -> None:
         if self.granularity < 1:
             raise ParameterError(f"granularity must be >= 1, got {self.granularity}")
-        if self.power_iters < 1 or self.power_restarts < 1:
-            raise ParameterError("power_iters and power_restarts must be >= 1")
         if self.moment_ridge is not None and self.moment_ridge < 0.0:
             raise ParameterError(f"moment_ridge must be >= 0, got {self.moment_ridge}")
-        if self.ridge_scale < 0.0:
-            raise ParameterError(f"ridge_scale must be >= 0, got {self.ridge_scale}")
-        if self.rank_floor_scale < 0.0:
-            raise ParameterError(
-                f"rank_floor_scale must be >= 0, got {self.rank_floor_scale}"
-            )
 
 
 @dataclass(eq=False)
@@ -132,18 +110,18 @@ def ftd_fit_moments(
 ) -> RecoveredModel:
     """Spectral fit from already-finalized moments.
 
-    The recentred triple moment is symmetrized once; the symmetric tensor is
-    whitened, decomposed by ``joint_diagonalization``, and read back into
-    per-state feature means through ``recover_feature_means(..., tensor=...)``.
-    ``diagnostics["tensor_asymmetry"]`` still measures the tensor before
-    symmetrization.
+    ``symmetrize_moments`` recentres the triple moment and takes its symmetric
+    part; the symmetric tensor is whitened, decomposed by
+    ``joint_diagonalization``, and read back into per-state feature means
+    through ``recover_feature_means``. ``diagnostics["tensor_asymmetry"]``
+    measures the tensor before symmetrization.
 
     ``prior_weights_per_cell`` must carry one mean of 1 / (coverage + 2) per
     cell block of the moment set. The moment granularity is inferred from the
     feature dimension and block count. ``split_halves`` optionally carries the
     same moments accumulated over two disjoint halves of the stream; their
-    disagreement calibrates the sampling-noise level used for pseudoinverse
-    shrinkage and rank selection.
+    disagreement calibrates the noise floor of each pair direction, which
+    selects the rank.
     """
     start = time.perf_counter()
     dim = moments.dim
@@ -154,75 +132,46 @@ def ftd_fit_moments(
         noise = config.moment_ridge
     else:
         noise = _pair_noise_level(moments, split_halves)
-    ridge = config.ridge_scale * noise
-    s1, s3, g, asymmetry = symmetrize_moments(moments, num_states, ridge=ridge)
-    # for population moments g is symmetric, so its asymmetry is pure noise
-    g_sym = _symmetric_part(g)
-    pair = s3 @ moments.p32
-    pair_sym = 0.5 * (pair + pair.T)
-    eig = np.linalg.eigh(pair_sym)
-    vals_all, vecs_all = eig
-    order = np.argsort(-vals_all, kind="stable")[:num_states]
-    top_vals = vals_all[order]
-    top_vecs = vecs_all[:, order]
-    if config.adaptive_rank:
-        if split_halves is not None:
-            half_pairs = []
-            for half in split_halves:
-                s3h = half.p21 @ _pinv(
-                    half.p31, RANK_RTOL, rank=num_states, ridge=np.sqrt(2.0) * ridge
-                )
-                half_pairs.append(s3h @ half.p32)
-            delta = 0.5 * (half_pairs[0] - half_pairs[1])
-            delta = 0.5 * (delta + delta.T)
-            # per-direction noise: the split-half disagreement of each
-            # curvature, so strong directions are not masked by noise that
-            # lives elsewhere in the spectrum
-            dir_noise = np.abs(np.einsum("ij,jk,ki->i", top_vecs.T, delta, top_vecs))
-        else:
-            dir_noise = np.full(num_states, float(np.linalg.norm(s3, ord=2)) * noise)
-        resolvable = top_vals > config.rank_floor_scale * dir_noise
-        # keep the leading run of resolvable directions
-        rank = int(np.argmin(resolvable)) if not resolvable.all() else num_states
-        rank = max(1, rank)
-        pair_floor = (config.rank_floor_scale * dir_noise).tolist()
+    _, s3, g, asymmetry = symmetrize_moments(moments, num_states)
+    spectrum = pair_spectrum(s3, moments.p32)
+    _, vals, vecs = spectrum
+    top_vals = vals[:num_states]
+    top_vecs = vecs[:, :num_states]
+    if split_halves is not None:
+        half_pairs = []
+        for half in split_halves:
+            s3h = half.p21 @ _pinv(half.p31, RANK_RTOL, rank=num_states)
+            half_pairs.append(s3h @ half.p32)
+        delta = 0.5 * (half_pairs[0] - half_pairs[1])
+        delta = 0.5 * (delta + delta.T)
+        # per-direction noise: the split-half disagreement of each curvature,
+        # so strong directions are not masked by noise that lives elsewhere in
+        # the spectrum
+        pair_floor = np.abs(np.einsum("ij,jk,ki->i", top_vecs.T, delta, top_vecs))
     else:
-        dir_noise = np.zeros(num_states)
-        pair_floor = [0.0] * num_states
-        rank = num_states
-    whitening, h = whiten(g_sym, s3, moments.p32, rank, s1=s1, eigh=eig)
+        pair_floor = np.full(num_states, float(np.linalg.norm(s3, ord=2)) * noise)
+    resolvable = top_vals > pair_floor
+    # keep the leading run of resolvable directions
+    rank = int(np.argmin(resolvable)) if not resolvable.all() else num_states
+    rank = max(1, rank)
+    whitening, h = whiten(g, spectrum, rank)
     result = joint_diagonalization(h)
-    means_r = recover_feature_means(
-        result, whitening, num_blocks=moments.num_blocks, tensor=g_sym
-    )
+    means_r = recover_feature_means(result, whitening, g, num_blocks=moments.num_blocks)
     spectral_done = time.perf_counter()
-    if rank < num_states:
-        # unresolvable states are estimated at the recovered merged positions,
-        # heaviest components (smallest whitened eigenvalue) duplicated first
-        dup_order = np.argsort(result.eigenvalues, kind="stable")
-        extras = [int(dup_order[i % rank]) for i in range(num_states - rank)]
-        mapping = np.concatenate([np.arange(rank), np.asarray(extras, dtype=np.int64)])
-    else:
-        extras = []
-        mapping = np.arange(num_states)
+    # unresolvable states are estimated at the recovered merged positions,
+    # heaviest components (smallest whitened eigenvalue) duplicated first
+    dup_order = np.argsort(result.eigenvalues, kind="stable")
+    extras = [int(dup_order[i % rank]) for i in range(num_states - rank)]
+    mapping = np.concatenate([np.arange(rank), np.asarray(extras, dtype=np.int64)])
     means = means_r[:, mapping]
     probs, raw_probs = recover_meth_probs(means, prior_weights_per_cell, granularity)
-    joint = estimate_joint_lsq(
-        moments.p21,
-        means_r,
-        max_iters=config.lsq_max_iters,
-        rel_tol=config.lsq_rel_tol,
+    joint = estimate_joint_lsq(moments.p21, means_r)
+    # split each merged state's joint mass evenly among its copies; the
+    # expanded matrix keeps non-negativity and total mass exactly
+    multiplicity = np.bincount(mapping, minlength=rank)[mapping]
+    pi, T = chain_from_joint(
+        joint.matrix[np.ix_(mapping, mapping)] / np.outer(multiplicity, multiplicity)
     )
-    if rank < num_states:
-        # split each merged state's joint mass evenly among its copies; the
-        # expanded matrix keeps non-negativity and total mass exactly
-        multiplicity = np.bincount(mapping, minlength=rank)
-        h_full = joint.matrix[np.ix_(mapping, mapping)] / np.outer(
-            multiplicity[mapping], multiplicity[mapping]
-        )
-    else:
-        h_full = joint.matrix
-    pi, T = chain_from_joint(h_full)
     meth = probs[0] if moments.num_blocks == 1 else probs
     params = validate_params(HmmParams(initial_dist=pi, transition=T, meth_probs=meth))
     timings = {
@@ -232,8 +181,7 @@ def ftd_fit_moments(
     diagnostics = {
         "triples": moments.count,
         "noise_level": noise,
-        "moment_ridge": ridge,
-        "pair_floor": pair_floor,
+        "pair_floor": pair_floor.tolist(),
         "effective_rank": int(rank),
         "duplicated_components": extras,
         "tensor_asymmetry": asymmetry,
@@ -306,10 +254,11 @@ def ftd_then_em(
     config: FtdConfig = FtdConfig(),
     rounds: int = 3,
     prob_margin: float = 1e-6,
-) -> EmTrace:
+) -> tuple[RecoveredModel, EmTrace]:
     """Spectral fit followed by ``rounds`` EM refinement iterations.
 
-    With ``rounds=0`` the EM stage is skipped and the trace simply wraps the
+    Returns the spectral fit, diagnostics included, and the EM trace. With
+    ``rounds=0`` the EM stage is skipped and the trace simply wraps the
     spectral parameters. Warm-start probabilities are pulled off the [0, 1]
     boundary by ``prob_margin`` so clamped estimates cannot zero out the
     likelihood.
@@ -318,7 +267,7 @@ def ftd_then_em(
         raise ParameterError(f"rounds must be >= 0, got {rounds}")
     model = ftd_fit(seq, num_states, config)
     if rounds == 0:
-        return EmTrace(log_likelihoods=[], params=model.params, iterations=0)
+        return model, EmTrace(log_likelihoods=[], params=model.params, iterations=0)
     meth = np.clip(model.params.meth_probs, prob_margin, 1.0 - prob_margin)
     warm = HmmParams(
         initial_dist=model.params.initial_dist,
@@ -326,4 +275,4 @@ def ftd_then_em(
         meth_probs=meth,
     )
     em_cfg = EmConfig(max_iters=rounds, rel_ll_tolerance=0.0, init=warm)
-    return em_fit(seq, num_states, em_cfg)
+    return model, em_fit(seq, num_states, em_cfg)

@@ -5,13 +5,13 @@ two change-of-view operators that recenter the first and third positions on
 the middle hidden state, giving a symmetric order-3 tensor; a whitening map
 derived from the symmetrized pair matrix orthogonalizes its components.
 
-Two decompositions of the whitened tensor are provided. ``joint_diagonalization``
-is the one the fitting pipeline uses: orthogonal Jacobi rotations jointly
-diagonalize the tensor's slices (Cardoso and Souloumiac, SIAM J. Matrix Anal.
-Appl. 1996; Kuleshov, Chaganty and Liang, AISTATS 2015), which involves no
-random start, so its output is a continuous function of the tensor. The
-random-restart ``tensor_power_method`` with deflation is kept as a reference.
-Either way the per-state feature means are reassembled from the eigenpairs.
+``joint_diagonalization`` decomposes the whitened tensor: orthogonal Jacobi
+rotations jointly diagonalize the tensor's slices (Cardoso and Souloumiac,
+SIAM J. Matrix Anal. Appl. 1996; Kuleshov, Chaganty and Liang, AISTATS 2015),
+which involves no random start, so its output is a continuous function of the
+tensor. The per-state feature means are read back from the eigenpairs through
+the symmetric tensor. The random-restart ``tensor_power_method`` with
+deflation is kept only as a reference decomposition.
 """
 
 from __future__ import annotations
@@ -27,11 +27,11 @@ __all__ = [
     "WhiteningData",
     "DecompositionResult",
     "symmetrize_moments",
+    "pair_spectrum",
     "whiten",
     "tensor_power_method",
     "joint_diagonalization",
     "recover_feature_means",
-    "decompose_moments",
 ]
 
 # pseudoinverse / rank cutoff: singular values below dim * sigma_max * RANK_RTOL
@@ -47,15 +47,13 @@ _JACOBI_MAX_SWEEPS = 100
 
 @dataclass(eq=False)
 class WhiteningData:
-    """Whitening map and the operators that produced it.
+    """Whitening map and the pair matrix that produced it.
 
     ``w`` has orthonormal columns after scaling by the inverse square roots of
     the top eigenvalues of the symmetrized pair matrix, so
     ``w.T @ pair_matrix @ w`` is the identity.
     """
 
-    s1: np.ndarray | None
-    s3: np.ndarray
     w: np.ndarray
     singular_values: np.ndarray
     pair_matrix: np.ndarray
@@ -74,29 +72,18 @@ class DecompositionResult:
     sign_flips: int = 0
 
 
-def _pinv(
-    mat: np.ndarray,
-    rank_rtol: float,
-    rank: int | None = None,
-    ridge: float = 0.0,
-) -> np.ndarray:
+def _pinv(mat: np.ndarray, rank_rtol: float, rank: int | None = None) -> np.ndarray:
     """Pseudoinverse with the relative cutoff, optionally truncated to ``rank``.
 
     Truncation matters on noisy inputs: the population pair moments have rank
     equal to the number of states, and inverting the noise directions beyond
-    it amplifies them by their inverse singular values. A positive ``ridge``
-    replaces ``1/sigma`` with ``sigma / (sigma^2 + ridge^2)``, which leaves
-    directions well above the ridge untouched and shrinks the rest toward
-    zero instead of letting sampling noise explode.
+    it amplifies them by their inverse singular values.
     """
-    if rank is None and ridge == 0.0:
+    if rank is None:
         return np.linalg.pinv(mat, rcond=max(mat.shape) * rank_rtol)
     u, s, vt = np.linalg.svd(mat, full_matrices=False)
-    keep = int(np.sum(s > max(mat.shape) * rank_rtol * s[0]))
-    if rank is not None:
-        keep = min(rank, keep)
-    inv_s = s[:keep] / (s[:keep] ** 2 + ridge**2)
-    return (vt[:keep].T * inv_s) @ u[:, :keep].T
+    keep = min(rank, int(np.sum(s > max(mat.shape) * rank_rtol * s[0])))
+    return (vt[:keep].T / s[:keep]) @ u[:, :keep].T
 
 
 def _effective_rank(mat: np.ndarray, rank_rtol: float) -> int:
@@ -118,70 +105,71 @@ def _symmetric_part(t: np.ndarray) -> np.ndarray:
 
 
 def symmetrize_moments(
-    moments: MomentSet,
-    num_states: int,
-    rank_rtol: float = RANK_RTOL,
-    ridge: float = 0.0,
+    moments: MomentSet, num_states: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Recenter the triple moment on the middle position.
 
     Returns ``(s1, s3, g, asymmetry)`` where ``s1 = p23 @ pinv(p13)`` maps
     first-position features to middle-view coordinates, ``s3 = p21 @ pinv(p31)``
-    does the same for the third position, ``g`` is the transformed tensor
-    (symmetric for population moments) and ``asymmetry`` is the relative
-    Frobenius distance of ``g`` from its symmetric part. ``ridge`` shrinks the
-    pseudoinverse directions whose singular values sit at or below the sampling
-    noise; the lag-2 pair moments are often barely full rank for fast-mixing
-    chains, and inverting them unregularized turns noise into the dominant
-    signal.
+    does the same for the third position, and ``g`` is the symmetric part of
+    the transformed tensor. The transformed tensor is symmetric for population
+    moments, so its asymmetry is pure sampling noise; ``asymmetry`` is its
+    relative Frobenius distance from ``g``. Both pseudoinverses are truncated
+    to ``num_states`` directions.
     """
     if num_states < 1:
         raise ParameterError(f"num_states must be >= 1, got {num_states}")
-    if ridge < 0.0 or not np.isfinite(ridge):
-        raise ParameterError(f"ridge must be finite and >= 0, got {ridge}")
     for name in ("p13", "p31"):
-        rank = _effective_rank(getattr(moments, name), rank_rtol)
+        rank = _effective_rank(getattr(moments, name), RANK_RTOL)
         if rank < num_states:
             raise NumericalError(
                 f"rank condition violated: effective rank of {name} is {rank}, "
                 f"need at least {num_states}"
             )
-    s1 = moments.p23 @ _pinv(moments.p13, rank_rtol, rank=num_states, ridge=ridge)
-    s3 = moments.p21 @ _pinv(moments.p31, rank_rtol, rank=num_states, ridge=ridge)
-    g = np.einsum("ia,ajc,lc->ijl", s1, moments.t123, s3, optimize=True)
-    norm = float(np.linalg.norm(g))
+    s1 = moments.p23 @ _pinv(moments.p13, RANK_RTOL, rank=num_states)
+    s3 = moments.p21 @ _pinv(moments.p31, RANK_RTOL, rank=num_states)
+    raw = np.einsum("ia,ajc,lc->ijl", s1, moments.t123, s3, optimize=True)
+    norm = float(np.linalg.norm(raw))
     if norm == 0.0:
         raise NumericalError("transformed tensor is identically zero")
-    asymmetry = float(np.linalg.norm(g - _symmetric_part(g))) / norm
+    g = _symmetric_part(raw)
+    asymmetry = float(np.linalg.norm(raw - g)) / norm
     return s1, s3, g, asymmetry
+
+
+def pair_spectrum(
+    s3: np.ndarray, p32: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Symmetric part of the pair matrix ``s3 @ p32`` and its eigenpairs.
+
+    The pair matrix equals the middle-view second moment for population
+    inputs. Returns ``(pair_sym, values, vectors)`` with the eigenvalues in
+    descending order and ``vectors[:, i]`` the eigenvector of ``values[i]``.
+    """
+    pair = s3 @ p32
+    pair_sym = 0.5 * (pair + pair.T)
+    vals, vecs = np.linalg.eigh(pair_sym)
+    order = np.argsort(-vals, kind="stable")
+    return pair_sym, vals[order], vecs[:, order]
 
 
 def whiten(
     g: np.ndarray,
-    s3: np.ndarray,
-    p32: np.ndarray,
+    spectrum: tuple[np.ndarray, np.ndarray, np.ndarray],
     num_states: int,
-    rank_rtol: float = RANK_RTOL,
-    s1: np.ndarray | None = None,
-    eigh: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[WhiteningData, np.ndarray]:
-    """Build the whitening map from ``s3 @ p32`` and contract ``g`` with it.
+    """Build the whitening map from a ``pair_spectrum`` and contract ``g`` with it.
 
-    The pair matrix ``s3 @ p32`` equals the middle-view second moment for
-    population inputs; its symmetric part is eigendecomposed and the top
-    ``num_states`` directions scaled to unit curvature. A caller that already
-    holds ``np.linalg.eigh`` of that symmetric part passes it as ``eigh``.
-    Returns the whitening data and the ``num_states`` cubed whitened tensor.
+    The top ``num_states`` eigendirections of the pair matrix are scaled to
+    unit curvature. Returns the whitening data and the ``num_states`` cubed
+    whitened tensor.
     """
     m = num_states
-    pair = s3 @ p32
-    pair_sym = 0.5 * (pair + pair.T)
-    vals, vecs = np.linalg.eigh(pair_sym) if eigh is None else eigh
-    order = np.argsort(-vals, kind="stable")
-    vals = vals[order][:m]
-    vecs = vecs[:, order][:, :m]
+    pair_sym, vals, vecs = spectrum
+    vals = vals[:m]
+    vecs = vecs[:, :m].copy()
     top = float(np.abs(vals).max(initial=0.0))
-    cutoff = pair.shape[0] * rank_rtol * top
+    cutoff = pair_sym.shape[0] * RANK_RTOL * top
     if vals.size < m or vals[m - 1] <= cutoff:
         sigma_m = float(vals[m - 1]) if vals.size >= m else float("nan")
         raise NumericalError(
@@ -195,7 +183,7 @@ def whiten(
     h = np.tensordot(g, w, axes=([0], [0]))
     h = np.tensordot(h, w, axes=([0], [0]))
     h = np.tensordot(h, w, axes=([0], [0]))
-    return WhiteningData(s1=s1, s3=s3, w=w, singular_values=vals, pair_matrix=pair_sym), h
+    return WhiteningData(w=w, singular_values=vals, pair_matrix=pair_sym), h
 
 
 def _contract_once(t: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -369,19 +357,17 @@ def joint_diagonalization(h: np.ndarray) -> DecompositionResult:
 def recover_feature_means(
     result: DecompositionResult,
     whitening: WhiteningData,
+    tensor: np.ndarray,
     num_blocks: int = 1,
-    tensor: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-state feature means from whitened eigenpairs.
 
-    Column l is ``pinv(w.T) @ (lambda_l * v_l)``, read through the pair matrix
-    alone. With ``tensor``, the symmetric tensor that was whitened, column l is
-    instead ``tensor(w v_l, w v_l, .)``: for population moments
+    ``tensor`` is the symmetric tensor that was whitened. Column l is
+    ``tensor(w v_l, w v_l, .)``: for population moments
     ``w.T @ mu_j = v_j / sqrt(pi_j)``, so this equals ``mu_l`` exactly and uses
-    the same moments that fixed ``v_l``. Either way the column is sign-fixed so
-    it sums to a non-negative total, clamped at zero, and renormalized so every
-    cell block sums to 1. Clamped mass and sign flips are recorded on
-    ``result``.
+    the same moments that fixed ``v_l``. The column is sign-fixed so it sums to
+    a non-negative total, clamped at zero, and renormalized so every cell
+    block sums to 1. Clamped mass and sign flips are recorded on ``result``.
     """
     w = whitening.w
     dim, m = w.shape
@@ -392,15 +378,12 @@ def recover_feature_means(
         )
     if dim % num_blocks != 0:
         raise ParameterError(f"num_blocks {num_blocks} does not divide dimension {dim}")
-    if tensor is None:
-        raw = _pinv(w.T, RANK_RTOL) @ (result.eigenvectors * result.eigenvalues[None, :])
-    else:
-        if tensor.shape != (dim, dim, dim):
-            raise ParameterError(
-                f"tensor shape {tensor.shape} does not match whitening dimension {dim}"
-            )
-        u = w @ result.eigenvectors
-        raw = np.einsum("ijk,il,jl->kl", tensor, u, u)
+    if tensor.shape != (dim, dim, dim):
+        raise ParameterError(
+            f"tensor shape {tensor.shape} does not match whitening dimension {dim}"
+        )
+    u = w @ result.eigenvectors
+    raw = np.einsum("ijk,il,jl->kl", tensor, u, u)
     flips = 0
     for col in range(raw.shape[1]):
         if raw[:, col].sum() < 0.0:
@@ -422,30 +405,3 @@ def recover_feature_means(
     result.clamp_mass = clamp_mass
     result.sign_flips = flips
     return means
-
-
-def decompose_moments(
-    moments: MomentSet,
-    num_states: int,
-    iters_per_component: int = 30,
-    restarts: int = 10,
-    seed: int | None = None,
-    rank_rtol: float = RANK_RTOL,
-    ridge: float = 0.0,
-) -> tuple[DecompositionResult, WhiteningData, float]:
-    """Full chain from finalized moments to per-state feature means.
-
-    Returns the decomposition (with ``feature_means`` filled in), the
-    whitening data, and the tensor asymmetry diagnostic.
-    """
-    s1, s3, g, asymmetry = symmetrize_moments(moments, num_states, rank_rtol, ridge=ridge)
-    whitening, h = whiten(g, s3, moments.p32, num_states, rank_rtol, s1=s1)
-    result = tensor_power_method(
-        h,
-        num_components=num_states,
-        iters_per_component=iters_per_component,
-        restarts=restarts,
-        seed=seed,
-    )
-    recover_feature_means(result, whitening, num_blocks=moments.num_blocks)
-    return result, whitening, asymmetry

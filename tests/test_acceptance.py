@@ -67,7 +67,7 @@ def test_criterion_01_exact_moment_recovery():
     weight = 1.0 / (coverage + 2.0)
 
     start = time.perf_counter()
-    model = ftd_fit_moments(moments, 2, [weight], FtdConfig(moment_ridge=0.0, seed=0))
+    model = ftd_fit_moments(moments, 2, [weight], FtdConfig(moment_ridge=0.0))
     elapsed = time.perf_counter() - start
 
     est = model.per_cell_probs[0]
@@ -145,7 +145,7 @@ def test_criterion_04_runtime_and_feature_touches(benchmark_report):
     params = generate_params(SynthConfig(), seed=0)
     seq = sample_sequence(params, 8192, 25.0, seed=1)
     clear_cache()
-    ftd_fit(seq, 4, FtdConfig(seed=0))
+    ftd_fit(seq, 4, FtdConfig())
     stats = cache_stats()
     touch_ok = stats["requests"] <= 4 * len(seq) and stats["computed"] <= len(seq)
 
@@ -307,7 +307,7 @@ def test_criterion_09_joint_estimation_stability():
         seeds = np.random.SeedSequence((123, run)).generate_state(3)
         params = generate_params(SynthConfig(), int(seeds[0]))
         seq = sample_sequence(params, 512, 25.0, int(seeds[1]))
-        model = ftd_fit(seq, 4, FtdConfig(seed=int(seeds[2])))
+        model = ftd_fit(seq, 4, FtdConfig())
         rank = model.diagnostics["effective_rank"]
         means_r = model.feature_means[:, :rank]
 
@@ -346,7 +346,7 @@ def test_criterion_10_differential_state_detection():
 
     seq = sample_sequence(params, 100_000, 25.0, seed=11)
     start = time.perf_counter()
-    model = ftd_fit(seq, m, FtdConfig(granularity=12, seed=3))
+    model = ftd_fit(seq, m, FtdConfig(granularity=12))
     elapsed = time.perf_counter() - start
 
     flagged = differential_states(model.per_cell_probs, threshold=0.3)

@@ -75,7 +75,7 @@ class TestFitAndEval:
         assert model.provenance["algorithm"] == "ftd"
         assert model.provenance["seed"] == 0
         assert model.provenance["input_sha256"] == file_digest(data)
-        assert model.provenance["config"]["granularity"] == 8
+        assert model.provenance["config"] == {"granularity": 8, "moment_ridge": None}
         assert "effective_rank" in model.diagnostics
         capsys.readouterr()
         code = main(["eval", "--model", str(model_path), "--data", str(data)])
@@ -105,7 +105,14 @@ class TestFitAndEval:
         )
         model = load_model(model_path)
         assert model.provenance["algorithm"] == "ftd+em"
-        assert len(model.diagnostics["log_likelihoods"]) == 2
+        diag = model.diagnostics
+        assert len(diag["log_likelihoods"]) == 2
+        # the spectral stage explains itself in the same file
+        rank = diag["effective_rank"]
+        assert 1 <= rank <= 2
+        assert len(diag["pair_values"]) == len(diag["pair_floor"]) == 2
+        assert set(diag["timings"]) == {"moments_s", "spectral_s", "recovery_s"}
+        assert len(diag["distinct_keys"]) == 1
 
     def test_two_cell_eval_reports_differential_states(self, tmp_path, capsys):
         data = _simulate(tmp_path, length=800, cells=2, states=2)
@@ -152,6 +159,16 @@ class TestExitCodes:
         assert main(["simulate", "--length", "10", "--out", str(tmp_path / "x"),
                      "--bogus"]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("flag", ["--power-iters", "--power-restarts"])
+    def test_removed_power_method_flags_are_usage_errors(self, tmp_path, capsys, flag):
+        data = _simulate(tmp_path, length=50)
+        code = main([
+            "fit", "--data", str(data), "--out", str(tmp_path / "m.json"),
+            "--states", "2", flag, "5",
+        ])
+        assert code == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_missing_input_file(self, tmp_path, capsys):
         code = main([

@@ -79,22 +79,14 @@ class TestConfigValidation:
         with pytest.raises(ParameterError):
             FtdConfig(granularity=0)
         with pytest.raises(ParameterError):
-            FtdConfig(power_iters=0)
-        with pytest.raises(ParameterError):
-            FtdConfig(power_restarts=0)
-        with pytest.raises(ParameterError):
             FtdConfig(moment_ridge=-1.0)
-        with pytest.raises(ParameterError):
-            FtdConfig(ridge_scale=-0.5)
-        with pytest.raises(ParameterError):
-            FtdConfig(rank_floor_scale=-1.0)
 
 
 class TestExactMoments:
     def test_population_input_recovers_all_parameters(self):
         pi, T, probs, moments, weight = _exact_two_state()
         model = ftd_fit_moments(
-            moments, 2, [weight], FtdConfig(moment_ridge=0.0, seed=0)
+            moments, 2, [weight], FtdConfig(moment_ridge=0.0)
         )
         est = model.per_cell_probs[0]
         for perm in ([0, 1], [1, 0]):
@@ -114,28 +106,13 @@ class TestExactMoments:
         assert model.diagnostics["tensor_asymmetry"] <= 1e-8
         assert model.diagnostics["lsq_converged"]
 
-    def test_adaptive_and_fixed_rank_agree_on_clean_input(self):
-        _, _, _, moments, weight = _exact_two_state()
-        adaptive = ftd_fit_moments(
-            moments, 2, [weight], FtdConfig(moment_ridge=0.0, seed=0)
-        )
-        fixed = ftd_fit_moments(
-            moments, 2, [weight],
-            FtdConfig(moment_ridge=0.0, seed=0, adaptive_rank=False),
-        )
-        np.testing.assert_allclose(
-            adaptive.per_cell_probs, fixed.per_cell_probs, atol=1e-12
-        )
-        assert fixed.diagnostics["effective_rank"] == 2
-
     def test_noise_diagnostics_reflect_overrides(self):
         _, _, _, moments, weight = _exact_two_state()
         model = ftd_fit_moments(
             moments, 2, [weight],
-            FtdConfig(moment_ridge=0.123, ridge_scale=2.0, seed=0),
+            FtdConfig(moment_ridge=0.123),
         )
         assert model.diagnostics["noise_level"] == pytest.approx(0.123)
-        assert model.diagnostics["moment_ridge"] == pytest.approx(0.246)
 
     def test_block_count_must_divide_dimension(self):
         _, _, _, moments, weight = _exact_two_state()
@@ -145,7 +122,7 @@ class TestExactMoments:
             count=moments.count, num_blocks=3,
         )
         with pytest.raises(ParameterError, match="divisible"):
-            ftd_fit_moments(bad, 2, [0.1, 0.1, 0.1], FtdConfig(seed=0))
+            ftd_fit_moments(bad, 2, [0.1, 0.1, 0.1], FtdConfig())
 
     def test_missing_tensor_component_is_numerical_failure(self):
         # pair moments of two states, triple moment with the second middle
@@ -167,7 +144,7 @@ class TestExactMoments:
     def test_prior_weight_count_is_checked(self):
         _, _, _, moments, weight = _exact_two_state()
         with pytest.raises(ParameterError, match="prior weights"):
-            ftd_fit_moments(moments, 2, [weight, weight], FtdConfig(seed=0))
+            ftd_fit_moments(moments, 2, [weight, weight], FtdConfig())
 
 
 class TestFtdFit:
@@ -178,12 +155,12 @@ class TestFtdFit:
 
     def test_triple_count_diagnostic(self):
         _, seq = _benchmark_like_sequence(64)
-        model = ftd_fit(seq, 2, FtdConfig(granularity=6, seed=0))
+        model = ftd_fit(seq, 2, FtdConfig(granularity=6))
         assert model.diagnostics["triples"] == 62
 
     def test_deterministic(self):
         _, seq = _benchmark_like_sequence(300)
-        cfg = FtdConfig(granularity=8, seed=0)
+        cfg = FtdConfig(granularity=8)
         a = ftd_fit(seq, 2, cfg)
         b = ftd_fit(seq, 2, cfg)
         assert np.array_equal(a.per_cell_probs, b.per_cell_probs)
@@ -191,18 +168,11 @@ class TestFtdFit:
         assert np.array_equal(a.params.transition, b.params.transition)
         assert a.diagnostics["effective_rank"] == b.diagnostics["effective_rank"]
 
-    def test_split_half_noise_feeds_shrinkage(self):
-        _, seq = _benchmark_like_sequence(256)
-        model = ftd_fit(seq, 2, FtdConfig(granularity=8, seed=0, ridge_scale=1.5))
-        noise = model.diagnostics["noise_level"]
-        assert noise > 0.0
-        assert model.diagnostics["moment_ridge"] == pytest.approx(1.5 * noise)
-
     def test_two_cell_shapes(self):
         cfg = SynthConfig(num_states=2, num_cells=2)
         params = generate_params(cfg, seed=8)
         seq = sample_sequence(params, 600, 20.0, seed=9)
-        model = ftd_fit(seq, 2, FtdConfig(granularity=6, seed=0))
+        model = ftd_fit(seq, 2, FtdConfig(granularity=6))
         assert model.per_cell_probs.shape == (2, 2)
         assert model.params.meth_probs.shape == (2, 2)
         assert model.prior_weights.shape == (2,)
@@ -215,7 +185,7 @@ class TestFtdFit:
         cfg = SynthConfig(num_states=4, diag_weight=0.05)
         params = generate_params(cfg, int(seeds[0]))
         seq = sample_sequence(params, 1024, 25.0, int(seeds[1]))
-        model = ftd_fit(seq, 4, FtdConfig(seed=int(seeds[2])))
+        model = ftd_fit(seq, 4, FtdConfig())
         rank = model.diagnostics["effective_rank"]
         extras = model.diagnostics["duplicated_components"]
         assert rank == 2
@@ -267,16 +237,6 @@ class TestDecompositionDependsOnDataOnly:
     # power-method seed or with last-bit round-off of the moments
 
     @pytest.mark.parametrize("trial", [9, 10])
-    def test_fit_is_independent_of_seed(self, trial):
-        seq = _official_sequence(trial)
-        base = ftd_fit(seq, 4, FtdConfig(seed=0))
-        for seed in range(1, 4):
-            other = ftd_fit(seq, 4, FtdConfig(seed=seed))
-            assert np.array_equal(other.per_cell_probs, base.per_cell_probs)
-            assert np.array_equal(other.params.transition, base.params.transition)
-            assert np.array_equal(other.params.initial_dist, base.params.initial_dist)
-
-    @pytest.mark.parametrize("trial", [9, 10])
     def test_fit_is_stable_under_round_off(self, trial):
         seq = _official_sequence(trial)
         cfg = FtdConfig()
@@ -312,9 +272,10 @@ class TestDecompositionDependsOnDataOnly:
 class TestFtdThenEm:
     def test_zero_rounds_wraps_spectral_params(self):
         _, seq = _benchmark_like_sequence(300)
-        cfg = FtdConfig(granularity=8, seed=0)
+        cfg = FtdConfig(granularity=8)
         base = ftd_fit(seq, 2, cfg)
-        trace = ftd_then_em(seq, 2, cfg, rounds=0)
+        model, trace = ftd_then_em(seq, 2, cfg, rounds=0)
+        assert np.array_equal(model.per_cell_probs, base.per_cell_probs)
         assert trace.iterations == 0
         assert trace.log_likelihoods == []
         assert np.array_equal(trace.params.meth_probs, base.params.meth_probs)
@@ -322,7 +283,7 @@ class TestFtdThenEm:
 
     def test_refinement_rounds_are_monotone(self):
         _, seq = _benchmark_like_sequence(300)
-        trace = ftd_then_em(seq, 2, FtdConfig(granularity=8, seed=0), rounds=3)
+        _, trace = ftd_then_em(seq, 2, FtdConfig(granularity=8), rounds=3)
         assert trace.iterations == 3
         lls = trace.log_likelihoods
         assert len(lls) == 3

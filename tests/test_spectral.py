@@ -9,8 +9,8 @@ from betahmm.spectral import (
     WhiteningData,
     _pinv,
     _symmetric_part,
-    decompose_moments,
     joint_diagonalization,
+    pair_spectrum,
     recover_feature_means,
     symmetrize_moments,
     tensor_power_method,
@@ -34,12 +34,6 @@ class TestPinv:
         mat = np.diag([4.0, 2.0, 1.0])
         out = _pinv(mat, RANK_RTOL, rank=2)
         np.testing.assert_allclose(out, np.diag([0.25, 0.5, 0.0]), atol=1e-14)
-
-    def test_ridge_shrinkage_formula(self):
-        mat = np.diag([4.0, 2.0, 1.0])
-        out = _pinv(mat, RANK_RTOL, ridge=1.0)
-        expected = np.diag([4.0 / 17.0, 2.0 / 5.0, 1.0 / 2.0])
-        np.testing.assert_allclose(out, expected, atol=1e-14)
 
     def test_truncation_drops_tiny_directions(self):
         mat = np.diag([1.0, 1e-14])
@@ -92,8 +86,6 @@ class TestSymmetrize:
         ms = self._manual_moments()
         with pytest.raises(ParameterError):
             symmetrize_moments(ms, num_states=0)
-        with pytest.raises(ParameterError):
-            symmetrize_moments(ms, num_states=2, ridge=-1.0)
 
 
 class TestWhiten:
@@ -102,7 +94,7 @@ class TestWhiten:
         g[0, 0, 0] = 8.0
         s3 = np.eye(2)
         p32 = np.diag([4.0, 1.0])
-        data, h = whiten(g, s3, p32, num_states=2)
+        data, h = whiten(g, pair_spectrum(s3, p32), num_states=2)
         np.testing.assert_allclose(data.w, np.diag([0.5, 1.0]), atol=1e-12)
         np.testing.assert_allclose(data.singular_values, [4.0, 1.0], atol=1e-12)
         assert h[0, 0, 0] == pytest.approx(1.0, abs=1e-12)
@@ -111,8 +103,8 @@ class TestWhiten:
         pi = np.array([0.4, 0.35, 0.25])
         T = _column_wise([[0.5, 0.3, 0.2], [0.3, 0.5, 0.2], [0.2, 0.2, 0.6]])
         ms = population_moments(pi, T, np.eye(3))
-        s1, s3, g, _ = symmetrize_moments(ms, num_states=3)
-        data, h = whiten(g, s3, ms.p32, num_states=3, s1=s1)
+        _, s3, g, _ = symmetrize_moments(ms, num_states=3)
+        data, h = whiten(g, pair_spectrum(s3, ms.p32), num_states=3)
         gram = data.w.T @ data.pair_matrix @ data.w
         np.testing.assert_allclose(gram, np.eye(3), atol=1e-6)
         assert h.shape == (3, 3, 3)
@@ -121,20 +113,26 @@ class TestWhiten:
         pi = np.array([0.4, 0.35, 0.25])
         T = _column_wise([[0.5, 0.3, 0.2], [0.3, 0.5, 0.2], [0.2, 0.2, 0.6]])
         ms = population_moments(pi, T, np.eye(3))
-        s1, s3, g, _ = symmetrize_moments(ms, num_states=3)
-        pair = s3 @ ms.p32
-        eig = np.linalg.eigh(0.5 * (pair + pair.T))
-        own, h_own = whiten(g, s3, ms.p32, num_states=3, s1=s1)
-        given, h_given = whiten(g, s3, ms.p32, num_states=3, s1=s1, eigh=eig)
-        assert np.array_equal(own.w, given.w)
-        assert np.array_equal(h_own, h_given)
+        _, s3, g, _ = symmetrize_moments(ms, num_states=3)
+        spectrum = pair_spectrum(s3, ms.p32)
+        pair_sym, vals, vecs = spectrum
+        kept = vecs.copy()
+        full, _ = whiten(g, spectrum, num_states=3)
+        reduced, h = whiten(g, spectrum, num_states=2)
+        # whitening reads the eigenpairs it is given and leaves them intact
+        assert np.array_equal(spectrum[2], kept)
+        assert np.all(np.diff(vals) <= 0.0)
+        assert np.array_equal(np.abs(full.w), np.abs(vecs) / np.sqrt(vals)[None, :])
+        assert np.array_equal(reduced.w, full.w[:, :2])
+        assert reduced.pair_matrix is pair_sym
+        assert h.shape == (2, 2, 2)
 
     def test_rank_deficient_pair_raises(self):
         g = np.ones((2, 2, 2))
         s3 = np.eye(2)
         p32 = np.outer([1.0, 0.0], [1.0, 0.0])
         with pytest.raises(NumericalError, match="whitening failed"):
-            whiten(g, s3, p32, num_states=2)
+            whiten(g, pair_spectrum(s3, p32), num_states=2)
 
 
 class TestTensorPowerMethod:
@@ -270,6 +268,11 @@ class TestJointDiagonalization:
             joint_diagonalization(np.zeros((2, 3, 2)))
 
 
+def _readout_tensor(column):
+    """A tensor whose readout along a vector u is |u|^2 * column."""
+    return np.einsum("ij,k->ijk", np.eye(len(column)), np.asarray(column, dtype=float))
+
+
 class TestRecoverFeatureMeans:
     def test_identity_whitening_roundtrip(self):
         result = DecompositionResult(
@@ -277,10 +280,9 @@ class TestRecoverFeatureMeans:
             eigenvectors=np.array([[0.25], [0.75]]),
         )
         whitening = WhiteningData(
-            s1=None, s3=np.eye(2), w=np.eye(2),
-            singular_values=np.ones(2), pair_matrix=np.eye(2),
+            w=np.eye(2), singular_values=np.ones(2), pair_matrix=np.eye(2)
         )
-        means = recover_feature_means(result, whitening)
+        means = recover_feature_means(result, whitening, _readout_tensor([0.25, 0.75]))
         np.testing.assert_allclose(means[:, 0], [0.25, 0.75], atol=1e-12)
         assert result.clamp_mass == 0.0
         assert result.sign_flips == 0
@@ -291,10 +293,11 @@ class TestRecoverFeatureMeans:
             eigenvectors=np.array([[-0.25], [-0.75]]),
         )
         whitening = WhiteningData(
-            s1=None, s3=np.eye(2), w=np.eye(2),
-            singular_values=np.ones(2), pair_matrix=np.eye(2),
+            w=np.eye(2), singular_values=np.ones(2), pair_matrix=np.eye(2)
         )
-        means = recover_feature_means(result, whitening)
+        means = recover_feature_means(
+            result, whitening, _readout_tensor([-0.25, -0.75])
+        )
         np.testing.assert_allclose(means[:, 0], [0.25, 0.75], atol=1e-12)
         assert result.sign_flips == 1
 
@@ -304,10 +307,11 @@ class TestRecoverFeatureMeans:
             eigenvectors=np.array([[1.0], [1.0], [-1.0], [-1.0]]),
         )
         whitening = WhiteningData(
-            s1=None, s3=np.eye(4), w=np.eye(4),
-            singular_values=np.ones(4), pair_matrix=np.eye(4),
+            w=np.eye(4), singular_values=np.ones(4), pair_matrix=np.eye(4)
         )
-        means = recover_feature_means(result, whitening, num_blocks=2)
+        # |u|^2 = 4, so the raw column is [1, 1, -1, -1]
+        tensor = _readout_tensor([0.25, 0.25, -0.25, -0.25])
+        means = recover_feature_means(result, whitening, tensor, num_blocks=2)
         np.testing.assert_allclose(means[:, 0], [0.5, 0.5, 0.5, 0.5], atol=1e-12)
         assert result.clamp_mass == pytest.approx(2.0)
 
@@ -316,11 +320,10 @@ class TestRecoverFeatureMeans:
         T = _column_wise([[0.6, 0.2, 0.2], [0.2, 0.7, 0.2], [0.2, 0.1, 0.6]])
         C = exact_feature_map([0.15, 0.5, 0.85], [(12, 1.0)], granularity=6)
         ms = population_moments(pi, T, C)
-        s1, s3, g, _ = symmetrize_moments(ms, num_states=3)
-        g_sym = _symmetric_part(g)
-        whitening, h = whiten(g_sym, s3, ms.p32, num_states=3, s1=s1)
+        _, s3, g, _ = symmetrize_moments(ms, num_states=3)
+        whitening, h = whiten(g, pair_spectrum(s3, ms.p32), num_states=3)
         result = joint_diagonalization(h)
-        means = recover_feature_means(result, whitening, tensor=g_sym)
+        means = recover_feature_means(result, whitening, tensor=g)
         # lambda_l = 1 / sqrt(w_l), w = T @ pi the middle-state distribution
         # [0.4, 0.35, 0.25], orders the states by ascending weight
         mid = T @ pi
@@ -333,8 +336,7 @@ class TestRecoverFeatureMeans:
             eigenvalues=np.array([1.0]), eigenvectors=np.ones((2, 1))
         )
         whitening = WhiteningData(
-            s1=None, s3=np.eye(2), w=np.eye(2),
-            singular_values=np.ones(2), pair_matrix=np.eye(2),
+            w=np.eye(2), singular_values=np.ones(2), pair_matrix=np.eye(2)
         )
         with pytest.raises(ParameterError, match="tensor shape"):
             recover_feature_means(result, whitening, tensor=np.zeros((3, 3, 3)))
@@ -344,22 +346,29 @@ class TestRecoverFeatureMeans:
             eigenvalues=np.array([1.0]), eigenvectors=np.ones((3, 1))
         )
         whitening = WhiteningData(
-            s1=None, s3=np.eye(2), w=np.eye(2),
-            singular_values=np.ones(2), pair_matrix=np.eye(2),
+            w=np.eye(2), singular_values=np.ones(2), pair_matrix=np.eye(2)
         )
         with pytest.raises(ParameterError, match="whitening rank"):
-            recover_feature_means(result, whitening)
+            recover_feature_means(result, whitening, np.zeros((2, 2, 2)))
 
     def test_blocks_must_divide(self):
         result = DecompositionResult(
             eigenvalues=np.array([1.0]), eigenvectors=np.ones((3, 1))
         )
         whitening = WhiteningData(
-            s1=None, s3=np.eye(3), w=np.eye(3),
-            singular_values=np.ones(3), pair_matrix=np.eye(3),
+            w=np.eye(3), singular_values=np.ones(3), pair_matrix=np.eye(3)
         )
         with pytest.raises(ParameterError, match="num_blocks"):
-            recover_feature_means(result, whitening, num_blocks=2)
+            recover_feature_means(result, whitening, np.zeros((3, 3, 3)), num_blocks=2)
+
+
+def _fit_feature_means(ms, num_states):
+    """The fit's spectral chain from moments to feature means."""
+    _, s3, g, asymmetry = symmetrize_moments(ms, num_states)
+    whitening, h = whiten(g, pair_spectrum(s3, ms.p32), num_states)
+    result = joint_diagonalization(h)
+    recover_feature_means(result, whitening, tensor=g, num_blocks=ms.num_blocks)
+    return result, whitening, asymmetry
 
 
 class TestEndToEnd:
@@ -381,7 +390,7 @@ class TestEndToEnd:
         pi = np.array([0.5, 0.3, 0.2])
         T = _column_wise([[0.6, 0.2, 0.2], [0.2, 0.7, 0.2], [0.2, 0.1, 0.6]])
         ms = population_moments(pi, T, np.eye(3))
-        result, _, asymmetry = decompose_moments(ms, num_states=3, seed=0)
+        result, _, asymmetry = _fit_feature_means(ms, num_states=3)
         assert asymmetry <= 1e-8
         means = result.feature_means
         # each column should be a standard basis vector, once each
@@ -397,7 +406,7 @@ class TestEndToEnd:
         T = _column_wise([[0.7, 0.4], [0.3, 0.6]])
         C = exact_feature_map([0.2, 0.8], [(8, 1.0)], granularity=8)
         ms = population_moments(pi, T, C)
-        result, whitening, asymmetry = decompose_moments(ms, num_states=2, seed=0)
+        result, whitening, asymmetry = _fit_feature_means(ms, num_states=2)
         assert asymmetry <= 1e-8
         assert self._match_columns(result.feature_means, C) <= 1e-4
         gram = whitening.w.T @ whitening.pair_matrix @ whitening.w

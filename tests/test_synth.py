@@ -28,7 +28,7 @@ def _tiny_config(**overrides):
         trials=1,
         seed=5,
         coverage_mean=20.0,
-        ftd=FtdConfig(granularity=8, seed=0),
+        ftd=FtdConfig(granularity=8),
         em_max_iters=20,
         em_rel_tol=0.001,
     )
@@ -222,7 +222,7 @@ class TestRunBenchmark:
             lengths=(4,),
             trials=1,
             seed=1,
-            ftd=FtdConfig(granularity=6, seed=0),
+            ftd=FtdConfig(granularity=6),
             em_max_iters=5,
         )
         report = run_benchmark(cfg)
