@@ -14,9 +14,7 @@ from .features import (
     beta_map,
     cache_stats,
     clear_cache,
-    concat_map,
     empirical_prior_weight,
-    map_sequence,
     prior_weights,
 )
 from .hungarian import solve_assignment
@@ -30,14 +28,7 @@ from .io import (
     save_model,
     write_methylation_tsv,
 )
-from .model import (
-    CountSequence,
-    HmmParams,
-    Observation,
-    Triple,
-    iter_triples,
-    validate_params,
-)
+from .model import CountSequence, HmmParams, Observation, validate_params
 from .moments import MomentAccumulator, MomentSet
 from .pipeline import FtdConfig, RecoveredModel, ftd_fit, ftd_fit_moments, ftd_then_em
 from .recovery import (
@@ -94,14 +85,12 @@ __all__ = [
     "RecoveredModel",
     "StateJoint",
     "SynthConfig",
-    "Triple",
     "WhiteningData",
     "beta_map",
     "cache_stats",
     "chain_from_joint",
     "chain_via_pinv",
     "clear_cache",
-    "concat_map",
     "differential_states",
     "em_fit",
     "empirical_prior_weight",
@@ -112,13 +101,11 @@ __all__ = [
     "ftd_fit_moments",
     "ftd_then_em",
     "generate_params",
-    "iter_triples",
     "joint_diagonalization",
     "load_methylation_records",
     "load_methylation_tsv",
     "load_model",
     "log_likelihood",
-    "map_sequence",
     "pair_spectrum",
     "prior_weights",
     "project_to_simplex",

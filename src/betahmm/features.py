@@ -28,8 +28,6 @@ from .model import CountSequence, Observation
 __all__ = [
     "BetaMapConfig",
     "beta_map",
-    "concat_map",
-    "map_sequence",
     "feature_table",
     "empirical_prior_weight",
     "prior_weights",
@@ -139,19 +137,6 @@ def beta_map(obs, cfg: BetaMapConfig) -> np.ndarray:
     return row
 
 
-def concat_map(observations, cfg: BetaMapConfig) -> np.ndarray:
-    """Stacked per-cell feature vectors for one position of a multi-cell run.
-
-    Accepts a tuple of Observations (or (c, mu) pairs); the result has length
-    num_cells * granularity and each cell block sums to 1.
-    """
-    if isinstance(observations, Observation):
-        observations = (observations,)
-    if len(observations) == 0:
-        raise ParameterError("need at least one cell per position")
-    return np.concatenate([beta_map(o, cfg) for o in observations])
-
-
 def feature_table(seq: CountSequence, cfg: BetaMapConfig) -> tuple[np.ndarray, np.ndarray]:
     """Feature rows of the distinct (coverage, count) pairs of a sequence.
 
@@ -182,16 +167,6 @@ def feature_table(seq: CountSequence, cfg: BetaMapConfig) -> tuple[np.ndarray, n
         table[missing] = _beta_bin_masses(cov_u[missing], meth_u[missing], D)
         _CACHE.put([cache_keys[u] for u in missing], table[missing])
     return table, index.reshape(seq.coverage.shape)
-
-
-def map_sequence(seq: CountSequence, cfg: BetaMapConfig) -> np.ndarray:
-    """Feature matrix of a whole sequence, shape (length, num_cells * granularity).
-
-    Built from ``feature_table``: distinct (coverage, count) pairs are
-    evaluated once and shared through the module cache.
-    """
-    table, index = feature_table(seq, cfg)
-    return table[index].reshape(len(seq), seq.num_cells * cfg.granularity)
 
 
 def empirical_prior_weight(seq: CountSequence, cell: int = 0) -> float:

@@ -12,7 +12,7 @@ probability of moving to state ``i`` given the current state is ``j``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -20,11 +20,9 @@ from .errors import DataError, ParameterError
 
 __all__ = [
     "Observation",
-    "Triple",
     "CountSequence",
     "HmmParams",
     "validate_params",
-    "iter_triples",
 ]
 
 _SUM_ATOL = 1e-12
@@ -44,26 +42,6 @@ class Observation:
             raise ParameterError(
                 f"meth_count {self.meth_count} outside [0, {self.coverage}]"
             )
-
-
-@dataclass(frozen=True)
-class Triple:
-    """Observations at three consecutive positions.
-
-    Each field is a tuple with one :class:`Observation` per cell type, so the
-    single-cell case is a 1-tuple.
-    """
-
-    x1: tuple[Observation, ...]
-    x2: tuple[Observation, ...]
-    x3: tuple[Observation, ...]
-
-    def __post_init__(self) -> None:
-        k = len(self.x1)
-        if k == 0:
-            raise ParameterError("triple must carry at least one cell")
-        if len(self.x2) != k or len(self.x3) != k:
-            raise ParameterError("all three positions must carry the same number of cells")
 
 
 class CountSequence:
@@ -133,12 +111,6 @@ class CountSequence:
     def __len__(self) -> int:
         return self._coverage.shape[0]
 
-    def observations(self, t: int) -> tuple[Observation, ...]:
-        return tuple(
-            Observation(int(c), int(m))
-            for c, m in zip(self._coverage[t], self._meth[t])
-        )
-
     def cell(self, index: int) -> "CountSequence":
         """A single-cell view of one column."""
         return CountSequence(self._coverage[:, [index]], self._meth[:, [index]])
@@ -184,7 +156,7 @@ class HmmParams:
         return p[None, :] if p.ndim == 1 else p
 
 
-def validate_params(params: HmmParams, atol: float = _SUM_ATOL) -> HmmParams:
+def validate_params(params: HmmParams) -> HmmParams:
     """Check HMM parameter invariants, returning ``params`` unchanged.
 
     Raises :class:`ParameterError` naming the first violated invariant.
@@ -201,8 +173,8 @@ def validate_params(params: HmmParams, atol: float = _SUM_ATOL) -> HmmParams:
         idx = int(np.argmax(pi < 0))
         raise ParameterError(f"initial distribution entry {idx} is negative ({pi[idx]})")
     total = float(pi.sum())
-    if abs(total - 1.0) > atol:
-        raise ParameterError(f"initial distribution sums to {total} (must be 1 within {atol})")
+    if abs(total - 1.0) > _SUM_ATOL:
+        raise ParameterError(f"initial distribution sums to {total} (must be 1 within {_SUM_ATOL})")
     if T.shape != (m, m):
         raise ParameterError(f"transition matrix shape {T.shape} does not match {m} states")
     if np.any(~np.isfinite(T)):
@@ -212,10 +184,10 @@ def validate_params(params: HmmParams, atol: float = _SUM_ATOL) -> HmmParams:
         raise ParameterError(f"transition entry ({i}, {j}) is negative ({T[i, j]})")
     col_sums = T.sum(axis=0)
     off = np.abs(col_sums - 1.0)
-    if np.any(off > atol):
+    if np.any(off > _SUM_ATOL):
         j = int(np.argmax(off))
         raise ParameterError(
-            f"transition column {j} sums to {col_sums[j]} (must be 1 within {atol})"
+            f"transition column {j} sums to {col_sums[j]} (must be 1 within {_SUM_ATOL})"
         )
     if p.ndim not in (1, 2) or p.shape[-1] != m:
         raise ParameterError(
@@ -230,18 +202,3 @@ def validate_params(params: HmmParams, atol: float = _SUM_ATOL) -> HmmParams:
         )
     return params
 
-
-def iter_triples(seq: CountSequence) -> Iterator[Triple]:
-    """Iterate over all overlapping consecutive triples of a sequence.
-
-    Every window (t, t+1, t+2) contributes one :class:`Triple`, so a sequence
-    of length L yields L - 2 of them, in genomic order.
-    """
-    if len(seq) < 3:
-        raise DataError(f"insufficient length: need at least 3 positions, got {len(seq)}")
-
-    def _gen() -> Iterator[Triple]:
-        for t in range(len(seq) - 2):
-            yield Triple(seq.observations(t), seq.observations(t + 1), seq.observations(t + 2))
-
-    return _gen()

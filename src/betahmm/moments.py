@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, ParameterError
-from .features import BetaMapConfig, concat_map, feature_table
-from .model import CountSequence, Triple
+from .features import BetaMapConfig, feature_table
+from .model import CountSequence
 
 __all__ = ["MomentSet", "MomentAccumulator", "MAX_FEATURE_DIM"]
 
@@ -43,6 +43,10 @@ MAX_FEATURE_DIM = 256
 # float64-sized elements of working memory for one batch of coordinates in
 # the triple pass; bounds it whatever the number of distinct keys
 _BATCH_ELEMENTS = 1 << 20
+
+# a pair moment of k cells sums to k**2 and the triple to k**3; validation
+# allows this tolerance times max(1, total)
+_SUM_TOL = 1e-9
 
 
 def _pair_counts(rows: np.ndarray, cols: np.ndarray, size: int):
@@ -121,7 +125,7 @@ class MomentSet:
     def dim(self) -> int:
         return self.p12.shape[0]
 
-    def validate(self, atol: float = 1e-9) -> "MomentSet":
+    def validate(self) -> "MomentSet":
         """Check normalization and symmetry bookkeeping; returns self."""
         k = self.num_blocks
         d = self.dim
@@ -134,7 +138,7 @@ class MomentSet:
             if float(mat.min()) < -1e-12:
                 raise ParameterError(f"{name} has a negative entry ({mat.min()})")
             total = float(mat.sum())
-            if abs(total - k * k) > atol * max(1.0, k * k):
+            if abs(total - k * k) > _SUM_TOL * max(1.0, k * k):
                 raise ParameterError(
                     f"{name} entries sum to {total}, expected {k * k}"
                 )
@@ -146,7 +150,7 @@ class MomentSet:
         if float(self.t123.min()) < -1e-12:
             raise ParameterError(f"t123 has a negative entry ({self.t123.min()})")
         total = float(self.t123.sum())
-        if abs(total - k**3) > atol * max(1.0, k**3):
+        if abs(total - k**3) > _SUM_TOL * max(1.0, k**3):
             raise ParameterError(f"t123 entries sum to {total}, expected {k**3}")
         return self
 
@@ -155,10 +159,10 @@ class MomentAccumulator:
     """Running sums of pairwise and triple outer products.
 
     Every input goes through one pass, ``add_indexed``, which takes a
-    sequence as feature-table rows: ``add_sequence`` maps a count sequence,
-    ``add_features`` and ``accumulate`` add one triple. ``merge`` adds the
-    sums of accumulators built on disjoint shards. ``finalize`` divides by
-    the triple count and returns a validated :class:`MomentSet`.
+    sequence as feature-table rows; ``add_sequence`` maps a count sequence
+    through ``features.feature_table`` first. ``merge`` adds the sums of
+    accumulators built on disjoint shards. ``finalize`` divides by the triple
+    count and returns a validated :class:`MomentSet`.
     """
 
     def __init__(self, feature_dim: int, num_blocks: int = 1) -> None:
@@ -180,25 +184,6 @@ class MomentAccumulator:
         self._p13 = np.zeros((d, d))
         self._p23 = np.zeros((d, d))
         self._t123 = np.zeros((d, d, d))
-
-    def add_features(self, f1: np.ndarray, f2: np.ndarray, f3: np.ndarray) -> "MomentAccumulator":
-        """Accumulate one already-mapped triple of feature vectors."""
-        d = self.feature_dim
-        if f1.shape != (d,) or f2.shape != (d,) or f3.shape != (d,):
-            raise ParameterError(
-                f"feature vectors must have shape ({d},), got "
-                f"{f1.shape}, {f2.shape}, {f3.shape}"
-            )
-        k = self.num_blocks
-        table = np.concatenate([f1, f2, f3]).reshape(3 * k, d // k)
-        return self.add_indexed(table, np.arange(3 * k).reshape(3, k))
-
-    def accumulate(self, triple: Triple, cfg: BetaMapConfig) -> "MomentAccumulator":
-        """Map one observation triple and fold it into the running sums."""
-        f1 = concat_map(triple.x1, cfg)
-        f2 = concat_map(triple.x2, cfg)
-        f3 = concat_map(triple.x3, cfg)
-        return self.add_features(f1, f2, f3)
 
     def add_sequence(self, seq: CountSequence, cfg: BetaMapConfig) -> "MomentAccumulator":
         """Accumulate every overlapping triple of ``seq``."""

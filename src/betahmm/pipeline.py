@@ -20,7 +20,6 @@ from .model import CountSequence, HmmParams, validate_params
 from .moments import MomentAccumulator, MomentSet
 from .recovery import chain_from_joint, estimate_joint_lsq, recover_meth_probs
 from .spectral import (
-    RANK_RTOL,
     _pinv,
     joint_diagonalization,
     pair_spectrum,
@@ -41,10 +40,11 @@ class FtdConfig:
     fewer than ``num_states`` directions survive, the decomposition runs at the
     reduced rank and the missing states are filled with copies of the heaviest
     recovered components (a merged-state estimate). The noise of each
-    direction comes from the disagreement of the two half-stream moment sets;
-    without them it is ``moment_ridge`` (or, if that is None, a closed-form
-    stand-in) times the norm of the third-view operator. A given
-    ``moment_ridge`` also replaces the reported ``noise_level``.
+    direction comes from the disagreement of the two half-stream moment sets.
+    Without them it is ``noise_level`` times the norm of the third-view
+    operator, where ``noise_level`` is ``moment_ridge`` or, if that is None, a
+    closed-form stand-in; only such fits report ``noise_level``, and with
+    halves ``moment_ridge`` has no effect.
     """
 
     granularity: int = 30
@@ -83,22 +83,8 @@ class RecoveredModel:
 # only a coarse stand-in for the split-half estimate
 _PAIR_NOISE_CONST = 16.0
 
-
-def _pair_noise_level(moments: MomentSet, split_halves) -> float:
-    """Operator-norm sampling noise of the pair moments.
-
-    With split halves available this is half the operator norm of the halves'
-    lag-2 moment difference, which inherits every correlation quirk of the
-    actual stream; otherwise a coarse closed-form stand-in.
-    """
-    if split_halves is not None:
-        a, b = split_halves
-        return 0.5 * float(np.linalg.norm(a.p13 - b.p13, ord=2))
-    return (
-        _PAIR_NOISE_CONST
-        * float(np.linalg.norm(moments.p13))
-        / float(np.sqrt(moments.dim * float(moments.count)))
-    )
+# distance of EM's warm-start success probabilities from 0 and 1
+_PROB_MARGIN = 1e-6
 
 
 def ftd_fit_moments(
@@ -128,10 +114,6 @@ def ftd_fit_moments(
     if dim % moments.num_blocks != 0:
         raise ParameterError("moment dimension is not divisible by its block count")
     granularity = dim // moments.num_blocks
-    if config.moment_ridge is not None:
-        noise = config.moment_ridge
-    else:
-        noise = _pair_noise_level(moments, split_halves)
     _, s3, g, asymmetry = symmetrize_moments(moments, num_states)
     spectrum = pair_spectrum(s3, moments.p32)
     _, vals, vecs = spectrum
@@ -140,7 +122,7 @@ def ftd_fit_moments(
     if split_halves is not None:
         half_pairs = []
         for half in split_halves:
-            s3h = half.p21 @ _pinv(half.p31, RANK_RTOL, rank=num_states)
+            s3h = half.p21 @ _pinv(half.p31, rank=num_states)
             half_pairs.append(s3h @ half.p32)
         delta = 0.5 * (half_pairs[0] - half_pairs[1])
         delta = 0.5 * (delta + delta.T)
@@ -148,8 +130,17 @@ def ftd_fit_moments(
         # so strong directions are not masked by noise that lives elsewhere in
         # the spectrum
         pair_floor = np.abs(np.einsum("ij,jk,ki->i", top_vecs.T, delta, top_vecs))
+        noise = {}
     else:
-        pair_floor = np.full(num_states, float(np.linalg.norm(s3, ord=2)) * noise)
+        level = config.moment_ridge
+        if level is None:
+            level = (
+                _PAIR_NOISE_CONST
+                * float(np.linalg.norm(moments.p13))
+                / float(np.sqrt(dim * float(moments.count)))
+            )
+        pair_floor = np.full(num_states, float(np.linalg.norm(s3, ord=2)) * level)
+        noise = {"noise_level": level}
     resolvable = top_vals > pair_floor
     # keep the leading run of resolvable directions
     rank = int(np.argmin(resolvable)) if not resolvable.all() else num_states
@@ -180,7 +171,7 @@ def ftd_fit_moments(
     }
     diagnostics = {
         "triples": moments.count,
-        "noise_level": noise,
+        **noise,
         "pair_floor": pair_floor.tolist(),
         "effective_rank": int(rank),
         "duplicated_components": extras,
@@ -214,8 +205,7 @@ def ftd_fit(
     The (coverage, count) keys and their feature table are computed once for
     the whole sequence. Long enough sequences are accumulated as two
     half-stream shards whose summed moments cover every window once; the
-    halves also provide the split-half noise estimate that drives shrinkage
-    and rank selection.
+    halves also provide the split-half noise estimate that selects the rank.
     """
     if len(seq) < 3:
         raise DataError(f"insufficient length: need at least 3 positions, got {len(seq)}")
@@ -253,14 +243,13 @@ def ftd_then_em(
     num_states: int,
     config: FtdConfig = FtdConfig(),
     rounds: int = 3,
-    prob_margin: float = 1e-6,
 ) -> tuple[RecoveredModel, EmTrace]:
     """Spectral fit followed by ``rounds`` EM refinement iterations.
 
     Returns the spectral fit, diagnostics included, and the EM trace. With
     ``rounds=0`` the EM stage is skipped and the trace simply wraps the
     spectral parameters. Warm-start probabilities are pulled off the [0, 1]
-    boundary by ``prob_margin`` so clamped estimates cannot zero out the
+    boundary by ``_PROB_MARGIN`` so clamped estimates cannot zero out the
     likelihood.
     """
     if rounds < 0:
@@ -268,7 +257,7 @@ def ftd_then_em(
     model = ftd_fit(seq, num_states, config)
     if rounds == 0:
         return model, EmTrace(log_likelihoods=[], params=model.params, iterations=0)
-    meth = np.clip(model.params.meth_probs, prob_margin, 1.0 - prob_margin)
+    meth = np.clip(model.params.meth_probs, _PROB_MARGIN, 1.0 - _PROB_MARGIN)
     warm = HmmParams(
         initial_dist=model.params.initial_dist,
         transition=model.params.transition,

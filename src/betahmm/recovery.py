@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .spectral import RANK_RTOL, _pinv, _effective_rank
+from .spectral import _effective_rank, _pinv
 
 __all__ = [
     "StateJoint",
@@ -28,6 +28,9 @@ __all__ = [
 ]
 
 PI_FLOOR = 1e-8
+
+# how far each cell block of a feature-mean column may sum from 1
+_BLOCK_ATOL = 1e-6
 
 
 @dataclass(eq=False)
@@ -59,7 +62,6 @@ def recover_meth_probs(
     feature_means: np.ndarray,
     prior_weights,
     granularity: int,
-    block_atol: float = 1e-6,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-cell, per-state success probabilities from histogram feature means.
 
@@ -85,11 +87,11 @@ def recover_meth_probs(
     m = feature_means.shape[1]
     blocks = feature_means.reshape(num_blocks, D, m)
     sums = blocks.sum(axis=1)
-    if np.any(np.abs(sums - 1.0) > block_atol):
-        b, col = np.argwhere(np.abs(sums - 1.0) > block_atol)[0]
+    if np.any(np.abs(sums - 1.0) > _BLOCK_ATOL):
+        b, col = np.argwhere(np.abs(sums - 1.0) > _BLOCK_ATOL)[0]
         raise ParameterError(
             f"cell block {b} of state column {col} sums to {sums[b, col]}, "
-            f"expected 1 within {block_atol}"
+            f"expected 1 within {_BLOCK_ATOL}"
         )
     weights = np.arange(1, D + 1) / D
     weighted = np.einsum("d,bdm->bm", weights, blocks)
@@ -114,7 +116,6 @@ def estimate_joint_lsq(
     feature_means: np.ndarray,
     max_iters: int = 5000,
     rel_tol: float = 1e-9,
-    rank_rtol: float = RANK_RTOL,
 ) -> StateJoint:
     """Stabilized joint-state estimate by projected gradient descent.
 
@@ -131,7 +132,7 @@ def estimate_joint_lsq(
         raise ParameterError(
             f"pair moment shape {p21.shape} does not match feature dimension {C.shape[0]}"
         )
-    if _effective_rank(C, rank_rtol) < m:
+    if _effective_rank(C) < m:
         raise NumericalError(
             "feature mean matrix is rank deficient; the joint fit is not identifiable"
         )
@@ -173,11 +174,11 @@ def estimate_joint_lsq(
     return StateJoint(matrix=h, objective=obj, iterations=iterations, converged=converged)
 
 
-def chain_from_joint(joint, floor: float = PI_FLOOR) -> tuple[np.ndarray, np.ndarray]:
+def chain_from_joint(joint) -> tuple[np.ndarray, np.ndarray]:
     """Initial distribution and transition matrix from a consecutive-state joint.
 
     The initial distribution is the column-sum marginal (the earlier of the
-    two positions); entries below ``floor`` are lifted to it before
+    two positions); entries below ``PI_FLOOR`` are lifted to it before
     renormalizing, and transition columns are renormalized to sum exactly 1.
     """
     h = joint.matrix if isinstance(joint, StateJoint) else np.asarray(joint, dtype=np.float64)
@@ -190,7 +191,7 @@ def chain_from_joint(joint, floor: float = PI_FLOOR) -> tuple[np.ndarray, np.nda
         raise ParameterError(f"joint entries sum to {total}, expected 1")
     m = h.shape[0]
     col = np.maximum(h.sum(axis=0), 0.0)
-    floored = np.maximum(col, floor)
+    floored = np.maximum(col, PI_FLOOR)
     pi = floored / floored.sum()
     T = h / floored[None, :]
     col_sums = T.sum(axis=0)
@@ -203,9 +204,7 @@ def chain_from_joint(joint, floor: float = PI_FLOOR) -> tuple[np.ndarray, np.nda
 
 
 def chain_via_pinv(
-    p21: np.ndarray,
-    feature_means: np.ndarray,
-    rank_rtol: float = RANK_RTOL,
+    p21: np.ndarray, feature_means: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Direct joint-state estimate through pseudoinverses of the feature means.
 
@@ -215,11 +214,11 @@ def chain_via_pinv(
     """
     C = np.asarray(feature_means, dtype=np.float64)
     m = C.shape[1]
-    if _effective_rank(C, rank_rtol) < m:
+    if _effective_rank(C) < m:
         raise NumericalError(
             "feature mean matrix is rank deficient; cannot invert for the joint"
         )
-    pinv_c = _pinv(C, rank_rtol)
+    pinv_c = _pinv(C)
     raw = pinv_c @ p21 @ pinv_c.T
     clamp_mass = float(-raw[raw < 0.0].sum())
     np.maximum(raw, 0.0, out=raw)

@@ -72,25 +72,25 @@ class DecompositionResult:
     sign_flips: int = 0
 
 
-def _pinv(mat: np.ndarray, rank_rtol: float, rank: int | None = None) -> np.ndarray:
-    """Pseudoinverse with the relative cutoff, optionally truncated to ``rank``.
+def _pinv(mat: np.ndarray, rank: int | None = None) -> np.ndarray:
+    """Pseudoinverse at the ``RANK_RTOL`` cutoff, optionally truncated to ``rank``.
 
     Truncation matters on noisy inputs: the population pair moments have rank
     equal to the number of states, and inverting the noise directions beyond
     it amplifies them by their inverse singular values.
     """
     if rank is None:
-        return np.linalg.pinv(mat, rcond=max(mat.shape) * rank_rtol)
+        return np.linalg.pinv(mat, rcond=max(mat.shape) * RANK_RTOL)
     u, s, vt = np.linalg.svd(mat, full_matrices=False)
-    keep = min(rank, int(np.sum(s > max(mat.shape) * rank_rtol * s[0])))
+    keep = min(rank, int(np.sum(s > max(mat.shape) * RANK_RTOL * s[0])))
     return (vt[:keep].T / s[:keep]) @ u[:, :keep].T
 
 
-def _effective_rank(mat: np.ndarray, rank_rtol: float) -> int:
+def _effective_rank(mat: np.ndarray) -> int:
     s = np.linalg.svd(mat, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.sum(s > max(mat.shape) * rank_rtol * s[0]))
+    return int(np.sum(s > max(mat.shape) * RANK_RTOL * s[0]))
 
 
 def _symmetric_part(t: np.ndarray) -> np.ndarray:
@@ -120,14 +120,14 @@ def symmetrize_moments(
     if num_states < 1:
         raise ParameterError(f"num_states must be >= 1, got {num_states}")
     for name in ("p13", "p31"):
-        rank = _effective_rank(getattr(moments, name), RANK_RTOL)
+        rank = _effective_rank(getattr(moments, name))
         if rank < num_states:
             raise NumericalError(
                 f"rank condition violated: effective rank of {name} is {rank}, "
                 f"need at least {num_states}"
             )
-    s1 = moments.p23 @ _pinv(moments.p13, RANK_RTOL, rank=num_states)
-    s3 = moments.p21 @ _pinv(moments.p31, RANK_RTOL, rank=num_states)
+    s1 = moments.p23 @ _pinv(moments.p13, rank=num_states)
+    s3 = moments.p21 @ _pinv(moments.p31, rank=num_states)
     raw = np.einsum("ia,ajc,lc->ijl", s1, moments.t123, s3, optimize=True)
     norm = float(np.linalg.norm(raw))
     if norm == 0.0:

@@ -31,6 +31,24 @@ def beta_histogram_row(coverage: int, meth: int, granularity: int) -> np.ndarray
     return np.diff(cdf)
 
 
+def reference_features(seq, granularity: int) -> np.ndarray:
+    """Feature matrix of a sequence, shape (length, num_cells * granularity).
+
+    Row t concatenates one ``beta_histogram_row`` per cell of position t.
+    """
+    return np.array(
+        [
+            np.concatenate(
+                [
+                    beta_histogram_row(int(c), int(mu), granularity)
+                    for c, mu in zip(seq.coverage[t], seq.meth[t])
+                ]
+            )
+            for t in range(len(seq))
+        ]
+    )
+
+
 def exact_feature_map(probs, coverage_dist, granularity: int) -> np.ndarray:
     """Per-state expected histogram features by full enumeration.
 

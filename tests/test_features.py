@@ -18,12 +18,12 @@ from betahmm import (
     beta_map,
     cache_stats,
     clear_cache,
-    concat_map,
     empirical_prior_weight,
-    map_sequence,
     prior_weights,
 )
 from betahmm.features import feature_table
+
+from oracles import reference_features
 
 
 class TestFrozenValues:
@@ -40,16 +40,6 @@ class TestFrozenValues:
         for obs in (Observation(0, 0), Observation(9, 4), Observation(30, 30)):
             phi = beta_map(obs, BetaMapConfig(granularity=1))
             np.testing.assert_allclose(phi, [1.0], atol=0)
-
-    def test_concat_two_empty_cells(self):
-        cfg = BetaMapConfig(granularity=2)
-        phi = concat_map((Observation(0, 0), Observation(0, 0)), cfg)
-        np.testing.assert_allclose(phi, [0.5, 0.5, 0.5, 0.5], atol=1e-12)
-
-    def test_concat_mixed_cells(self):
-        cfg = BetaMapConfig(granularity=2)
-        phi = concat_map((Observation(1, 1), Observation(0, 0)), cfg)
-        np.testing.assert_allclose(phi, [0.25, 0.75, 0.5, 0.5], atol=1e-12)
 
     def test_granularity_must_be_positive(self):
         with pytest.raises(ParameterError):
@@ -171,32 +161,30 @@ class TestCache:
 
 
 class TestMapSequence:
+    """A whole sequence mapped through ``feature_table``: ``table[index]``."""
+
     def test_matches_rowwise_concat(self):
         gen = np.random.default_rng(11)
         cov = gen.integers(0, 40, size=(25, 2))
         meth = (cov * gen.uniform(size=cov.shape)).astype(np.int64)
         seq = CountSequence(cov, meth)
-        cfg = BetaMapConfig(granularity=5)
-        rows = map_sequence(seq, cfg)
-        assert rows.shape == (25, 10)
-        for t in range(len(seq)):
-            expected = concat_map(seq.observations(t), cfg)
-            np.testing.assert_allclose(rows[t], expected, atol=1e-14)
+        table, index = feature_table(seq, BetaMapConfig(granularity=5))
+        rows = table[index].reshape(25, 10)
+        np.testing.assert_allclose(rows, reference_features(seq, 5), rtol=0, atol=1e-14)
 
     def test_blocks_each_sum_to_one(self):
         gen = np.random.default_rng(3)
         cov = gen.integers(0, 15, size=(40, 3))
         meth = (cov * gen.uniform(size=cov.shape)).astype(np.int64)
-        rows = map_sequence(CountSequence(cov, meth), BetaMapConfig(granularity=7))
-        for block in range(3):
-            sums = rows[:, block * 7 : (block + 1) * 7].sum(axis=1)
-            np.testing.assert_allclose(sums, 1.0, atol=1e-10)
+        table, index = feature_table(CountSequence(cov, meth), BetaMapConfig(granularity=7))
+        assert index.shape == (40, 3)
+        np.testing.assert_allclose(table[index].sum(axis=2), 1.0, atol=1e-10)
 
     def test_repeated_observations_reuse_cache(self):
         clear_cache()
         cov = np.full(500, 9)
         meth = np.full(500, 4)
-        map_sequence(CountSequence(cov, meth), BetaMapConfig(granularity=6))
+        feature_table(CountSequence(cov, meth), BetaMapConfig(granularity=6))
         assert cache_stats()["computed"] == 1
 
 
@@ -248,7 +236,7 @@ class TestCacheThreads:
             barrier.wait()
             for _ in range(rounds):
                 for s in seqs:
-                    map_sequence(s, cfg)
+                    feature_table(s, cfg)
 
         threads = [threading.Thread(target=work) for _ in range(workers)]
         interval = sys.getswitchinterval()

@@ -9,8 +9,6 @@ from betahmm import (
     HmmParams,
     Observation,
     ParameterError,
-    Triple,
-    iter_triples,
     validate_params,
 )
 
@@ -40,22 +38,6 @@ class TestObservation:
     def test_meth_above_coverage(self):
         with pytest.raises(ParameterError, match="outside"):
             Observation(3, 4)
-
-
-class TestTriple:
-    def test_single_cell(self):
-        t = Triple((Observation(2, 1),), (Observation(2, 0),), (Observation(2, 2),))
-        assert len(t.x1) == 1
-
-    def test_cell_count_mismatch(self):
-        one = (Observation(1, 0),)
-        two = (Observation(1, 0), Observation(1, 1))
-        with pytest.raises(ParameterError, match="same number of cells"):
-            Triple(one, two, one)
-
-    def test_empty(self):
-        with pytest.raises(ParameterError):
-            Triple((), (), ())
 
 
 class TestCountSequence:
@@ -161,55 +143,6 @@ class TestValidateParams:
     def test_non_finite(self):
         with pytest.raises(ParameterError, match="non-finite"):
             validate_params(_params([0.5, np.nan], np.eye(2), [0.1, 0.2]))
-
-
-class TestIterTriples:
-    def test_minimum_length_yields_one(self):
-        seq = CountSequence([1, 2, 3], [0, 1, 2])
-        triples = list(iter_triples(seq))
-        assert len(triples) == 1
-
-    def test_length_five_yields_three_in_order(self):
-        seq = CountSequence([5, 4, 3, 2, 1], [0, 1, 2, 1, 0])
-        triples = list(iter_triples(seq))
-        assert len(triples) == 3
-        first = triples[0]
-        assert first.x1[0].coverage == 5
-        assert first.x2[0].coverage == 4
-        assert first.x3[0].coverage == 3
-
-    def test_too_short(self):
-        with pytest.raises(DataError, match="insufficient length"):
-            iter_triples(CountSequence([1, 2], [0, 1]))
-
-
-@st.composite
-def count_sequences(draw):
-    length = draw(st.integers(min_value=3, max_value=12))
-    cells = draw(st.integers(min_value=1, max_value=2))
-    cov = draw(
-        st.lists(
-            st.lists(st.integers(0, 30), min_size=cells, max_size=cells),
-            min_size=length,
-            max_size=length,
-        )
-    )
-    cov = np.array(cov)
-    frac = draw(st.floats(0.0, 1.0))
-    meth = np.floor(cov * frac).astype(np.int64)
-    return CountSequence(cov, meth)
-
-
-@given(count_sequences())
-@settings(max_examples=50, deadline=None)
-def test_triple_count_and_validity(seq):
-    triples = list(iter_triples(seq))
-    assert len(triples) == len(seq) - 2
-    for t in triples:
-        for position in (t.x1, t.x2, t.x3):
-            assert len(position) == seq.num_cells
-            for obs in position:
-                assert 0 <= obs.meth_count <= obs.coverage
 
 
 @given(

@@ -12,23 +12,36 @@ from betahmm import (
     DataError,
     MomentAccumulator,
     MomentSet,
-    Observation,
     ParameterError,
-    Triple,
-    concat_map,
-    iter_triples,
 )
 from betahmm import moments as moments_module
 from betahmm.features import feature_table
 from betahmm.moments import MAX_FEATURE_DIM
 
-from oracles import naive_moment_means
+from oracles import naive_moment_means, reference_features
 
 
 def _random_sequence(gen, length, cells=1, max_cov=12):
     cov = gen.integers(0, max_cov + 1, size=(length, cells))
     meth = (cov * gen.uniform(size=cov.shape)).astype(np.int64)
     return CountSequence(cov, meth)
+
+
+def _add_window(acc, f1, f2, f3):
+    """Accumulate one window of three feature vectors as a 3-row table."""
+    k = acc.num_blocks
+    table = np.concatenate([f1, f2, f3]).reshape(3 * k, -1)
+    return acc.add_indexed(table, np.arange(3 * k).reshape(3, k))
+
+
+def _assert_matches_naive(moments: MomentSet, feats, atol=1e-12):
+    """Compare with plain sums over the windows of a feature matrix."""
+    assert moments.count == len(feats) - 2
+    naive = naive_moment_means(feats[:-2], feats[1:-1], feats[2:])
+    for name, expected in zip(("p12", "p13", "p23", "t123"), naive):
+        np.testing.assert_allclose(
+            getattr(moments, name), expected, rtol=0, atol=atol, err_msg=name
+        )
 
 
 def _assert_same_moments(a: MomentSet, b: MomentSet, atol=1e-12):
@@ -43,10 +56,7 @@ class TestSingleTriple:
     def test_uniform_triple(self):
         cfg = BetaMapConfig(granularity=2)
         acc = MomentAccumulator(2)
-        triple = Triple(
-            (Observation(0, 0),), (Observation(0, 0),), (Observation(0, 0),)
-        )
-        moments = acc.accumulate(triple, cfg).finalize()
+        moments = acc.add_sequence(CountSequence([0, 0, 0], [0, 0, 0]), cfg).finalize()
         np.testing.assert_allclose(moments.p12, np.full((2, 2), 0.25), atol=1e-15)
         np.testing.assert_allclose(moments.p31, np.full((2, 2), 0.25), atol=1e-15)
         np.testing.assert_allclose(moments.t123, np.full((2, 2, 2), 0.125), atol=1e-15)
@@ -54,11 +64,11 @@ class TestSingleTriple:
 
     def test_repeating_a_triple_leaves_the_mean_fixed(self):
         cfg = BetaMapConfig(granularity=3)
-        triple = Triple((Observation(6, 2),), (Observation(3, 3),), (Observation(1, 0),))
-        one = MomentAccumulator(3).accumulate(triple, cfg).finalize()
+        triple = CountSequence([6, 3, 1], [2, 3, 0])
+        one = MomentAccumulator(3).add_sequence(triple, cfg).finalize()
         acc = MomentAccumulator(3)
         for _ in range(4):
-            acc.accumulate(triple, cfg)
+            acc.add_sequence(triple, cfg)
         four = acc.finalize()
         assert four.count == 4
         for name in ("p12", "p13", "p23", "t123"):
@@ -69,7 +79,7 @@ class TestSingleTriple:
     def test_one_hot_triple_validates(self):
         acc = MomentAccumulator(3)
         e = np.eye(3)
-        acc.add_features(e[0], e[2], e[1])
+        _add_window(acc, e[0], e[2], e[1])
         moments = acc.finalize()
         assert moments.p12[0, 2] == 1.0
         assert moments.p12.sum() == 1.0
@@ -84,7 +94,7 @@ class TestAgainstNaiveSums:
         f3 = rng.dirichlet(np.ones(dim), size=100)
         acc = MomentAccumulator(dim)
         for a, b, c in zip(f1, f2, f3):
-            acc.add_features(a, b, c)
+            _add_window(acc, a, b, c)
         moments = acc.finalize()
         p12, p13, p23, t123 = naive_moment_means(f1, f2, f3)
         np.testing.assert_allclose(moments.p12, p12, atol=1e-12)
@@ -98,20 +108,14 @@ class TestAddSequence:
     def test_matches_triplewise_accumulation(self, rng):
         cfg = BetaMapConfig(granularity=4)
         seq = _random_sequence(rng, 60)
-        by_triple = MomentAccumulator(4)
-        for triple in iter_triples(seq):
-            by_triple.accumulate(triple, cfg)
         whole = MomentAccumulator(4).add_sequence(seq, cfg)
-        _assert_same_moments(whole.finalize(), by_triple.finalize())
+        _assert_matches_naive(whole.finalize(), reference_features(seq, 4))
 
     def test_two_cells(self, rng):
         cfg = BetaMapConfig(granularity=3)
         seq = _random_sequence(rng, 30, cells=2)
-        by_triple = MomentAccumulator(6, num_blocks=2)
-        for triple in iter_triples(seq):
-            by_triple.accumulate(triple, cfg)
         whole = MomentAccumulator(6, num_blocks=2).add_sequence(seq, cfg)
-        _assert_same_moments(whole.finalize(), by_triple.finalize())
+        _assert_matches_naive(whole.finalize(), reference_features(seq, 3))
 
     def test_too_short(self):
         seq = CountSequence([1, 2], [0, 1])
@@ -131,9 +135,9 @@ class TestMerge:
         whole = MomentAccumulator(dim)
         first, second = MomentAccumulator(dim), MomentAccumulator(dim)
         for i in range(90):
-            whole.add_features(f[0][i], f[1][i], f[2][i])
+            _add_window(whole, f[0][i], f[1][i], f[2][i])
             target = first if i < 40 else second
-            target.add_features(f[0][i], f[1][i], f[2][i])
+            _add_window(target, f[0][i], f[1][i], f[2][i])
         merged = first.merge(second)
         assert merged.count == 90
         _assert_same_moments(merged.finalize(), whole.finalize(), atol=1e-10)
@@ -142,8 +146,8 @@ class TestMerge:
         dim = 3
         a, b = MomentAccumulator(dim), MomentAccumulator(dim)
         for _ in range(20):
-            a.add_features(*rng.dirichlet(np.ones(dim), size=3))
-            b.add_features(*rng.dirichlet(np.ones(dim), size=3))
+            _add_window(a, *rng.dirichlet(np.ones(dim), size=3))
+            _add_window(b, *rng.dirichlet(np.ones(dim), size=3))
         _assert_same_moments(a.merge(b).finalize(), b.merge(a).finalize(), atol=1e-12)
 
     def test_associative(self, rng):
@@ -152,7 +156,7 @@ class TestMerge:
         for _ in range(3):
             acc = MomentAccumulator(dim)
             for _ in range(15):
-                acc.add_features(*rng.dirichlet(np.ones(dim), size=3))
+                _add_window(acc, *rng.dirichlet(np.ones(dim), size=3))
             accs.append(acc)
         left = accs[0].merge(accs[1]).merge(accs[2]).finalize()
         right = accs[0].merge(accs[1].merge(accs[2])).finalize()
@@ -186,14 +190,14 @@ class TestMerge:
     def test_merge_with_empty_is_identity(self, rng):
         acc = MomentAccumulator(3)
         for _ in range(5):
-            acc.add_features(*rng.dirichlet(np.ones(3), size=3))
+            _add_window(acc, *rng.dirichlet(np.ones(3), size=3))
         merged = acc.merge(MomentAccumulator(3))
         _assert_same_moments(merged.finalize(), acc.finalize(), atol=0)
 
     def test_merge_does_not_mutate_inputs(self, rng):
         a, b = MomentAccumulator(2), MomentAccumulator(2)
-        a.add_features(*rng.dirichlet(np.ones(2), size=3))
-        b.add_features(*rng.dirichlet(np.ones(2), size=3))
+        _add_window(a, *rng.dirichlet(np.ones(2), size=3))
+        _add_window(b, *rng.dirichlet(np.ones(2), size=3))
         before = a.finalize()
         a.merge(b)
         _assert_same_moments(a.finalize(), before, atol=0)
@@ -214,10 +218,7 @@ class TestCoordinateBatches:
         cfg = BetaMapConfig(granularity=5)
         monkeypatch.setattr(moments_module, "_BATCH_ELEMENTS", budget)
         moments = MomentAccumulator(10, num_blocks=2).add_sequence(seq, cfg).finalize()
-        feats = np.array([concat_map(seq.observations(t), cfg) for t in range(len(seq))])
-        p12, p13, p23, t123 = naive_moment_means(feats[:-2], feats[1:-1], feats[2:])
-        np.testing.assert_allclose(moments.t123, t123, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(moments.p13, p13, rtol=0, atol=1e-12)
+        _assert_matches_naive(moments, reference_features(seq, 5))
 
 
 class TestMemory:
@@ -257,11 +258,6 @@ class TestConstructionErrors:
         with pytest.raises(ParameterError, match="divide"):
             MomentAccumulator(6, num_blocks=4)
 
-    def test_feature_shape_check(self):
-        acc = MomentAccumulator(3)
-        with pytest.raises(ParameterError, match="shape"):
-            acc.add_features(np.ones(3), np.ones(4), np.ones(3))
-
     def test_finalize_empty(self):
         with pytest.raises(DataError, match="empty"):
             MomentAccumulator(3).finalize()
@@ -270,7 +266,7 @@ class TestConstructionErrors:
 class TestValidate:
     def _valid_set(self):
         acc = MomentAccumulator(2)
-        acc.add_features(np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([1.0, 0.0]))
+        _add_window(acc, np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([1.0, 0.0]))
         return acc.finalize()
 
     def test_broken_transpose(self):
@@ -347,10 +343,4 @@ def test_split_pass_matches_naive_sums(length, granularity, cells, max_cov, seed
     first = MomentAccumulator(dim, num_blocks=cells).add_indexed(table, index[:half])
     second = MomentAccumulator(dim, num_blocks=cells).add_indexed(table, index[half - 2 :])
     merged = first.merge(second).finalize()
-    feats = np.array([concat_map(seq.observations(t), cfg) for t in range(length)])
-    p12, p13, p23, t123 = naive_moment_means(feats[:-2], feats[1:-1], feats[2:])
-    assert merged.count == length - 2
-    np.testing.assert_allclose(merged.p12, p12, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(merged.p13, p13, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(merged.p23, p23, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(merged.t123, t123, rtol=0, atol=1e-12)
+    _assert_matches_naive(merged, reference_features(seq, granularity))

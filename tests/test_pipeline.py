@@ -168,6 +168,17 @@ class TestFtdFit:
         assert np.array_equal(a.params.transition, b.params.transition)
         assert a.diagnostics["effective_rank"] == b.diagnostics["effective_rank"]
 
+    def test_moment_ridge_does_not_move_a_split_half_fit(self):
+        # with halves every direction's floor is their disagreement
+        _, seq = _benchmark_like_sequence(512)
+        plain = ftd_fit(seq, 2, FtdConfig())
+        ridged = ftd_fit(seq, 2, FtdConfig(moment_ridge=0.5))
+        for name in ("initial_dist", "transition", "meth_probs"):
+            assert np.array_equal(getattr(plain.params, name), getattr(ridged.params, name))
+        assert plain.diagnostics["pair_floor"] == ridged.diagnostics["pair_floor"]
+        assert "noise_level" not in plain.diagnostics
+        assert "noise_level" not in ridged.diagnostics
+
     def test_two_cell_shapes(self):
         cfg = SynthConfig(num_states=2, num_cells=2)
         params = generate_params(cfg, seed=8)

@@ -15,16 +15,6 @@ def _load(name):
     return module
 
 
-def test_run_benchmark_writes_its_tables(tmp_path, capsys):
-    script = _load("run_benchmark")
-    argv = ["--lengths", "128", "--trials", "1", "--threads", "1", "--out-dir", str(tmp_path)]
-    assert script.main(argv) == 0
-    assert (tmp_path / "report.csv").is_file()
-    assert (tmp_path / "summary.csv").is_file()
-    out = capsys.readouterr().out
-    assert "ftd" in out and "em" in out
-
-
 def test_differential_demo_runs(capsys):
     script = _load("differential_demo")
     assert script.main(["--length", "3000"]) == 0
