@@ -37,7 +37,6 @@ from .recovery import (
     chain_via_pinv,
     differential_states,
     estimate_joint_lsq,
-    project_to_simplex,
     recover_meth_probs,
 )
 from .spectral import (
@@ -108,7 +107,6 @@ __all__ = [
     "log_likelihood",
     "pair_spectrum",
     "prior_weights",
-    "project_to_simplex",
     "random_init",
     "recover_feature_means",
     "recover_meth_probs",

@@ -63,8 +63,9 @@ class RecoveredModel:
 
     ``per_cell_probs`` always has shape (num_cells, num_states);
     ``params.meth_probs`` is its single row for single-cell data.
-    ``diagnostics`` records clamping masses, the least-squares fit trace,
-    whitening spectrum, tensor residuals and pre-clamp probabilities;
+    ``diagnostics`` records clamping masses, the least-squares joint fit
+    (objective, active-set steps, KKT residual), whitening spectrum, tensor
+    residuals and pre-clamp probabilities;
     ``diagnostics["timings"]`` holds the seconds of each stage, and ``ftd_fit``
     adds ``diagnostics["distinct_keys"]``, the distinct (coverage, count)
     pairs of each cell.
@@ -185,7 +186,7 @@ def ftd_fit_moments(
         "probs_preclamp": raw_probs.tolist(),
         "lsq_objective": joint.objective,
         "lsq_iterations": joint.iterations,
-        "lsq_converged": joint.converged,
+        "lsq_kkt_residual": joint.kkt_residual,
         "timings": timings,
     }
     return RecoveredModel(

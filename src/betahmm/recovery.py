@@ -2,10 +2,11 @@
 
 Success probabilities come from an affine correction of the bin-weighted mean
 of each state's histogram. The joint distribution of two consecutive hidden
-states is estimated either by a constrained least-squares fit (the stabilized
-path, always feasible) or by direct pseudoinversion of the pairwise moment
-(cheap but clamp-prone); initial distribution and transition matrix follow
-from that joint by marginalization and column normalization.
+states is estimated either by least squares over the simplex, solved exactly
+as a small convex QP by an active-set method (always feasible), or by direct
+pseudoinversion of the pairwise moment (cheap but clamp-prone); initial
+distribution and transition matrix follow from that joint by marginalization
+and column normalization.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .spectral import _effective_rank, _pinv
 __all__ = [
     "StateJoint",
     "recover_meth_probs",
-    "project_to_simplex",
     "estimate_joint_lsq",
     "chain_from_joint",
     "chain_via_pinv",
@@ -32,6 +32,13 @@ PI_FLOOR = 1e-8
 # how far each cell block of a feature-mean column may sum from 1
 _BLOCK_ATOL = 1e-6
 
+# the joint fit frees a fixed entry only if its multiplier is below -this
+# times max|q|, so round-off cannot free and refix one entry in a cycle
+_MULTIPLIER_RTOL = 1e-12
+# active-set steps before the joint fit gives up; each step fixes or frees one
+# entry, and fits of up to 36 entries take at most 13
+_MAX_STEPS = 1000
+
 
 @dataclass(eq=False)
 class StateJoint:
@@ -39,12 +46,14 @@ class StateJoint:
 
     ``matrix[i, j]`` approximates P(h_{t+1} = i, h_t = j); entries are
     non-negative and sum to 1 by construction of the constrained fit.
+    ``iterations`` counts active-set steps and ``kkt_residual`` is the largest
+    absolute stationarity residual over the free entries.
     """
 
     matrix: np.ndarray
     objective: float
     iterations: int
-    converged: bool
+    kkt_residual: float
 
 
 def _check_block_structure(feature_means: np.ndarray, granularity: int) -> int:
@@ -100,29 +109,19 @@ def recover_meth_probs(
     return probs, raw
 
 
-def project_to_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection of a vector onto {x >= 0, sum(x) = 1}."""
-    v = np.asarray(v, dtype=np.float64)
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    idx = np.arange(1, v.size + 1)
-    shifted = (css - 1.0) / idx
-    rho = np.nonzero(u - shifted > 0)[0][-1]
-    return np.maximum(v - shifted[rho], 0.0)
-
-
-def estimate_joint_lsq(
-    p21: np.ndarray,
-    feature_means: np.ndarray,
-    max_iters: int = 5000,
-    rel_tol: float = 1e-9,
-) -> StateJoint:
-    """Stabilized joint-state estimate by projected gradient descent.
+def estimate_joint_lsq(p21: np.ndarray, feature_means: np.ndarray) -> StateJoint:
+    """Joint-state estimate as the exact solution of a simplex-constrained QP.
 
     Minimizes ``norm(p21 - C @ H @ C.T)**2`` over {H >= 0, sum(H) = 1} with C
-    the feature means, step 1 / sigma_max(C.T C)^2 and halving safeguards so
-    the objective never increases. Stops when the relative decrease falls
-    below ``rel_tol`` or after ``max_iters`` iterations.
+    the feature means. In x = vec(H) the objective is ``x @ Q @ x - 2 q @ x``
+    plus a constant, with Q = kron(C.T C, C.T C) positive definite and
+    q = vec(C.T p21 C). A primal active-set method (Lawson and Hanson, 1974,
+    ch. 23) starts from the uniform joint; each step solves the KKT system of
+    the free entries plus the sum row. A step that would leave the simplex
+    stops at the first bound it meets and fixes that entry; a step that stays
+    inside frees the fixed entry with the most negative multiplier, or ends
+    the solve when none is negative. Strict convexity bounds the number of
+    steps; running past ``_MAX_STEPS`` raises ``NumericalError``.
     """
     C = np.asarray(feature_means, dtype=np.float64)
     if C.ndim != 2:
@@ -136,42 +135,51 @@ def estimate_joint_lsq(
         raise NumericalError(
             "feature mean matrix is rank deficient; the joint fit is not identifiable"
         )
+    n = m * m
     gram = C.T @ C
-    lead = float(np.linalg.norm(gram, 2))
-    base_step = 1.0 / (lead * lead)
-    cross = C.T @ p21 @ C
-    const = float(np.sum(p21 * p21))
-
-    def objective(h: np.ndarray) -> float:
-        return const - 2.0 * float(np.sum(h * cross)) + float(np.sum((gram @ h @ gram) * h))
-
-    h = np.full((m, m), 1.0 / (m * m))
-    obj = objective(h)
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iters + 1):
-        grad = 2.0 * (gram @ h @ gram - cross)
-        step = base_step
-        accepted = False
-        for _ in range(60):
-            trial = project_to_simplex((h - step * grad).ravel()).reshape(m, m)
-            move = float(np.sum((trial - h) ** 2))
-            trial_obj = objective(trial)
-            # sufficient decrease; the descent lemma guarantees this once the
-            # step drops below the inverse gradient Lipschitz constant
-            if trial_obj <= obj - 0.5 * move / step:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted or move <= 1e-30:
-            converged = True
+    Q = np.kron(gram, gram)
+    q = (C.T @ p21 @ C).ravel()
+    # KKT matrix of every entry plus the sum row; each step solves a sub-block
+    kkt = np.ones((n + 1, n + 1))
+    kkt[:n, :n] = Q
+    kkt[n, n] = 0.0
+    rhs = np.append(q, 1.0)
+    tol = _MULTIPLIER_RTOL * float(np.abs(q).max())
+    x = np.full(n, 1.0 / n)
+    free = np.ones(n, dtype=bool)
+    for steps in range(1, _MAX_STEPS + 1):
+        rows = np.append(np.flatnonzero(free), n)
+        sol = np.linalg.solve(kkt[np.ix_(rows, rows)], rhs[rows])
+        idx, y = rows[:-1], sol[:-1]
+        blocked = y < 0.0
+        if blocked.any():
+            # walk toward y until the first entry reaches zero, and fix it there
+            xb = x[idx[blocked]]
+            ratios = xb / (xb - y[blocked])
+            first = int(np.argmin(ratios))
+            x[idx] += ratios[first] * (y - x[idx])
+            np.maximum(x, 0.0, out=x)
+            hit = idx[blocked][first]
+            x[hit] = 0.0
+            free[hit] = False
+            continue
+        x[:] = 0.0
+        x[idx] = y
+        # stationarity: (Q x - q)_i + s = multiplier_i, zero on free entries
+        multipliers = Q @ x - q + sol[-1]
+        residual = float(np.abs(multipliers[idx]).max())
+        multipliers[idx] = np.inf
+        worst = int(np.argmin(multipliers))
+        if multipliers[worst] >= -tol:
             break
-        decrease = obj - trial_obj
-        h, obj = trial, trial_obj
-        if decrease <= rel_tol * max(abs(obj), 1e-300):
-            converged = True
-            break
-    return StateJoint(matrix=h, objective=obj, iterations=iterations, converged=converged)
+        free[worst] = True
+    else:
+        raise NumericalError(
+            f"joint fit did not settle within {_MAX_STEPS} active-set steps"
+        )
+    h = x.reshape(m, m)
+    objective = float(np.sum((p21 - C @ h @ C.T) ** 2))
+    return StateJoint(matrix=h, objective=objective, iterations=steps, kkt_residual=residual)
 
 
 def chain_from_joint(joint) -> tuple[np.ndarray, np.ndarray]:

@@ -177,6 +177,40 @@ def match_states_multicell(true_probs, est_probs):
     return best_err, np.asarray(best_perm, dtype=np.int64)
 
 
+def simplex_lsq_by_enumeration(p21, C):
+    """Least squares of ``p21 ~ C @ H @ C.T`` over the simplex, by supports.
+
+    For every nonempty support S of vec(H) it solves the least squares with
+    H zero off S and sum(H) = 1: the sum row is eliminated by writing H_S as
+    the first support entry plus free differences, and ``np.linalg.lstsq``
+    solves the rest. The best solution with no negative entry is the
+    constrained optimum. Returns ``(H, objective)``. Costs 2**(m*m) - 1
+    solves, so it is only for m <= 3.
+    """
+    C = np.asarray(C, dtype=np.float64)
+    m = C.shape[1]
+    n = m * m
+    design = np.kron(C, C)  # vec(C H C.T) = kron(C, C) vec(H), row-major
+    target = np.asarray(p21, dtype=np.float64).ravel()
+    best_h, best_obj = None, np.inf
+    for size in range(1, n + 1):
+        for support in itertools.combinations(range(n), size):
+            cols = design[:, list(support)]
+            # H_S = (1 - sum(z), z) keeps the sum at 1 for any z
+            diffs = cols[:, 1:] - cols[:, :1]
+            z = np.linalg.lstsq(diffs, target - cols[:, 0], rcond=None)[0]
+            entries = np.concatenate([[1.0 - z.sum()], z])
+            if entries.min() < 0.0:
+                continue
+            x = np.zeros(n)
+            x[list(support)] = entries
+            resid = target - design @ x
+            obj = float(resid @ resid)
+            if obj < best_obj:
+                best_h, best_obj = x.reshape(m, m), obj
+    return best_h, best_obj
+
+
 def naive_moment_means(f1, f2, f3):
     """Plain-summation moment means over explicit feature triples."""
     n = len(f1)

@@ -104,7 +104,7 @@ class TestExactMoments:
         assert model.diagnostics["effective_rank"] == 2
         assert model.diagnostics["duplicated_components"] == []
         assert model.diagnostics["tensor_asymmetry"] <= 1e-8
-        assert model.diagnostics["lsq_converged"]
+        assert model.diagnostics["lsq_kkt_residual"] <= 1e-15
 
     def test_noise_diagnostics_reflect_overrides(self):
         _, _, _, moments, weight = _exact_two_state()

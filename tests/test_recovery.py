@@ -3,17 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from betahmm import NumericalError, ParameterError
+import betahmm.pipeline as pipeline
+import betahmm.recovery as recovery
+from betahmm import FtdConfig, HmmParams, NumericalError, ParameterError, ftd_fit, sample_sequence
 from betahmm.recovery import (
     StateJoint,
     chain_from_joint,
     chain_via_pinv,
     differential_states,
     estimate_joint_lsq,
-    project_to_simplex,
     recover_meth_probs,
 )
-from oracles import exact_feature_map
+from oracles import exact_feature_map, simplex_lsq_by_enumeration
 
 
 class TestRecoverMethProbs:
@@ -86,34 +87,6 @@ class TestRecoverMethProbs:
             recover_meth_probs(np.full((6, 1), 0.25), [0.25], granularity=4)
 
 
-class TestProjectToSimplex:
-    def test_fixed_points(self):
-        np.testing.assert_allclose(project_to_simplex(np.array([0.3, 0.7])), [0.3, 0.7])
-        np.testing.assert_allclose(project_to_simplex(np.array([1.0])), [1.0])
-
-    def test_known_projections(self):
-        np.testing.assert_allclose(project_to_simplex(np.array([2.0, 0.0])), [1.0, 0.0])
-        np.testing.assert_allclose(
-            project_to_simplex(np.array([0.5, 0.5, 0.5])), np.full(3, 1 / 3)
-        )
-        np.testing.assert_allclose(project_to_simplex(np.array([1.0, -1.0])), [1.0, 0.0])
-
-    @given(
-        st.lists(st.floats(-10, 10), min_size=1, max_size=8),
-        st.integers(0, 2**32 - 1),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_projection_properties(self, values, seed):
-        v = np.array(values)
-        out = project_to_simplex(v)
-        assert out.min() >= 0.0
-        assert out.sum() == pytest.approx(1.0, abs=1e-9)
-        # no other simplex point is closer to v
-        gen = np.random.default_rng(seed)
-        other = gen.dirichlet(np.ones(v.size))
-        assert np.linalg.norm(v - out) <= np.linalg.norm(v - other) + 1e-9
-
-
 class TestEstimateJointLsq:
     def test_orthonormal_features_recover_planted_joint(self, rng):
         m = 3
@@ -123,7 +96,7 @@ class TestEstimateJointLsq:
         joint = estimate_joint_lsq(p21, q)
         np.testing.assert_allclose(joint.matrix, truth, atol=1e-6)
         assert joint.objective <= 1e-10
-        assert joint.converged
+        assert joint.kkt_residual <= 1e-15
 
     def test_single_state(self):
         c = np.array([[0.3], [0.7]])
@@ -157,6 +130,70 @@ class TestEstimateJointLsq:
         with pytest.raises(ParameterError, match="shape"):
             estimate_joint_lsq(np.eye(3), c)
 
+    @given(st.integers(1, 3), st.integers(0, 4), st.floats(0.01, 1.0), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_support_enumeration(self, m, extra_dim, noise, seed):
+        gen = np.random.default_rng(seed)
+        c = gen.uniform(size=(m + 2 + extra_dim, m))
+        c /= c.sum(axis=0)
+        truth = gen.dirichlet(np.full(m * m, 0.5)).reshape(m, m)
+        p21 = c @ truth @ c.T
+        p21 = p21 + noise * np.abs(p21).max() * gen.standard_normal(p21.shape)
+        joint = estimate_joint_lsq(p21, c)
+        expected, best = simplex_lsq_by_enumeration(p21, c)
+        assert joint.objective == pytest.approx(best, rel=1e-12)
+        assert joint.matrix.min() >= 0.0
+        assert abs(joint.matrix.sum() - 1.0) <= 1e-12
+        np.testing.assert_allclose(joint.matrix, expected, atol=1e-8)
+        assert joint.kkt_residual <= 1e-12 * np.abs(c.T @ p21 @ c).max()
+
+    def test_step_bound_raises_instead_of_returning(self, rng, monkeypatch):
+        c = rng.uniform(size=(6, 3))
+        c /= c.sum(axis=0)
+        p21 = c @ np.diag([0.9, 0.1, 0.0]) @ c.T
+        assert estimate_joint_lsq(p21, c).iterations > 1
+        monkeypatch.setattr(recovery, "_MAX_STEPS", 1)
+        with pytest.raises(NumericalError, match="active-set steps"):
+            estimate_joint_lsq(p21, c)
+
+    def test_two_cell_six_state_fit_satisfies_kkt(self, monkeypatch):
+        # the model of acceptance criterion 10; a 5,000-step projected-gradient
+        # loop stopped at its cap on this input
+        p_a = np.array([0.20, 0.10, 0.35, 0.55, 0.70, 0.90])
+        p_b = np.array([0.80, 0.12, 0.30, 0.60, 0.65, 0.85])
+        gen = np.random.default_rng(7)
+        m = 6
+        u = gen.uniform(size=(m, m))
+        u /= u.sum(axis=0, keepdims=True)
+        T = 0.5 * np.eye(m) + 0.5 * u
+        T /= T.sum(axis=0, keepdims=True)
+        pi = gen.dirichlet(np.ones(m))
+        params = HmmParams(initial_dist=pi, transition=T, meth_probs=np.stack([p_a, p_b]))
+        seq = sample_sequence(params, 100_000, 25.0, seed=11)
+        calls = []
+
+        def spy(p21, c):
+            calls.append((p21, c, estimate_joint_lsq(p21, c)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(pipeline, "estimate_joint_lsq", spy)
+        model = ftd_fit(seq, m, FtdConfig(granularity=12))
+        ((p21, c, joint),) = calls
+        assert joint.matrix.shape == (m, m)
+        assert joint.matrix.min() >= 0.0
+        assert abs(joint.matrix.sum() - 1.0) <= 1e-12
+        assert model.diagnostics["lsq_kkt_residual"] == joint.kkt_residual
+        # stationarity on the free entries, non-negative multipliers elsewhere
+        gram = c.T @ c
+        q = (c.T @ p21 @ c).ravel()
+        grad = np.kron(gram, gram) @ joint.matrix.ravel() - q
+        free = joint.matrix.ravel() > 0.0
+        shift = -grad[free].mean()
+        scale = np.abs(q).max()
+        assert joint.kkt_residual <= 1e-9 * scale
+        assert np.abs(grad[free] + shift).max() <= 1e-9 * scale
+        assert (grad[~free] + shift).min() >= -1e-9 * scale
+
 
 class TestChainFromJoint:
     def test_uniform_joint(self):
@@ -179,7 +216,7 @@ class TestChainFromJoint:
 
     def test_accepts_state_joint_wrapper(self):
         wrapped = StateJoint(
-            matrix=np.full((2, 2), 0.25), objective=0.0, iterations=1, converged=True
+            matrix=np.full((2, 2), 0.25), objective=0.0, iterations=1, kkt_residual=0.0
         )
         pi, _ = chain_from_joint(wrapped)
         np.testing.assert_allclose(pi, [0.5, 0.5])
