@@ -74,9 +74,9 @@ def recover_meth_probs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-cell, per-state success probabilities from histogram feature means.
 
-    For each cell block of each state column, take the right-bin-edge weighted
-    mean sum_i (i / D) * column_i, subtract the cell's empirical prior weight
-    a, and rescale by 1 / (1 - 2a). Returns ``(probs, raw)`` where ``probs``
+    For each cell block of each state column, take the bin-midpoint weighted
+    mean sum_i ((i - 0.5) / D) * column_i, subtract the cell's empirical prior
+    weight a, and rescale by 1 / (1 - 2a). Returns ``(probs, raw)`` where ``probs``
     is clamped into [0, 1] and ``raw`` keeps the pre-clamp values as a
     diagnostic. Shapes are (num_cells, num_states).
     """
@@ -102,7 +102,7 @@ def recover_meth_probs(
             f"cell block {b} of state column {col} sums to {sums[b, col]}, "
             f"expected 1 within {_BLOCK_ATOL}"
         )
-    weights = np.arange(1, D + 1) / D
+    weights = (np.arange(1, D + 1) - 0.5) / D
     weighted = np.einsum("d,bdm->bm", weights, blocks)
     raw = (weighted - a[:, None]) / (1.0 - 2.0 * a[:, None])
     probs = np.clip(raw, 0.0, 1.0)

@@ -2,10 +2,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import poisson
 
 import betahmm.pipeline as pipeline
 import betahmm.recovery as recovery
-from betahmm import FtdConfig, HmmParams, NumericalError, ParameterError, ftd_fit, sample_sequence
+from betahmm import (
+    FtdConfig,
+    HmmParams,
+    NumericalError,
+    ParameterError,
+    SynthConfig,
+    ftd_fit,
+    generate_params,
+    sample_sequence,
+)
 from betahmm.recovery import (
     StateJoint,
     chain_from_joint,
@@ -14,21 +24,24 @@ from betahmm.recovery import (
     estimate_joint_lsq,
     recover_meth_probs,
 )
+from betahmm.synth import _row_seeds
 from oracles import exact_feature_map, simplex_lsq_by_enumeration
 
 
 class TestRecoverMethProbs:
     def test_point_mass_on_top_bin_maps_past_one(self):
+        # the top bin's midpoint is 0.75: (0.75 - 0.3) / (1 - 0.6) = 1.125
         means = np.array([[0.0], [1.0]])
-        probs, raw = recover_meth_probs(means, [0.25], granularity=2)
-        assert raw[0, 0] == pytest.approx(1.5)
+        probs, raw = recover_meth_probs(means, [0.3], granularity=2)
+        assert raw[0, 0] == pytest.approx(1.125)
         assert probs[0, 0] == 1.0
 
     def test_uniform_column_with_quarter_weight(self):
+        # midpoints 0.25 and 0.75 average to 0.5: (0.5 - 0.25) / 0.5 = 0.5
         means = np.array([[0.5], [0.5]])
         probs, raw = recover_meth_probs(means, [0.25], granularity=2)
-        assert raw[0, 0] == pytest.approx(1.0)
-        assert probs[0, 0] == pytest.approx(1.0)
+        assert raw[0, 0] == pytest.approx(0.5)
+        assert probs[0, 0] == pytest.approx(0.5)
 
     def test_symmetric_column_lands_near_half(self):
         granularity = 16
@@ -48,6 +61,31 @@ class TestRecoverMethProbs:
             probs[0], [0.2, 0.8], atol=1.0 / granularity + 1e-6
         )
 
+    def test_exact_single_coverage_map_has_no_readout_bias(self):
+        granularity = 64
+        coverage = 50
+        C = exact_feature_map([0.2, 0.8], [(coverage, 1.0)], granularity)
+        probs, _ = recover_meth_probs(C, [1.0 / (coverage + 2.0)], granularity=granularity)
+        np.testing.assert_allclose(probs[0], [0.2, 0.8], rtol=0.0, atol=1e-6)
+
+    def test_exact_official_moments_read_out_without_bias(self):
+        # the 20 planted models of the official sweep, with exact per-state
+        # feature means under Poisson(25) coverage; bin right edges would add
+        # about 1 / (2 * 30) to every probability
+        granularity = 30
+        coverage = np.arange(71)
+        weights = poisson.pmf(coverage, 25.0)
+        weights /= weights.sum()
+        prior = float(np.sum(weights / (coverage + 2.0)))
+        truth = np.stack([
+            generate_params(SynthConfig(), int(_row_seeds(0, 8192, t, "ftd")[0])).meth_probs
+            for t in range(20)
+        ])
+        C = exact_feature_map(truth.ravel(), list(zip(coverage.tolist(), weights.tolist())), granularity)
+        probs, _ = recover_meth_probs(C, [prior], granularity=granularity)
+        per_model = np.abs(probs[0] - truth.ravel()).reshape(truth.shape).max(axis=1)
+        assert per_model.max() <= 3e-3
+
     @pytest.mark.parametrize("granularity,eps", [(160, 0.1), (320, 0.05)])
     def test_bias_shrinks_with_granularity(self, granularity, eps):
         coverage = 800
@@ -62,8 +100,8 @@ class TestRecoverMethProbs:
         means = np.concatenate([top, top])[:, None]
         probs, raw = recover_meth_probs(means, [0.25, 0.1], granularity=2)
         assert probs.shape == (2, 1)
-        assert raw[0, 0] == pytest.approx(1.5)
-        assert raw[1, 0] == pytest.approx(0.9 / 0.8)
+        assert raw[0, 0] == pytest.approx(1.0)
+        assert raw[1, 0] == pytest.approx(0.65 / 0.8)
 
     def test_weight_out_of_range(self):
         means = np.array([[0.5], [0.5]])
