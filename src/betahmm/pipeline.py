@@ -63,12 +63,11 @@ class RecoveredModel:
 
     ``per_cell_probs`` always has shape (num_cells, num_states);
     ``params.meth_probs`` is its single row for single-cell data.
-    ``diagnostics`` records clamping masses, the least-squares joint fit
-    (objective, active-set steps, KKT residual), whitening spectrum, tensor
-    residuals and pre-clamp probabilities;
-    ``diagnostics["timings"]`` holds the seconds of each stage, and ``ftd_fit``
-    adds ``diagnostics["distinct_keys"]``, the distinct (coverage, count)
-    pairs of each cell.
+    ``diagnostics`` records clamping masses, the joint fit's objective,
+    active-set steps and KKT residual, whitening spectrum, tensor residuals
+    and pre-clamp probabilities; ``diagnostics["timings"]`` holds the seconds
+    of each stage, and ``ftd_fit`` adds ``diagnostics["distinct_keys"]``, the
+    distinct (coverage, count) pairs of each cell.
     """
 
     params: HmmParams

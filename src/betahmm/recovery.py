@@ -2,11 +2,10 @@
 
 Success probabilities come from an affine correction of the bin-weighted mean
 of each state's histogram. The joint distribution of two consecutive hidden
-states is estimated either by least squares over the simplex, solved exactly
-as a small convex QP by an active-set method (always feasible), or by direct
-pseudoinversion of the pairwise moment (cheap but clamp-prone); initial
-distribution and transition matrix follow from that joint by marginalization
-and column normalization.
+states is estimated either by an exact least-squares fit over the simplex (an
+active-set QP solve, always feasible) or by direct pseudoinversion of the
+pairwise moment (cheap but clamp-prone); initial distribution and transition
+matrix follow from that joint by marginalization and column normalization.
 """
 
 from __future__ import annotations
@@ -32,11 +31,9 @@ PI_FLOOR = 1e-8
 # how far each cell block of a feature-mean column may sum from 1
 _BLOCK_ATOL = 1e-6
 
-# the joint fit frees a fixed entry only if its multiplier is below -this
-# times max|q|, so round-off cannot free and refix one entry in a cycle
+# multipliers above -this times max|q| count as zero, so round-off cannot cycle
 _MULTIPLIER_RTOL = 1e-12
-# active-set steps before the joint fit gives up; each step fixes or frees one
-# entry, and fits of up to 36 entries take at most 13
+# active-set steps before the joint fit gives up; measured fits take 1 to 13
 _MAX_STEPS = 1000
 
 
@@ -112,16 +109,15 @@ def recover_meth_probs(
 def estimate_joint_lsq(p21: np.ndarray, feature_means: np.ndarray) -> StateJoint:
     """Joint-state estimate as the exact solution of a simplex-constrained QP.
 
-    Minimizes ``norm(p21 - C @ H @ C.T)**2`` over {H >= 0, sum(H) = 1} with C
-    the feature means. In x = vec(H) the objective is ``x @ Q @ x - 2 q @ x``
-    plus a constant, with Q = kron(C.T C, C.T C) positive definite and
-    q = vec(C.T p21 C). A primal active-set method (Lawson and Hanson, 1974,
-    ch. 23) starts from the uniform joint; each step solves the KKT system of
-    the free entries plus the sum row. A step that would leave the simplex
-    stops at the first bound it meets and fixes that entry; a step that stays
-    inside frees the fixed entry with the most negative multiplier, or ends
-    the solve when none is negative. Strict convexity bounds the number of
-    steps; running past ``_MAX_STEPS`` raises ``NumericalError``.
+    Minimizes ``norm(p21 - C @ H @ C.T)**2`` over {H >= 0, sum(H) = 1}, with C
+    the feature means: in x = vec(H), ``x @ Q @ x - 2 q @ x`` plus a constant,
+    Q = kron(C.T C, C.T C) positive definite and q = vec(C.T p21 C). A primal
+    active-set method (Lawson and Hanson, 1974, ch. 23) starts from the uniform
+    joint and solves the KKT system of the free entries plus the sum row. A
+    step that would leave the simplex stops at the first bound it meets and
+    fixes that entry; one that stays inside frees the fixed entry with the most
+    negative multiplier, or ends the solve when none is negative. Past
+    ``_MAX_STEPS`` steps it raises ``NumericalError``.
     """
     C = np.asarray(feature_means, dtype=np.float64)
     if C.ndim != 2:
@@ -140,9 +136,7 @@ def estimate_joint_lsq(p21: np.ndarray, feature_means: np.ndarray) -> StateJoint
     Q = np.kron(gram, gram)
     q = (C.T @ p21 @ C).ravel()
     # KKT matrix of every entry plus the sum row; each step solves a sub-block
-    kkt = np.ones((n + 1, n + 1))
-    kkt[:n, :n] = Q
-    kkt[n, n] = 0.0
+    kkt = np.block([[Q, np.ones((n, 1))], [np.ones((1, n)), np.zeros((1, 1))]])
     rhs = np.append(q, 1.0)
     tol = _MULTIPLIER_RTOL * float(np.abs(q).max())
     x = np.full(n, 1.0 / n)
@@ -153,18 +147,17 @@ def estimate_joint_lsq(p21: np.ndarray, feature_means: np.ndarray) -> StateJoint
         idx, y = rows[:-1], sol[:-1]
         blocked = y < 0.0
         if blocked.any():
-            # walk toward y until the first entry reaches zero, and fix it there
+            # walk toward y until the first entry reaches zero (clipping
+            # round-off below zero), and fix that entry there
             xb = x[idx[blocked]]
             ratios = xb / (xb - y[blocked])
             first = int(np.argmin(ratios))
-            x[idx] += ratios[first] * (y - x[idx])
-            np.maximum(x, 0.0, out=x)
+            x[idx] = np.maximum(x[idx] + ratios[first] * (y - x[idx]), 0.0)
             hit = idx[blocked][first]
             x[hit] = 0.0
             free[hit] = False
             continue
-        x[:] = 0.0
-        x[idx] = y
+        x[idx] = y  # fixed entries are already zero
         # stationarity: (Q x - q)_i + s = multiplier_i, zero on free entries
         multipliers = Q @ x - q + sol[-1]
         residual = float(np.abs(multipliers[idx]).max())
