@@ -73,9 +73,9 @@ def recover_meth_probs(
 
     For each cell block of each state column, take the bin-midpoint weighted
     mean sum_i ((i - 0.5) / D) * column_i, subtract the cell's empirical prior
-    weight a, and rescale by 1 / (1 - 2a). Returns ``(probs, raw)`` where ``probs``
-    is clamped into [0, 1] and ``raw`` keeps the pre-clamp values as a
-    diagnostic. Shapes are (num_cells, num_states).
+    weight a, and rescale by 1 / (1 - 2a). Returns ``(probs, raw)`` where
+    ``probs`` is clamped into [0, 1] and ``raw`` keeps the pre-clamp values as
+    a diagnostic. Shapes are (num_cells, num_states).
     """
     num_blocks = _check_block_structure(feature_means, granularity)
     a = np.atleast_1d(np.asarray(prior_weights, dtype=np.float64))

@@ -81,7 +81,8 @@ class TestRecoverMethProbs:
             generate_params(SynthConfig(), int(_row_seeds(0, 8192, t, "ftd")[0])).meth_probs
             for t in range(20)
         ])
-        C = exact_feature_map(truth.ravel(), list(zip(coverage.tolist(), weights.tolist())), granularity)
+        coverage_dist = list(zip(coverage.tolist(), weights.tolist()))
+        C = exact_feature_map(truth.ravel(), coverage_dist, granularity)
         probs, _ = recover_meth_probs(C, [prior], granularity=granularity)
         per_model = np.abs(probs[0] - truth.ravel()).reshape(truth.shape).max(axis=1)
         assert per_model.max() <= 3e-3
