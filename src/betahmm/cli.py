@@ -161,13 +161,14 @@ def _cmd_fit(args) -> int:
         trace = em_fit(train, args.states, em_cfg)
         params, probs = trace.params, trace.params.cell_probs()
         weights = prior_weights(train)
-        diagnostics = {"log_likelihoods": trace.log_likelihoods}
+        diagnostics = {"log_likelihoods": trace.log_likelihoods, "em_seconds": trace.seconds}
         granularity = None
     else:
         model, trace = ftd_then_em(train, args.states, ftd_cfg, rounds=args.em_rounds)
         params, probs = trace.params, trace.params.cell_probs()
         weights = model.prior_weights
-        diagnostics = {**model.diagnostics, "log_likelihoods": trace.log_likelihoods}
+        diagnostics = {**model.diagnostics, "log_likelihoods": trace.log_likelihoods,
+                       "em_seconds": trace.seconds}
     out = model_io.ModelFile(
         num_states=args.states,
         num_cells=seq.num_cells,

@@ -1,13 +1,16 @@
 """Expectation-maximization baseline for binomial HMMs.
 
 Uses the scaled forward-backward recursions (per-position normalization
-constants rather than log-space messages). Emissions multiply one binomial
-likelihood per cell type, treating cells as conditionally independent given
-the shared hidden state.
+constants rather than log-space messages), betas scaled so that
+alpha_t . beta_t = 1, both run by the blocked :func:`_chain_walk` in O(sqrt(L))
+rounds of numpy calls. Emissions multiply one binomial likelihood per cell
+type, treating cells as conditionally independent given the shared hidden state.
 """
 
 from __future__ import annotations
 
+import math
+import time
 import warnings
 from dataclasses import dataclass, field
 
@@ -46,9 +49,10 @@ class EmConfig:
 
 @dataclass(eq=False)
 class EmTrace:
-    """Fit record: per-iteration log-likelihoods and the final parameters."""
+    """Fit record: log-likelihoods, seconds since the previous one, final parameters."""
 
     log_likelihoods: list = field(default_factory=list)
+    seconds: list = field(default_factory=list)
     params: HmmParams | None = None
     iterations: int = 0
 
@@ -84,50 +88,91 @@ def emission_log_probs(params: HmmParams, seq: CountSequence) -> np.ndarray:
     return coeff[:, None] + terms.sum(axis=1)
 
 
+def _chain_walk(first: np.ndarray, step, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """Walk x_0 = first / sum, x_t = step(t, x_{t-1}) / sum; return (xs, sums).
+
+    ``step(t, X)`` advances each row X[i] (shape (n, m)) into position t[i],
+    linearly, or exactly on one-hot rows. The length - 1 steps fall into K
+    blocks of B = isqrt(length - 1), walked all at once in three passes: each
+    block's transfer matrix from the basis vectors (rows renormalized per step,
+    log scales kept, so no row underflows against another); the start vector
+    carried across blocks; the recursion inside every block from its start.
+    That is about 2B + K rounds of numpy calls in O(length * m) memory. A zero
+    sum makes the rest of its block nan; callers check the sums.
+    """
+    m = first.shape[0]
+    size = max(math.isqrt(length - 1), 1)
+    blocks = max(-(-(length - 1) // size), 1)  # at length 1, one block whose step is cut
+    ones = np.ones(m)  # X @ ones: numpy reduces a short last axis several times slower
+    xs = np.empty((1 + blocks * size, m))
+    sums = np.empty(1 + blocks * size)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sums[0] = first.sum()
+        xs[0] = first / sums[0]
+        starts = 1 + size * np.arange(blocks)
+        # rows k*m .. k*m + m - 1 hold block k's transfer matrix
+        row_starts = np.repeat(starts[:-1], m)
+        transfer = np.tile(np.eye(m), (blocks - 1, 1))
+        log_scale = np.zeros((blocks - 1) * m)
+        for j in range(size):
+            transfer = step(row_starts + j, transfer)
+            row_sums = transfer @ ones
+            log_scale += np.log(row_sums)
+            transfer = transfer / np.where(row_sums > 0.0, row_sums, 1.0)[:, None]
+        carried = np.empty((blocks, m))
+        carried[0] = x = xs[0]
+        for k in range(blocks - 1):
+            weights = np.log(x) + log_scale[k * m : (k + 1) * m]
+            x = np.exp(weights - weights.max()) @ transfer[k * m : (k + 1) * m]
+            carried[k + 1] = x = x / x.sum()
+        xs_by_block = xs[1:].reshape(blocks, size, m)
+        sums_by_block = sums[1:].reshape(blocks, size)
+        state = carried
+        for j in range(size):
+            # the last block repeats the last position; those rows are cut below
+            state = step(np.minimum(starts + j, length - 1), state)
+            total = state @ ones
+            xs_by_block[:, j] = state = state / total[:, None]
+            sums_by_block[:, j] = total
+    return xs[:length], sums[:length]
+
+
 def _forward(
     pi: np.ndarray, T: np.ndarray, log_b: np.ndarray
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """Scaled forward recursion.
+    """Scaled forward recursion alpha_t ~ (T alpha_{t-1}) * b_t on :func:`_chain_walk`.
 
     Returns (log-likelihood, alphas, scales, shifted emissions). Alphas are
-    normalized filtering distributions, scales the per-position normalizers.
+    normalized filtering distributions, scales the per-position normalizers;
+    the first normalizer that is not positive and finite raises.
     """
-    L, m = log_b.shape
+    L = len(log_b)
     shift = log_b.max(axis=1)
     if not np.all(np.isfinite(shift)):
         raise NumericalError(
             "some position has zero probability under every state; likelihood is -inf"
         )
     b = np.exp(log_b - shift[:, None])
-    alphas = np.empty((L, m))
-    scales = np.empty(L)
-    vec = pi * b[0]
-    s = float(vec.sum())
-    if s <= 0.0 or not np.isfinite(s):
-        raise NumericalError("forward pass underflowed at position 0")
-    alphas[0] = vec / s
-    scales[0] = s
-    for t in range(1, L):
-        vec = (T @ alphas[t - 1]) * b[t]
-        s = float(vec.sum())
-        if s <= 0.0 or not np.isfinite(s):
-            raise NumericalError(f"forward pass underflowed at position {t}")
-        alphas[t] = vec / s
-        scales[t] = s
+    alphas, scales = _chain_walk(pi * b[0], lambda t, X: b.take(t, axis=0) * (X @ T.T), L)
+    bad = ~np.isfinite(scales) | (scales <= 0.0)
+    if np.any(bad):
+        raise NumericalError(f"forward pass underflowed at position {int(np.argmax(bad))}")
     log_like = float(np.log(scales).sum() + shift.sum())
     return log_like, alphas, scales, b
 
 
-def _backward(T: np.ndarray, b: np.ndarray, scales: np.ndarray) -> np.ndarray:
-    """Scaled backward recursion matching :func:`_forward`'s scaling.
+def _backward(T: np.ndarray, b: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """Scaled backward recursion, alpha_t . beta_t = 1, gamma_t = alpha_t * beta_t.
 
-    gamma_t is proportional to alpha_t * beta_t.
+    The walk on ``T.T`` over the reversed emissions gives z_t ~ b_t * beta_t,
+    and beta_t ~ T.T z_{t+1} for t < L - 1, with beta_{L-1} = 1.
     """
     L, m = b.shape
-    betas = np.empty((L, m))
-    betas[L - 1] = 1.0
-    for t in range(L - 2, -1, -1):
-        betas[t] = (T.T @ (b[t + 1] * betas[t + 1])) / scales[t + 1]
+    b_rev = np.ascontiguousarray(b[::-1])  # take() on a reversed view copies all of it
+    zs, _ = _chain_walk(b_rev[0], lambda t, X: b_rev.take(t, axis=0) * (X @ T), L)
+    betas = np.ones((L, m))
+    betas[:-1] = zs[::-1][1:] @ T
+    betas /= (alphas * betas).sum(axis=1, keepdims=True)
     return betas
 
 
@@ -213,19 +258,22 @@ def em_fit(seq: CountSequence, num_states: int, config: EmConfig) -> EmTrace:
 
     single_cell = params.meth_probs.ndim == 1
     lls: list[float] = []
+    stamps = [time.perf_counter()]
     for _ in range(config.max_iters):
         log_b = emission_log_probs(params, seq)
         log_like, alphas, scales, b = _forward(
             params.initial_dist, params.transition, log_b
         )
         lls.append(log_like)
+        stamps.append(time.perf_counter())
         if (
             len(lls) > 1
             and config.rel_ll_tolerance > 0.0
             and lls[-1] - lls[-2] <= config.rel_ll_tolerance * abs(lls[-2])
         ):
             break
-        betas = _backward(params.transition, b, scales)
+        betas = _backward(params.transition, b, alphas)
         params = _m_step(seq, alphas, betas, scales, b, params.transition, single_cell)
         validate_params(params)
-    return EmTrace(log_likelihoods=lls, params=params, iterations=len(lls))
+    seconds = np.diff(stamps).tolist()
+    return EmTrace(log_likelihoods=lls, seconds=seconds, params=params, iterations=len(lls))

@@ -144,6 +144,52 @@ def brute_force_log_likelihood(params, seq) -> float:
     return float(logsumexp(total))
 
 
+def sequential_forward_backward(pi, T, log_b):
+    """Scaled forward-backward with one loop step per position.
+
+    Returns (log-likelihood, alphas, scales, betas) in the library's
+    convention: alphas are normalized filtering distributions, scales the
+    per-position normalizers and betas scaled so that alpha_t . beta_t = 1.
+    Raises ValueError at the first position whose normalizer is not positive
+    and finite.
+    """
+    L, m = log_b.shape
+    shift = log_b.max(axis=1)
+    b = np.exp(log_b - shift[:, None])
+    alphas = np.empty((L, m))
+    scales = np.empty(L)
+    vec = pi * b[0]
+    for t in range(L):
+        if t > 0:
+            vec = (T @ alphas[t - 1]) * b[t]
+        s = float(vec.sum())
+        if s <= 0.0 or not np.isfinite(s):
+            raise ValueError(f"forward pass underflowed at position {t}")
+        alphas[t] = vec / s
+        scales[t] = s
+    betas = np.empty((L, m))
+    betas[L - 1] = 1.0
+    for t in range(L - 2, -1, -1):
+        betas[t] = (T.T @ (b[t + 1] * betas[t + 1])) / scales[t + 1]
+    log_like = float(np.log(scales).sum() + shift.sum())
+    return log_like, alphas, scales, betas
+
+
+def sequential_states(params, u) -> np.ndarray:
+    """Hidden states by one inverse-CDF lookup per position.
+
+    State t is the first index whose cumulative probability reaches ``u[t]``,
+    capped at the last state.
+    """
+    m = params.num_states
+    cum_T = np.cumsum(params.transition, axis=0)
+    states = np.empty(len(u), dtype=np.int64)
+    states[0] = min(int(np.searchsorted(np.cumsum(params.initial_dist), u[0])), m - 1)
+    for t in range(1, len(u)):
+        states[t] = min(int(np.searchsorted(cum_T[:, states[t - 1]], u[t])), m - 1)
+    return states
+
+
 def permutation_match_error(p_true, p_est):
     """Minimum summed absolute error over every state permutation.
 

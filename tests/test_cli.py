@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from betahmm import load_model
+from betahmm import CountSequence, load_model
 from betahmm.cli import main
-from betahmm.io import file_digest
+from betahmm.io import ModelFile, file_digest, save_model, write_methylation_tsv
 
 
 def _simulate(tmp_path, name="counts.tsv", length=600, states=2, cells=1, seed=0,
@@ -97,6 +97,9 @@ class TestFitAndEval:
         lls = model.diagnostics["log_likelihoods"]
         assert len(lls) == 5
         assert all(b >= a - 1e-8 for a, b in zip(lls, lls[1:]))
+        seconds = model.diagnostics["em_seconds"]
+        assert len(seconds) == 5
+        assert min(seconds) >= 0.0
 
     def test_warm_started_em_fit(self, tmp_path):
         data = _simulate(tmp_path)
@@ -107,6 +110,8 @@ class TestFitAndEval:
         assert model.provenance["algorithm"] == "ftd+em"
         diag = model.diagnostics
         assert len(diag["log_likelihoods"]) == 2
+        assert len(diag["em_seconds"]) == 2
+        assert min(diag["em_seconds"]) >= 0.0
         # the spectral stage explains itself in the same file
         rank = diag["effective_rank"]
         assert 1 <= rank <= 2
@@ -229,6 +234,26 @@ class TestExitCodes:
         ])
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_forward_underflow_in_eval_is_numerical_failure(self, tmp_path, capsys):
+        # the chain never leaves the unmethylated state, yet the scored half
+        # (the last 100 positions) holds a fully methylated position at 37
+        meth = np.zeros(200, dtype=np.int64)
+        meth[137] = 50
+        data = tmp_path / "stuck.tsv"
+        write_methylation_tsv(data, CountSequence(np.full(200, 50), meth))
+        model_path = tmp_path / "stuck.json"
+        save_model(ModelFile(
+            num_states=2, num_cells=1, granularity=None,
+            initial_dist=np.array([1.0, 0.0]), transition=np.eye(2),
+            meth_probs=np.array([[0.0, 1.0]]),
+        ), model_path)
+        code = main([
+            "eval", "--model", str(model_path), "--data", str(data),
+            "--train-frac", "0.5",
+        ])
+        assert code == 3
+        assert "underflowed at position 37" in capsys.readouterr().err
 
     def test_bad_train_fraction(self, tmp_path, capsys):
         data = _simulate(tmp_path, length=50)

@@ -15,9 +15,9 @@ from betahmm import (
     log_likelihood,
     validate_params,
 )
-from betahmm.em import emission_log_probs, random_init
+from betahmm.em import _backward, _forward, emission_log_probs, random_init
 from betahmm.synth import estimation_error, sample_sequence
-from oracles import brute_force_log_likelihood
+from oracles import brute_force_log_likelihood, sequential_forward_backward
 
 
 def _params(pi, T, p):
@@ -37,6 +37,17 @@ def _random_instance(gen, num_states, length, num_cells=1, max_cov=3):
     params = _params(pi, T, p)
     cov = gen.integers(0, max_cov + 1, size=(length, num_cells))
     meth = (cov * gen.uniform(size=cov.shape)).astype(np.int64)
+    return params, CountSequence(cov, meth)
+
+
+def _stuck_chain(length, bad):
+    """Two states that never switch, the chain starting in the unmethylated
+    one; every position is unmethylated except position ``bad``, which only
+    the other state can emit, so the forward pass underflows there."""
+    params = _params([1.0, 0.0], np.eye(2), [0.0, 1.0])
+    cov = np.full(length, 50)
+    meth = np.zeros(length, dtype=np.int64)
+    meth[bad] = 50
     return params, CountSequence(cov, meth)
 
 
@@ -77,6 +88,46 @@ class TestLogLikelihood:
         seq = CountSequence([2], [1])
         with pytest.raises(NumericalError, match="zero probability"):
             log_likelihood(params, seq)
+
+    @pytest.mark.parametrize("length,bad", [(5, 1), (100, 37)])
+    def test_underflow_names_the_first_impossible_position(self, length, bad):
+        params, seq = _stuck_chain(length, bad)
+        message = f"forward pass underflowed at position {bad}$"
+        with pytest.raises(NumericalError, match=message):
+            log_likelihood(params, seq)
+        with pytest.raises(NumericalError, match=message):
+            em_fit(seq, 2, EmConfig(init=params))
+
+
+class TestBlockedWalkMatchesSequentialLoop:
+    """The blocked walk against one loop step per position, at block edges."""
+
+    @pytest.mark.parametrize("num_cells", [1, 2])
+    @pytest.mark.parametrize("num_states", [1, 2, 4, 6])
+    @pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 10, 17, 26, 101, 4097])
+    def test_alphas_betas_and_likelihood(self, length, num_states, num_cells):
+        gen = np.random.default_rng(1000 * length + 10 * num_states + num_cells)
+        params, seq = _random_instance(gen, num_states, length, num_cells, max_cov=30)
+        pi, T = params.initial_dist, params.transition
+        log_b = emission_log_probs(params, seq)
+        ll_ref, alphas_ref, scales_ref, betas_ref = sequential_forward_backward(pi, T, log_b)
+        log_like, alphas, scales, b = _forward(pi, T, log_b)
+        betas = _backward(T, b, alphas)
+        assert log_like == pytest.approx(ll_ref, rel=1e-12)
+        np.testing.assert_allclose(alphas, alphas_ref, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(scales, scales_ref, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(betas, betas_ref, rtol=1e-12, atol=0.0)
+
+    def test_chain_held_in_the_state_the_data_disfavour(self):
+        # with T = I a block's transfer rows never mix: the occupied state's row
+        # falls by e^-55 a position against the other's and must not underflow
+        params = _params([0.0, 1.0], np.eye(2), [0.1, 0.9])
+        seq = CountSequence(np.full(200, 25), np.zeros(200, dtype=np.int64))
+        expected = 200 * 25 * math.log(0.1)
+        assert log_likelihood(params, seq) == pytest.approx(expected, rel=1e-12)
+        log_b = emission_log_probs(params, seq)
+        _, alphas, _, _ = _forward(params.initial_dist, params.transition, log_b)
+        assert np.array_equal(alphas, np.tile([0.0, 1.0], (200, 1)))
 
 
 class TestEmissionLogProbs:
@@ -137,6 +188,8 @@ class TestEmFit:
         trace = em_fit(seq, 3, EmConfig(max_iters=30, rel_ll_tolerance=0.0, seed=1))
         lls = np.array(trace.log_likelihoods)
         assert len(lls) == 30
+        assert len(trace.seconds) == 30
+        assert min(trace.seconds) >= 0.0
         assert np.all(np.diff(lls) >= -1e-8)
         assert validate_params(trace.params) is trace.params
 
@@ -161,6 +214,8 @@ class TestEmFit:
         trace = em_fit(seq, 2, EmConfig(max_iters=50, rel_ll_tolerance=0.5, seed=3))
         assert trace.iterations == 2
         assert len(trace.log_likelihoods) == 2
+        assert len(trace.seconds) == 2
+        assert min(trace.seconds) >= 0.0
 
     def test_zero_coverage_state_warns_and_centers(self):
         seq = CountSequence(np.zeros(10, dtype=int), np.zeros(10, dtype=int))

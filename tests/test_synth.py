@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import itertools
 import math
 
@@ -17,8 +18,8 @@ from betahmm import (
     stationary_distribution,
     validate_params,
 )
-from betahmm.synth import _row_seeds
-from oracles import stationary_oracle
+from betahmm.synth import _hidden_states, _row_seeds
+from oracles import sequential_states, stationary_oracle
 
 
 def _tiny_config(**overrides):
@@ -108,6 +109,44 @@ class TestSampleSequence:
         freq_high = float((seq.meth[:, 0] == seq.coverage[:, 0]).mean())
         target = stationary_oracle(params.transition)[1]
         assert abs(freq_high - target) <= 0.02
+
+    @pytest.mark.parametrize(
+        "config,param_seed,length,data_seed,digest",
+        [
+            (SynthConfig(), 0, 8192, 1,
+             "43def021833a78c9dd259558e22cf409222fc3cac39c2cd08a630e1079d62474"),
+            (SynthConfig(num_states=6, num_cells=2), 3, 4099, 7,
+             "81ead9d7e02905175278098a62a3d2d4eb8eb9117d63c8f48421861831950ddd"),
+        ],
+    )
+    def test_output_bytes_are_pinned(self, config, param_seed, length, data_seed, digest):
+        # digests of the one-draw-per-position loop the blocked walk replaced
+        seq = sample_sequence(generate_params(config, param_seed), length, 25, data_seed)
+        raw = seq.coverage.astype(np.int64).tobytes() + seq.meth.astype(np.int64).tobytes()
+        assert hashlib.sha256(raw).hexdigest() == digest
+
+    @pytest.mark.parametrize("num_cells", [1, 2])
+    @pytest.mark.parametrize("num_states", [1, 2, 4, 6])
+    @pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 10, 17, 26, 101, 4097])
+    def test_states_match_sequential_lookup(self, length, num_states, num_cells):
+        cfg = SynthConfig(num_states=num_states, num_cells=num_cells)
+        params = generate_params(cfg, seed=length + num_states)
+        u = np.random.default_rng(length).random(length)
+        assert np.array_equal(_hidden_states(params, u), sequential_states(params, u))
+
+    def test_draw_above_a_short_column_sum_stays_in_range(self):
+        # columns may fall short of 1 by round-off; a draw above the sum must
+        # pick the last state at every position, not only the last one
+        short = 1.0 - 5e-13
+        params = validate_params(HmmParams(
+            initial_dist=np.array([0.5, 0.5 - 5e-13]),
+            transition=np.array([[0.5, 0.5], [0.5 - 5e-13, 0.5 - 5e-13]]),
+            meth_probs=np.array([0.2, 0.8]),
+        ))
+        u = np.full(40, short + 2e-13)
+        states = _hidden_states(params, u)
+        assert np.array_equal(states, np.ones(40, dtype=np.int64))
+        assert np.array_equal(states, sequential_states(params, u))
 
     def test_argument_errors(self):
         params = generate_params(SynthConfig(), seed=0)
