@@ -168,8 +168,7 @@ def _backward(T: np.ndarray, b: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     and beta_t ~ T.T z_{t+1} for t < L - 1, with beta_{L-1} = 1.
     """
     L, m = b.shape
-    b_rev = np.ascontiguousarray(b[::-1])  # take() on a reversed view copies all of it
-    zs, _ = _chain_walk(b_rev[0], lambda t, X: b_rev.take(t, axis=0) * (X @ T), L)
+    zs, _ = _chain_walk(b[-1], lambda t, X: b.take(L - 1 - t, axis=0) * (X @ T), L)
     betas = np.ones((L, m))
     betas[:-1] = zs[::-1][1:] @ T
     betas /= (alphas * betas).sum(axis=1, keepdims=True)
