@@ -195,8 +195,7 @@ def _m_step(
     single_cell: bool,
 ) -> HmmParams:
     L, m = alphas.shape
-    gammas = alphas * betas
-    gammas /= gammas.sum(axis=1, keepdims=True)
+    gammas = alphas * betas  # rows sum to 1: _backward scales alpha_t . beta_t to 1
 
     pi_new = gammas[0]
 
