@@ -113,14 +113,16 @@ def _hidden_states(params: HmmParams, u: np.ndarray) -> np.ndarray:
 def sample_sequence(
     params: HmmParams, length: int, coverage_mean: float, seed
 ) -> CountSequence:
-    """Sample counts of the given length from a binomial HMM with Poisson coverage."""
+    """Sample counts of the given length from a binomial HMM with Poisson coverage.
+
+    One ``rng.random(length)`` call, the stream of one draw per position, drives the chain."""
     if length < 1:
         raise ParameterError(f"length must be >= 1, got {length}")
     if coverage_mean < 0.0:
         raise ParameterError(f"coverage_mean must be >= 0, got {coverage_mean}")
     validate_params(params)
     rng = np.random.default_rng(seed)
-    states = _hidden_states(params, rng.random(length))  # the stream of one draw per position
+    states = _hidden_states(params, rng.random(length))
     probs = params.cell_probs()[:, states].T  # (length, num_cells)
     coverage = rng.poisson(coverage_mean, size=probs.shape)
     meth = rng.binomial(coverage, probs)
