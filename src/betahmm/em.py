@@ -5,6 +5,8 @@ constants rather than log-space messages), betas scaled so that
 alpha_t . beta_t = 1, both run by the blocked :func:`_chain_walk` in O(sqrt(L))
 rounds of numpy calls. Emissions multiply one binomial likelihood per cell
 type, treating cells as conditionally independent given the shared hidden state.
+The module needs numpy alone: the binomial coefficients come from
+``math.lgamma`` once per distinct count, and a fit computes them once.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, xlog1py, xlogy
 
 from .errors import DataError, NumericalError, ParameterError
 from .model import CountSequence, HmmParams, validate_params
@@ -79,13 +80,42 @@ def emission_log_probs(params: HmmParams, seq: CountSequence) -> np.ndarray:
         raise ParameterError(
             f"model carries {p.shape[0]} cell(s) but data carries {seq.num_cells}"
         )
+    return _log_choose(seq)[:, None] + _count_log_probs(p, seq)
+
+
+def _log_choose(seq: CountSequence) -> np.ndarray:
+    """Sum over cells of log C(c, mu) at each position, shape (length,).
+
+    ``math.lgamma`` runs once per count value: over 0 .. max when that range
+    is no longer than the counts, otherwise over the distinct values only.
+    """
+    counts = np.stack([seq.coverage, seq.meth, seq.coverage - seq.meth])
+    top = int(counts.max(initial=0))
+    if top < counts.size:
+        values, index = np.arange(top + 1), counts
+    else:
+        values, index = np.unique(counts, return_inverse=True)
+        index = index.reshape(counts.shape)
+    lg = np.array([math.lgamma(v + 1) for v in values.tolist()])[index]
+    return (lg[0] - lg[1] - lg[2]).sum(axis=1)
+
+
+def _count_log_probs(p: np.ndarray, seq: CountSequence) -> np.ndarray:
+    """mu log p + (c - mu) log(1 - p) summed over cells, shape (length, num_states).
+
+    ``p`` is (num_cells, num_states). As in ``binom.logpmf``, 0 log 0 counts
+    as 0 and a positive count against a probability of 0 gives -inf.
+    """
+    zero, one = p == 0.0, p == 1.0
+    with np.errstate(divide="ignore"):
+        log_p = np.where(zero, 0.0, np.log(p))
+        log_q = np.where(one, 0.0, np.log1p(-p))
     c = seq.coverage.astype(np.float64)
     mu = seq.meth.astype(np.float64)
-    coeff = (gammaln(c + 1.0) - gammaln(mu + 1.0) - gammaln(c - mu + 1.0)).sum(axis=1)
-    terms = xlogy(mu[:, :, None], p[None, :, :]) + xlog1py(
-        (c - mu)[:, :, None], -p[None, :, :]
-    )
-    return coeff[:, None] + terms.sum(axis=1)
+    out = mu @ log_p + (c - mu) @ log_q
+    if zero.any() or one.any():
+        out[(seq.meth > 0) @ zero | (seq.coverage > seq.meth) @ one] = -np.inf
+    return out
 
 
 def _chain_walk(first: np.ndarray, step, length: int) -> tuple[np.ndarray, np.ndarray]:
@@ -255,14 +285,15 @@ def em_fit(seq: CountSequence, num_states: int, config: EmConfig) -> EmTrace:
         params = random_init(num_states, seq.num_cells, rng)
 
     single_cell = params.meth_probs.ndim == 1
+    log_choose = float(_log_choose(seq).sum())  # data only: once per fit
     lls: list[float] = []
     stamps = [time.perf_counter()]
     for _ in range(config.max_iters):
-        log_b = emission_log_probs(params, seq)
+        log_b = _count_log_probs(params.cell_probs(), seq)
         log_like, alphas, scales, b = _forward(
             params.initial_dist, params.transition, log_b
         )
-        lls.append(log_like)
+        lls.append(log_like + log_choose)
         stamps.append(time.perf_counter())
         if (
             len(lls) > 1

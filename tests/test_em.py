@@ -152,6 +152,47 @@ class TestEmissionLogProbs:
         with pytest.raises(ParameterError, match="cell"):
             emission_log_probs(params, seq)
 
+    @pytest.mark.parametrize("num_cells", [1, 2])
+    @pytest.mark.parametrize("top", [30, 10**6, 2**53 - 8])
+    def test_matches_binom_logpmf(self, top, num_cells):
+        # p in {0, 1} beside interior values; mu = 0, mu = c and 0 < mu < c
+        gen = np.random.default_rng(top % 1000 + num_cells)
+        if top < 2**40:
+            cov = gen.integers(0, top + 1, size=(300, num_cells))
+            meth = (cov * gen.uniform(size=cov.shape)).astype(np.int64)
+        else:  # near 2^53, where counts still convert to float exactly
+            cov = top - gen.integers(0, 8, size=(300, num_cells))
+            meth = gen.integers(0, 100, size=cov.shape)
+        meth[:40] = 0
+        meth[40:80] = cov[40:80]
+        p = gen.uniform(0.05, 0.95, size=(num_cells, 5))
+        p[:, 0], p[:, 1] = 0.0, 1.0
+        params = _params(np.full(5, 0.2), np.full((5, 5), 0.2), p[0] if num_cells == 1 else p)
+        out = emission_log_probs(params, CountSequence(cov, meth))
+        expected = sps.binom.logpmf(meth[:, :, None], cov[:, :, None], p[None]).sum(axis=1)
+        assert np.array_equal(np.isneginf(out), np.isneginf(expected))
+        assert np.isneginf(expected[:, :2]).any() and np.isfinite(expected[:, :2]).any()
+        finite = np.isfinite(expected)
+        assert np.isfinite(out[finite]).all()
+        # an entry is a difference of terms as large as log c!, so round-off
+        # is relative to that size
+        scale = np.abs(expected) + np.array(
+            [sum(math.lgamma(c + 1) for c in row) for row in cov.tolist()]
+        )[:, None]
+        assert np.all(np.abs(out[finite] - expected[finite]) <= 1e-12 * scale[finite])
+
+    def test_dense_and_distinct_lookups_agree(self):
+        # one huge count sends the coefficients through the distinct values;
+        # every other position must match the dense-table result exactly
+        gen = np.random.default_rng(7)
+        cov = gen.integers(0, 40, size=(200, 2))
+        meth = (cov * gen.uniform(size=cov.shape)).astype(np.int64)
+        params = _params(np.full(3, 1 / 3), np.full((3, 3), 1 / 3), gen.uniform(size=(2, 3)))
+        dense = emission_log_probs(params, CountSequence(cov, meth))
+        cov[0, 0] = meth[0, 0] = 2**62
+        distinct = emission_log_probs(params, CountSequence(cov, meth))
+        assert np.array_equal(dense[1:], distinct[1:])
+
 
 class TestRandomInit:
     def test_distributions_are_normalized(self, rng):
@@ -198,6 +239,20 @@ class TestEmFit:
         trace = em_fit(seq, 2, EmConfig(max_iters=10, rel_ll_tolerance=0.0, seed=2))
         final_ll = log_likelihood(trace.params, seq)
         assert final_ll >= trace.log_likelihoods[-1] - 1e-8
+
+    @pytest.mark.parametrize("num_cells", [1, 2])
+    def test_trace_is_the_log_likelihood_of_each_iterate(self, num_cells):
+        # the fit adds the data-only binomial coefficients once per fit; each
+        # traced value must still be the full log-likelihood of its iterate
+        gen = np.random.default_rng(20 + num_cells)
+        _, seq = _random_instance(gen, 3, 300, num_cells, max_cov=25)
+        trace = em_fit(seq, 3, EmConfig(max_iters=6, rel_ll_tolerance=0.0, seed=4))
+        iterates = [random_init(3, num_cells, np.random.default_rng(4))]
+        for n in range(1, 6):
+            cfg = EmConfig(max_iters=n, rel_ll_tolerance=0.0, seed=4)
+            iterates.append(em_fit(seq, 3, cfg).params)
+        for ll, params in zip(trace.log_likelihoods, iterates):
+            assert ll == pytest.approx(log_likelihood(params, seq), rel=1e-12)
 
     def test_warm_start_at_truth_stays_close(self):
         truth = _params(
