@@ -64,10 +64,11 @@ class RecoveredModel:
     ``per_cell_probs`` always has shape (num_cells, num_states);
     ``params.meth_probs`` is its single row for single-cell data.
     ``diagnostics`` records clamping masses, the joint fit's objective,
-    active-set steps and KKT residual, whitening spectrum, tensor residuals
-    and pre-clamp probabilities; ``diagnostics["timings"]`` holds the seconds
-    of each stage, and ``ftd_fit`` adds ``diagnostics["distinct_keys"]``, the
-    distinct (coverage, count) pairs of each cell.
+    active-set steps and KKT residual, rank margins (each pair value over its
+    floor), whitening spectrum, tensor residuals and pre-clamp probabilities;
+    ``diagnostics["timings"]`` holds the seconds of each stage, and
+    ``ftd_fit`` adds ``diagnostics["distinct_keys"]``, the distinct
+    (coverage, count) pairs of each cell.
     """
 
     params: HmmParams
@@ -177,6 +178,11 @@ def ftd_fit_moments(
         "duplicated_components": extras,
         "tensor_asymmetry": asymmetry,
         "pair_values": top_vals.tolist(),
+        # each direction's curvature over its noise floor; null where the floor is 0
+        "rank_margins": [
+            val / floor if floor > 0.0 else None
+            for val, floor in zip(top_vals.tolist(), pair_floor.tolist())
+        ],
         "whitening_values": np.asarray(whitening.singular_values).tolist(),
         "tensor_residuals": list(result.residual_norms),
         "eigenvalues": np.asarray(result.eigenvalues).tolist(),

@@ -116,6 +116,10 @@ class TestFitAndEval:
         rank = diag["effective_rank"]
         assert 1 <= rank <= 2
         assert len(diag["pair_values"]) == len(diag["pair_floor"]) == 2
+        assert diag["rank_margins"] == [
+            val / floor if floor > 0.0 else None
+            for val, floor in zip(diag["pair_values"], diag["pair_floor"])
+        ]
         assert set(diag["timings"]) == {"moments_s", "spectral_s", "recovery_s"}
         assert len(diag["distinct_keys"]) == 1
 

@@ -114,6 +114,25 @@ class TestExactMoments:
         )
         assert model.diagnostics["noise_level"] == pytest.approx(0.123)
 
+    def test_zero_floor_writes_null_rank_margins(self, tmp_path):
+        _, _, _, moments, weight = _exact_two_state()
+        model = ftd_fit_moments(moments, 2, [weight], FtdConfig(moment_ridge=0.0))
+        assert model.diagnostics["pair_floor"] == [0.0, 0.0]
+        assert model.diagnostics["rank_margins"] == [None, None]
+        path = tmp_path / "model.json"
+        save_model(
+            ModelFile(
+                num_states=2, num_cells=1, granularity=32,
+                initial_dist=model.params.initial_dist,
+                transition=model.params.transition,
+                meth_probs=model.per_cell_probs,
+                diagnostics=model.diagnostics,
+            ),
+            path,
+        )
+        assert "Infinity" not in path.read_text()
+        assert load_model(path).diagnostics["rank_margins"] == [None, None]
+
     def test_block_count_must_divide_dimension(self):
         _, _, _, moments, weight = _exact_two_state()
         bad = MomentSet(
