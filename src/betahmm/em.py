@@ -6,7 +6,7 @@ alpha_t . beta_t = 1, both run by the blocked :func:`_chain_walk` in O(sqrt(L))
 rounds of numpy calls. Emissions multiply one binomial likelihood per cell
 type, treating cells as conditionally independent given the shared hidden state.
 The module needs numpy alone: the binomial coefficients come from
-``math.lgamma`` once per distinct count, and a fit computes them once.
+``math.lgamma`` once per count value, and a fit computes them once.
 """
 
 from __future__ import annotations

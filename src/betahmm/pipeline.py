@@ -178,7 +178,7 @@ def ftd_fit_moments(
         "duplicated_components": extras,
         "tensor_asymmetry": asymmetry,
         "pair_values": top_vals.tolist(),
-        # each direction's curvature over its noise floor; null where the floor is 0
+        # None rather than inf at a zero floor: the model JSON must not hold Infinity
         "rank_margins": [
             val / floor if floor > 0.0 else None
             for val, floor in zip(top_vals.tolist(), pair_floor.tolist())
