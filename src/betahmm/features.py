@@ -8,8 +8,12 @@ Beta(mu + 1, c - mu + 1) variable. It concentrates around mu / c as coverage
 grows and degrades gracefully to the uniform vector when coverage is zero.
 
 Bin masses are differences of the regularized incomplete beta function at the
-bin edges, evaluated by scipy's continued-fraction implementation; scipy loads
-when the first row is computed. A sequence is mapped through
+bin edges. For coverage c it equals a binomial tail,
+I_x(mu + 1, c - mu + 1) = P(K >= mu + 1) with K ~ Binomial(c + 1, x), so the
+rows of one coverage come from one pmf row per bin edge in numpy; each edge
+takes the smaller of its two tails, so no mass is a difference of two numbers
+near 1. Coverages above ``_TAIL_MAX_COVERAGE`` use scipy's ``betainc``, which
+loads only then. A sequence is mapped through
 ``feature_table``: one row per distinct (coverage, count) pair plus each
 position's row index, with rows shared through a module cache, so long
 sequences with repeated counts are mapped once per distinct pair.
@@ -17,6 +21,7 @@ sequences with repeated counts are mapped once per distinct pair.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 
@@ -102,17 +107,53 @@ def _bin_edges(granularity: int) -> np.ndarray:
     return np.linspace(0.0, 1.0, granularity + 1)
 
 
+# Largest coverage whose rows come from binomial tails. With n = c + 1,
+# comb(n, k) < 2**n and, near the pmf's mode, x**k (1 - x)**(n - k) > 2**-n,
+# so the float products are finite and normal only while n stays below about
+# 1020; 512 keeps a factor of two from that edge. Rows above it use betainc,
+# which holds for any count, including 2**63 - 1.
+_TAIL_MAX_COVERAGE = 512
+
+
+def _tail_masses(coverage: int, meth: np.ndarray, granularity: int) -> np.ndarray:
+    """Bin masses of the pairs (coverage, meth[r]) from binomial tails, shape (r, granularity)."""
+    n = coverage + 1
+    k = np.arange(n + 1)
+    i = np.arange(granularity + 1)[:, None]
+    comb = np.array([float(math.comb(n, j)) for j in range(n + 1)])
+    pmf = comb * (i / granularity) ** k * ((granularity - i) / granularity) ** (n - k)
+    # each tail is summed from its far end, where the terms are smallest
+    lower = np.cumsum(pmf, axis=1)[:, meth]
+    upper = np.cumsum(pmf[:, ::-1], axis=1)[:, ::-1][:, meth + 1]
+    # cdf = upper / total at each edge; dividing by the edge's own total
+    # absorbs the rounding of i / D and (D - i) / D, which need not sum to 1
+    use_upper = upper <= lower
+    tail = np.where(use_upper, upper, -lower) / (lower + upper)
+    # where an edge switches from the upper to the lower tail the mass is
+    # 1 - lower - upper, so the switch adds 1
+    masses = np.diff(tail, axis=0) - np.diff(use_upper.astype(np.float64), axis=0)
+    return masses.T
+
+
 def _beta_bin_masses(coverage: np.ndarray, meth: np.ndarray, granularity: int) -> np.ndarray:
     """Bin masses for arrays of (coverage, count) pairs, shape (n, granularity)."""
-    # imported here: scipy.special costs about 0.3 s CPU and 25 MB at start-up,
-    # and only spectral fits need it
-    from scipy.special import betainc
+    masses = np.empty((coverage.size, granularity))
+    tails = coverage <= _TAIL_MAX_COVERAGE
+    # return_inverse also keeps np.unique from importing numpy.ma, which a
+    # plain call does to test for a mask
+    values, which = np.unique(coverage[tails], return_inverse=True)
+    for j, c in enumerate(values.tolist()):
+        rows = np.flatnonzero(tails)[which == j]
+        masses[rows] = _tail_masses(c, meth[rows], granularity)
+    if not tails.all():
+        # imported here: scipy.special costs about 0.3 s CPU and 25 MB at
+        # start-up, and only coverages above the bound need it
+        from scipy.special import betainc
 
-    a = meth.astype(np.float64) + 1.0
-    b = coverage.astype(np.float64) - meth.astype(np.float64) + 1.0
-    edges = _bin_edges(granularity)
-    cdf = betainc(a[:, None], b[:, None], edges[None, :])
-    masses = np.diff(cdf, axis=1)
+        a = meth[~tails].astype(np.float64) + 1.0
+        b = coverage[~tails].astype(np.float64) - meth[~tails].astype(np.float64) + 1.0
+        cdf = betainc(a[:, None], b[:, None], _bin_edges(granularity)[None, :])
+        masses[~tails] = np.diff(cdf, axis=1)
     # the cdf is monotone; clip the odd -1e-17 round-off residue
     np.maximum(masses, 0.0, out=masses)
     return masses

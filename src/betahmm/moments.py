@@ -2,25 +2,25 @@
 
 For a feature-mapped sequence, every overlapping window (t, t+1, t+2)
 contributes the pairwise outer products of its three feature vectors and one
-order-3 outer product. The accumulator keeps plain running sums of those
-products; accumulators built on disjoint shards merge by adding their sums.
+order-3 outer product. The accumulator keeps the plain running sum of the
+order-3 products, from which the pairwise sums follow; accumulators built on
+disjoint shards merge by adding their sums.
 
 The pass works from distinct (coverage, count) keys, not from positions. A
 sequence arrives as a feature table F with one row per distinct key, and each
-position's row index (``features.feature_table``). A pair moment block is
-``F.T @ N @ F``, where N is the sparse matrix of integer counts of key pairs
-at the two lags (at most one entry per window, never a dense U x U array).
-The triple moment is grouped by the middle key v: ``G_v = A_v.T @ C_v`` sums
-the outer products of the first and last feature vectors over the windows
-whose middle key is v, and the tensor is ``sum_v F[v] (x) G_v``. Row i of
-every ``G_v`` is the sparse (middle key, last key) matrix, weighted by
-coordinate i of the first vectors summed per pair, times F. Batches of
-coordinates share one stacked sparse product, sized so their working arrays
-stay within a fixed number of elements (one coordinate at least). Work is
-O(n d + nnz d^2 + U d^3) for n windows, nnz distinct key pairs and U distinct
-keys. Memory is O(n + U d) beyond that bound: a U x d^2 array forms only when
-it fits within the bound, and a U x U array never. No loop runs over
-positions or keys.
+position's row index (``features.feature_table``). Only the triple sums are
+kept: each cell's feature row sums to 1, so the pair moments are marginals of
+the triple. The windows are counted per distinct (middle, first, last) key
+triple, and the triples of one middle key v form a group:
+``G_v = (counts * F[first]).T @ F[last]`` sums the outer products of the first
+and last feature vectors over the windows whose middle key is v, and the
+tensor is ``sum_v F[v] (x) G_v``. Groups are cut into pieces and padded to
+power-of-two sizes, so the pieces of one size go through one batched
+``np.matmul``, in chunks whose working arrays stay within a fixed number of
+elements (one piece of one triple at least). Work is O(n + nt d^2 + U d^3)
+for n windows, nt distinct key triples and U distinct keys. Memory is O(n)
+beyond that bound and the d^3 sums: no U x d^2 or U x U array forms, and no
+loop runs over positions or keys.
 
 Dense storage is used for the moments; the feature dimension is capped so the
 order-3 array stays manageable.
@@ -40,8 +40,8 @@ __all__ = ["MomentSet", "MomentAccumulator", "MAX_FEATURE_DIM"]
 
 MAX_FEATURE_DIM = 256
 
-# float64-sized elements of working memory for one batch of coordinates in
-# the triple pass; bounds it whatever the number of distinct keys
+# float64-sized elements of working memory for one chunk of groups in the
+# triple pass; bounds it whatever the number of distinct keys
 _BATCH_ELEMENTS = 1 << 20
 
 # a pair moment of k cells sums to k**2 and the triple to k**3; validation
@@ -49,52 +49,62 @@ _BATCH_ELEMENTS = 1 << 20
 _SUM_TOL = 1e-9
 
 
-def _pair_counts(rows: np.ndarray, cols: np.ndarray, size: int):
-    """Sparse count matrix of (row key, column key) pairs over positions.
+def _triple_counts(middle: np.ndarray, first: np.ndarray, last: np.ndarray, size: int):
+    """Distinct (middle, first, last) key triples in sorted order, and their window counts.
 
-    Entry [u, w] counts the positions whose row key is u and column key is w.
-    Also returns, for each position, the slot of its pair in the matrix's
-    data array.
+    Keys lie in [0, size). One int64 code per window serves while size**3
+    fits in int64; beyond that the triples are sorted as rows.
     """
-    # imported here: only spectral fits need it. scipy.sparse costs about
-    # 0.2 s CPU on a start without scipy, but about 20 ms once the feature
-    # map's scipy.special is loaded, since the two share scipy's internals
-    from scipy.sparse import csr_matrix
-
-    codes, slot = np.unique(rows * size + cols, return_inverse=True)
-    indptr = np.searchsorted(codes, np.arange(size + 1) * size)
-    counts = np.bincount(slot, minlength=codes.size)
-    return csr_matrix((counts, codes % size, indptr), shape=(size, size)), slot
+    if size < 1 << 21:
+        codes, counts = np.unique((middle * size + first) * size + last, return_counts=True)
+        return codes // (size * size), codes // size % size, codes % size, counts
+    triples, counts = np.unique(
+        np.stack([middle, first, last], axis=1), axis=0, return_counts=True
+    )
+    return triples[:, 0], triples[:, 1], triples[:, 2], counts
 
 
-def _triple_block(table: np.ndarray, pairs, slot: np.ndarray, first: np.ndarray) -> np.ndarray:
-    """Sum over windows of F[first] (x) F[middle] (x) F[last], grouped by middle key.
+def _triple_block(
+    table: np.ndarray, middle: np.ndarray, first: np.ndarray, last: np.ndarray
+) -> np.ndarray:
+    """Sum over windows of F[middle] (x) F[first] (x) F[last], in that axis order.
 
-    ``pairs`` counts the (middle key, last key) pairs of the windows and
-    ``slot`` maps each window to its pair. Weighting each pair by coordinate
-    i of its summed first vectors instead of its count gives row i of every
-    ``G_v = A_v.T @ C_v`` in one sparse product with F; contracting with
-    ``F[v]`` gives slice i of the block. Coordinates go in batches whose
-    working arrays stay within ``_BATCH_ELEMENTS``.
+    Each group of key triples with one middle key v is cut into pieces of at
+    most ``cap`` triples; a piece gives ``(counts * F[first]).T @ F[last]``,
+    and contracting it with ``F[v]`` adds its part of the block. Pieces are
+    padded with zero-weight rows to the next power of two, so the pieces of
+    one padded size share one batched product per chunk.
     """
-    from scipy.sparse import csr_matrix
-
-    size, D = table.shape
-    nnz = pairs.nnz
-    # summed first vectors of each pair's windows are firsts @ table
-    firsts = csr_matrix((np.ones(slot.size), (slot, first)), shape=(nnz, size))
-    step = max(1, min(D, _BATCH_ELEMENTS // (size * D + 3 * nnz)))
-    offsets = np.arange(step)[:, None] * nnz
-    out = np.empty((D, D, D))
-    for lo in range(0, D, step):
-        width = min(step, D - lo)
-        weights = (firsts @ table[:, lo : lo + width]).T.ravel()
-        indptr = np.append((pairs.indptr[:-1] + offsets[:width]).ravel(), width * nnz)
-        stacked = csr_matrix(
-            (weights, np.tile(pairs.indices, width), indptr), shape=(width * size, size)
-        )
-        out[lo : lo + width] = table.T @ (stacked @ table).reshape(width, size, D)
-    return out
+    D = table.shape[1]
+    mid, fst, lst, counts = _triple_counts(middle, first, last, table.shape[0])
+    # the largest power of two whose piece fits the budget, 1 at least
+    room = (_BATCH_ELEMENTS - D * D) // (2 * D)
+    cap = 1 << (room.bit_length() - 1) if room >= 1 else 1
+    group_start = np.flatnonzero(np.r_[True, mid[1:] != mid[:-1]])
+    group_size = np.diff(np.r_[group_start, mid.size])
+    pieces = -(-group_size // cap)
+    # piece j of a group starts j * cap triples into it
+    offset = cap * (np.arange(pieces.sum()) - np.repeat(np.cumsum(pieces) - pieces, pieces))
+    start = np.repeat(group_start, pieces) + offset
+    size = np.minimum(cap, np.repeat(group_size, pieces) - offset)
+    # a piece pads to 2**exponent rows
+    exponent = np.frexp(size - 1)[1]
+    out = np.zeros((D, D * D))
+    for e in np.flatnonzero(np.bincount(exponent)).tolist():
+        width = 1 << e
+        chosen = np.flatnonzero(exponent == e)
+        step = max(1, _BATCH_ELEMENTS // (width * 2 * D + D * D))
+        slot = np.arange(width)
+        for lo in range(0, chosen.size, step):
+            part = chosen[lo : lo + step]
+            valid = slot < size[part, None]
+            rows = np.where(valid, start[part, None] + slot, start[part, None])
+            firsts = table[fst[rows]] * np.where(valid, counts[rows], 0.0)[..., None]
+            # one expression, so no chunk's (pieces, D, D) products outlive it
+            out += table[mid[start[part]]].T @ np.matmul(
+                firsts.transpose(0, 2, 1), table[lst[rows]]
+            ).reshape(part.size, D * D)
+    return out.reshape(D, D, D)
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,7 +167,7 @@ class MomentSet:
 
 
 class MomentAccumulator:
-    """Running sums of pairwise and triple outer products.
+    """Running sums of triple outer products; pair moments are their marginals.
 
     Every input goes through one pass, ``add_indexed``, which takes a
     sequence as feature-table rows; ``add_sequence`` maps a count sequence
@@ -181,9 +191,6 @@ class MomentAccumulator:
         self.num_blocks = num_blocks
         self.count = 0
         d = feature_dim
-        self._p12 = np.zeros((d, d))
-        self._p13 = np.zeros((d, d))
-        self._p23 = np.zeros((d, d))
         self._t123 = np.zeros((d, d, d))
 
     def add_sequence(self, seq: CountSequence, cfg: BetaMapConfig) -> "MomentAccumulator":
@@ -194,15 +201,15 @@ class MomentAccumulator:
     def add_indexed(self, table: np.ndarray, index: np.ndarray) -> "MomentAccumulator":
         """Accumulate every window of a sequence given as feature-table rows.
 
-        ``table`` has one feature row per distinct key, shape (U, D), and
-        ``index[t, j]`` is the row of cell j at position t, so each position
-        maps to the concatenation of its cells' rows. Loops run over cells and
-        over batches of coordinates only.
+        ``table`` has one feature row per distinct key, shape (U, D), each row
+        summing to 1, and ``index[t, j]`` is the row of cell j at position t,
+        so each position maps to the concatenation of its cells' rows. Loops
+        run over cells and over chunks of key-triple groups only.
         """
         length, cells = index.shape
         if length < 3:
             raise DataError(f"insufficient length: need at least 3 positions, got {length}")
-        size, D = table.shape
+        D = table.shape[1]
         if D * cells != self.feature_dim:
             raise ParameterError(
                 f"sequence maps to dimension {D * cells}, accumulator expects {self.feature_dim}"
@@ -211,18 +218,10 @@ class MomentAccumulator:
         block = [slice(j * D, (j + 1) * D) for j in range(cells)]
         for a in range(cells):
             for b in range(cells):
-                n12, _ = _pair_counts(first[:, a], middle[:, b], size)
-                n13, _ = _pair_counts(first[:, a], last[:, b], size)
-                self._p12[block[a], block[b]] += table.T @ (n12 @ table)
-                self._p13[block[a], block[b]] += table.T @ (n13 @ table)
-        for b in range(cells):
-            for c in range(cells):
-                pairs, slot = _pair_counts(middle[:, b], last[:, c], size)
-                self._p23[block[b], block[c]] += table.T @ (pairs @ table)
-                for a in range(cells):
+                for c in range(cells):
                     self._t123[block[a], block[b], block[c]] += _triple_block(
-                        table, pairs, slot, first[:, a]
-                    )
+                        table, middle[:, b], first[:, a], last[:, c]
+                    ).transpose(1, 0, 2)
         self.count += length - 2
         return self
 
@@ -232,18 +231,22 @@ class MomentAccumulator:
             raise ParameterError("cannot merge accumulators with different layouts")
         out = MomentAccumulator(self.feature_dim, self.num_blocks)
         out.count = self.count + other.count
-        for name in ("_p12", "_p13", "_p23", "_t123"):
-            setattr(out, name, getattr(self, name) + getattr(other, name))
+        out._t123 = self._t123 + other._t123
         return out
 
     def finalize(self) -> MomentSet:
-        """Normalized moment means over everything accumulated so far."""
+        """Normalized moment means over everything accumulated so far.
+
+        A pair moment sums the triple over the first cell's block of the
+        remaining axis, whose feature rows sum to 1 in every window.
+        """
         if self.count < 1:
             raise DataError("cannot finalize an empty accumulator")
-        n = float(self.count)
-        p12 = self._p12 / n
-        p13 = self._p13 / n
-        p23 = self._p23 / n
+        t123 = self._t123 / float(self.count)
+        cell = slice(0, self.feature_dim // self.num_blocks)
+        p12 = t123[:, :, cell].sum(axis=2)
+        p13 = t123[:, cell, :].sum(axis=1)
+        p23 = t123[cell].sum(axis=0)
         moments = MomentSet(
             p12=p12,
             p21=p12.T.copy(),
@@ -251,7 +254,7 @@ class MomentAccumulator:
             p31=p13.T.copy(),
             p23=p23,
             p32=p23.T.copy(),
-            t123=self._t123 / n,
+            t123=t123,
             count=self.count,
             num_blocks=self.num_blocks,
         )

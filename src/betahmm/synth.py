@@ -300,11 +300,6 @@ def run_benchmark(cfg: SynthConfig, threads: int = 1) -> ExperimentReport:
     so results do not depend on execution order and individual failures are
     recorded without aborting the sweep.
     """
-    # the spectral fit's scipy imports are lazy; load them here, so that no
-    # row's seconds include them
-    from scipy.sparse import csr_matrix  # noqa: F401
-    from scipy.special import betainc  # noqa: F401
-
     tasks = [
         (length, trial, algo)
         for length in cfg.lengths

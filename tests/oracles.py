@@ -10,6 +10,7 @@ checks (container types are the one exception).
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 from scipy.special import betainc, logsumexp
@@ -29,6 +30,27 @@ def beta_histogram_row(coverage: int, meth: int, granularity: int) -> np.ndarray
     edges = np.linspace(0.0, 1.0, granularity + 1)
     cdf = betainc(meth + 1.0, coverage - meth + 1.0, edges)
     return np.diff(cdf)
+
+
+def exact_beta_histogram_rows(coverage: int, granularity: int) -> np.ndarray:
+    """``beta_histogram_row`` of every count 0..coverage, in exact arithmetic.
+
+    I_x(mu + 1, c - mu + 1) = P(Binomial(c + 1, x) >= mu + 1), so at the edge
+    x = i / D the cdf times D**(c + 1) is the integer sum over k > mu of
+    comb(c + 1, k) i**k (D - i)**(c + 1 - k). Each mass is a difference of two
+    such sums divided once by D**(c + 1), which rounds correctly.
+    Returns shape (coverage + 1, granularity).
+    """
+    n, D = coverage + 1, granularity
+    tails = []
+    for i in range(D + 1):
+        tail = [0] * (n + 2)
+        for k in range(n, -1, -1):
+            tail[k] = tail[k + 1] + math.comb(n, k) * i**k * (D - i) ** (n - k)
+        tails.append(tail)
+    return np.array(
+        [[(tails[i + 1][mu + 1] - tails[i][mu + 1]) / D**n for i in range(D)] for mu in range(n)]
+    )
 
 
 def reference_features(seq, granularity: int) -> np.ndarray:

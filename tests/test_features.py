@@ -21,9 +21,10 @@ from betahmm import (
     empirical_prior_weight,
     prior_weights,
 )
+from betahmm import features
 from betahmm.features import feature_table
 
-from oracles import reference_features
+from oracles import beta_histogram_row, exact_beta_histogram_rows, reference_features
 
 
 class TestFrozenValues:
@@ -59,6 +60,38 @@ class TestAgainstQuadrature:
         for i in range(granularity):
             mass, _ = integrate.quad(dist.pdf, edges[i], edges[i + 1])
             assert phi[i] == pytest.approx(mass, abs=1e-8)
+
+
+class TestAgainstExactArithmetic:
+    """Every row of one coverage against ``exact_beta_histogram_rows``."""
+
+    @staticmethod
+    def _rows(coverage, granularity):
+        return features._beta_bin_masses(
+            np.full(coverage + 1, coverage), np.arange(coverage + 1), granularity
+        )
+
+    @pytest.mark.parametrize("granularity", [1, 2, 3, 5, 12, 30])
+    def test_small_coverages(self, granularity):
+        for coverage in range(61):
+            rows = self._rows(coverage, granularity)
+            exact = exact_beta_histogram_rows(coverage, granularity)
+            np.testing.assert_allclose(rows, exact, rtol=0, atol=4e-15, err_msg=str(coverage))
+            np.testing.assert_allclose(rows.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("granularity", [12, 30])
+    def test_coverage_at_the_bound(self, granularity):
+        coverage = features._TAIL_MAX_COVERAGE
+        exact = exact_beta_histogram_rows(coverage, granularity)
+        np.testing.assert_allclose(self._rows(coverage, granularity), exact, rtol=0, atol=1e-14)
+
+    def test_coverage_above_the_bound_uses_betainc(self):
+        coverage, granularity = features._TAIL_MAX_COVERAGE + 1, 30
+        expected = [
+            np.maximum(beta_histogram_row(coverage, mu, granularity), 0.0)
+            for mu in range(coverage + 1)
+        ]
+        assert np.array_equal(self._rows(coverage, granularity), expected)
 
 
 class TestEmpiricalPriorWeight:

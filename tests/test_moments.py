@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import tracemalloc
 
@@ -212,13 +213,26 @@ class TestMerge:
 class TestCoordinateBatches:
     @pytest.mark.parametrize("budget", [1, 1000, 1 << 20])
     def test_batch_size_does_not_change_the_moments(self, rng, monkeypatch, budget):
-        # budget 1 runs one coordinate per batch, 1000 runs batches of two
-        # with a remainder, the default runs all five at once
+        # the budget bounds the elements of one batched product: budget 1
+        # runs every key triple as a piece and a batch of its own, 1000 caps
+        # a batch at 28 pieces of width 1 down to 9 of width 8, and the
+        # default runs every piece of one width at once
         seq = _random_sequence(rng, 60, cells=2, max_cov=8)
         cfg = BetaMapConfig(granularity=5)
         monkeypatch.setattr(moments_module, "_BATCH_ELEMENTS", budget)
         moments = MomentAccumulator(10, num_blocks=2).add_sequence(seq, cfg).finalize()
         _assert_matches_naive(moments, reference_features(seq, 5))
+
+
+class TestTripleCounts:
+    @pytest.mark.parametrize("size", [7, 1 << 22])
+    def test_matches_a_counter(self, rng, size):
+        # from 2**21 keys on, a cubed key code would overflow int64
+        keys = rng.integers(size - 5, size, size=(3, 200))
+        mid, first, last, counts = moments_module._triple_counts(*keys, size)
+        expected = collections.Counter(zip(*keys.tolist()))
+        assert list(zip(mid.tolist(), first.tolist(), last.tolist())) == sorted(expected)
+        assert counts.tolist() == [expected[key] for key in sorted(expected)]
 
 
 class TestMemory:

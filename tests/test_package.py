@@ -7,16 +7,22 @@ import sys
 from pathlib import Path
 
 import betahmm
+from betahmm import features
 
 _SRC = str(Path(betahmm.__file__).resolve().parent.parent)
 
-# runs one CLI command (none: imports only) and reports the scipy modules loaded
+# runs one CLI command (none: imports only) and reports the scipy modules
+# loaded; with "block" first, every scipy import raises ImportError
 _PROBE = """
 import json, sys
+args = sys.argv[1:]
+if args[:1] == ["block"]:
+    sys.modules["scipy"] = None
+    args = args[1:]
 import betahmm
 from betahmm.cli import main
-code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
-loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+code = main(args) if args else 0
+loaded = sorted(m for m, mod in sys.modules.items() if m.split(".")[0] == "scipy" and mod)
 print(json.dumps({"code": code, "scipy": loaded}))
 """
 
@@ -51,11 +57,24 @@ def test_import_loads_no_scipy():
     assert _scipy_after() == []
 
 
-def test_only_the_spectral_fit_loads_scipy(tmp_path):
-    data, em_model, ftd_model = tmp_path / "counts.tsv", tmp_path / "em.json", tmp_path / "ftd.json"
-    fit = ("fit", "--data", data, "--states", "2", "--granularity", "8")
-    assert _scipy_after("simulate", "--length", "400", "--states", "2", "--out", data) == []
-    assert _scipy_after(*fit, "--algo", "em", "--em-iters", "3", "--out", em_model) == []
-    assert _scipy_after("eval", "--model", em_model, "--data", data) == []
-    assert "scipy.special" in _scipy_after(*fit, "--algo", "ftd", "--out", ftd_model)
-    assert _scipy_after("eval", "--model", ftd_model, "--data", data) == []
+def test_every_command_runs_without_scipy(tmp_path):
+    # simulate draws Poisson(25) coverage, far below the feature map's
+    # betainc bound, so no command may import scipy
+    data, model = tmp_path / "counts.tsv", tmp_path / "model.json"
+    fit = ("block", "fit", "--data", data, "--states", "2", "--granularity", "8", "--out", model)
+    simulate = ("block", "simulate", "--length", "400", "--states", "2", "--out", data)
+    assert _scipy_after(*simulate) == []
+    for algo in ("ftd", "em", "ftd+em"):
+        assert _scipy_after(*fit, "--algo", algo, "--em-iters", "3", "--em-rounds", "2") == []
+        assert _scipy_after("block", "eval", "--model", model, "--data", data) == []
+    bench = ("--lengths", "256", "--trials", "2", "--threads", "1", "--out-dir", tmp_path / "bench")
+    assert _scipy_after("block", "benchmark", *bench) == []
+
+
+def test_coverage_above_the_bound_loads_scipy_special(tmp_path):
+    data, model = tmp_path / "counts.tsv", tmp_path / "model.json"
+    mean = 2 * features._TAIL_MAX_COVERAGE
+    _scipy_after("simulate", "--length", "400", "--states", "2", "--coverage-mean", mean,
+                 "--out", data)
+    fit = ("fit", "--data", data, "--states", "2", "--granularity", "8", "--out", model)
+    assert "scipy.special" in _scipy_after(*fit)
