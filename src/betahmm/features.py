@@ -139,11 +139,12 @@ def _beta_bin_masses(coverage: np.ndarray, meth: np.ndarray, granularity: int) -
     """Bin masses for arrays of (coverage, count) pairs, shape (n, granularity)."""
     masses = np.empty((coverage.size, granularity))
     tails = coverage <= _TAIL_MAX_COVERAGE
+    small = np.flatnonzero(tails)
     # return_inverse also keeps np.unique from importing numpy.ma, which a
     # plain call does to test for a mask
-    values, which = np.unique(coverage[tails], return_inverse=True)
+    values, which = np.unique(coverage[small], return_inverse=True)
     for j, c in enumerate(values.tolist()):
-        rows = np.flatnonzero(tails)[which == j]
+        rows = small[which == j]
         masses[rows] = _tail_masses(c, meth[rows], granularity)
     if not tails.all():
         # imported here: scipy.special costs about 0.3 s CPU and 25 MB at
