@@ -52,11 +52,13 @@ _SUM_TOL = 1e-9
 def _triple_counts(middle: np.ndarray, first: np.ndarray, last: np.ndarray, size: int):
     """Distinct (middle, first, last) key triples in sorted order, and their window counts.
 
-    Keys lie in [0, size). One int64 code per window serves while size**3
-    fits in int64; beyond that the triples are sorted as rows.
+    Keys lie in [0, size), in any integer dtype. One int64 code per window
+    serves while size**3 fits in int64; beyond that the triples are sorted
+    as rows.
     """
     if size < 1 << 21:
-        codes, counts = np.unique((middle * size + first) * size + last, return_counts=True)
+        code = (middle.astype(np.int64, copy=False) * size + first) * size + last
+        codes, counts = np.unique(code, return_counts=True)
         return codes // (size * size), codes // size % size, codes % size, counts
     triples, counts = np.unique(
         np.stack([middle, first, last], axis=1), axis=0, return_counts=True

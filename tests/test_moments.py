@@ -225,10 +225,11 @@ class TestCoordinateBatches:
 
 
 class TestTripleCounts:
-    @pytest.mark.parametrize("size", [7, 1 << 22])
+    @pytest.mark.parametrize("size", [7, 2000, 1 << 22])
     def test_matches_a_counter(self, rng, size):
-        # from 2**21 keys on, a cubed key code would overflow int64
-        keys = rng.integers(size - 5, size, size=(3, 200))
+        # int32 keys: a cubed key code of 2000 keys overflows int32, and from
+        # 2**21 keys on it would overflow int64
+        keys = rng.integers(size - 5, size, size=(3, 200)).astype(np.int32)
         mid, first, last, counts = moments_module._triple_counts(*keys, size)
         expected = collections.Counter(zip(*keys.tolist()))
         assert list(zip(mid.tolist(), first.tolist(), last.tolist())) == sorted(expected)
