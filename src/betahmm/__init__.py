@@ -19,10 +19,8 @@ from .features import (
 )
 from .hungarian import solve_assignment
 from .io import (
-    MethylationRecord,
     ModelFile,
     file_digest,
-    load_methylation_records,
     load_methylation_tsv,
     load_model,
     save_model,
@@ -74,7 +72,6 @@ __all__ = [
     "ExperimentReport",
     "FtdConfig",
     "HmmParams",
-    "MethylationRecord",
     "ModelFile",
     "MomentAccumulator",
     "MomentSet",
@@ -101,7 +98,6 @@ __all__ = [
     "ftd_then_em",
     "generate_params",
     "joint_diagonalization",
-    "load_methylation_records",
     "load_methylation_tsv",
     "load_model",
     "log_likelihood",

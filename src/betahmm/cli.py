@@ -89,21 +89,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _split_train(seq, frac: float):
+def _train_cut(seq, frac: float) -> int:
+    """Length of the training head of ``seq``; the positions after it are held out."""
     if not 0.0 < frac <= 1.0:
         raise ParameterError(f"train fraction must lie in (0, 1], got {frac}")
-    cut = int(len(seq) * frac)
-    return seq[:cut]
-
-
-def _split_test(seq, frac: float):
-    if not 0.0 < frac <= 1.0:
-        raise ParameterError(f"train fraction must lie in (0, 1], got {frac}")
-    cut = int(len(seq) * frac)
-    test = seq[cut:]
-    if len(test) == 0:
-        raise DataError("no positions left for evaluation after the train split")
-    return test
+    return int(len(seq) * frac)
 
 
 def _cmd_simulate(args) -> int:
@@ -145,7 +135,7 @@ def _cmd_fit(args) -> int:
     seq = model_io.load_methylation_tsv(
         args.data, context_filter=args.context, merge_replicates=args.merge_replicates
     )
-    train = _split_train(seq, args.train_frac)
+    train = seq[: _train_cut(seq, args.train_frac)]
     ftd_cfg = FtdConfig(granularity=args.granularity)
     diagnostics: dict = {}
     granularity: int | None = args.granularity
@@ -205,8 +195,12 @@ def _cmd_eval(args) -> int:
         raise DataError(
             f"model carries {model.num_cells} cell(s) but data carries {seq.num_cells}"
         )
-    test = _split_test(seq, args.train_frac)
+    test = seq[_train_cut(seq, args.train_frac) :]
+    if len(test) == 0:
+        raise DataError("no positions left for evaluation after the train split")
     floor = args.prob_floor
+    if not 0.0 <= floor < 0.5:
+        raise ParameterError(f"--prob-floor must lie in [0, 0.5), got {floor}")
     probs = np.clip(model.meth_probs, floor, 1.0 - floor)
     meth = probs[0] if model.num_cells == 1 else probs
     params = HmmParams(

@@ -11,8 +11,7 @@ context filter keeps only rows whose context matches (e.g. "CG").
 Tables are read and written by column: the integer columns go through
 numpy's text parser into int64 arrays and are validated with whole-array
 masks, and the writer lays out every row's digits in one byte buffer. The
-text columns are split out of the lines only when a filter or a record needs
-them.
+context column is split out of the lines only when a filter needs it.
 
 Model files are JSON with an explicit schema version. Floats go through
 Python's shortest-round-trip repr, so a save/load cycle reproduces every
@@ -31,10 +30,8 @@ from .errors import DataError, ParameterError
 from .model import CountSequence, HmmParams, validate_params
 
 __all__ = [
-    "MethylationRecord",
     "ModelFile",
     "SCHEMA_VERSION",
-    "load_methylation_records",
     "load_methylation_tsv",
     "write_methylation_tsv",
     "save_model",
@@ -45,17 +42,6 @@ __all__ = [
 SCHEMA_VERSION = 1
 TSV_COLUMNS = ("chrom", "bin_start", "context")
 DEFAULT_BIN_SIZE = 100
-
-
-@dataclass(frozen=True)
-class MethylationRecord:
-    """One row of a count table: location, context, and per-cell counts."""
-
-    chrom: str
-    bin_start: int
-    context: str
-    coverage: tuple[int, ...]
-    meth: tuple[int, ...]
 
 
 def _check_bin_size(bin_size: int) -> None:
@@ -155,26 +141,14 @@ def _line_error(line: str, num_cells: int, bin_size: int) -> str:
     return "bin_start and counts must be plain decimal integers within the 64-bit range"
 
 
-@dataclass(frozen=True)
-class _CountTable:
-    """A validated count table: integer columns, with the text columns left in the lines."""
-
-    lines: list[str]  # the file's lines, header first
-    rows: np.ndarray  # index into ``lines`` of each data row, in file order
-    columns: np.ndarray  # (rows, 1 + 2 * cells) int64: bin_start, cov_1, meth_1, ...
-
-    def text_column(self, j: int) -> list[str]:
-        """Column 0 (``chrom``) or 2 (``context``) of every data row."""
-        return [self.lines[i].split("\t", 3)[j] for i in self.rows.tolist()]
-
-
-def _read_table(path, bin_size: int) -> _CountTable:
-    """Parse and validate a count table, naming the first bad line on failure.
+def _read_table(path, bin_size: int, context_filter: str | None) -> np.ndarray:
+    """The validated ``(rows, 1 + 2 * cells)`` int64 columns of a count table.
 
     Blank and whitespace-only lines are skipped. A data line is rejected for
     the wrong field count, a field that is not an integer, a misaligned or
     negative ``bin_start``, or a meth count outside ``[0, cov]``; the error
-    names the first rejected line in the file.
+    names the first rejected line in the file. Every data line is checked
+    before ``context_filter`` drops the rows whose context differs.
     """
     _check_bin_size(bin_size)
     lines = _read_lines(path)
@@ -205,26 +179,10 @@ def _read_table(path, bin_size: int) -> _CountTable:
     if end < rows.size:
         i = int(rows[end])
         raise DataError(f"{path}:{i + 1}: {_line_error(lines[i], num_cells, bin_size)}")
-    return _CountTable(lines=lines, rows=rows, columns=columns)
-
-
-def load_methylation_records(
-    path, bin_size: int = DEFAULT_BIN_SIZE
-) -> list[MethylationRecord]:
-    """Parse a count table into records, validating counts and bin alignment."""
-    table = _read_table(path, bin_size)
-    return [
-        MethylationRecord(
-            chrom=chrom,
-            bin_start=row[0],
-            context=context,
-            coverage=tuple(row[1::2]),
-            meth=tuple(row[2::2]),
-        )
-        for chrom, context, row in zip(
-            table.text_column(0), table.text_column(2), table.columns.tolist()
-        )
-    ]
+    if context_filter is not None:
+        keep = [lines[i].split("\t", 3)[2] == context_filter for i in rows.tolist()]
+        columns = columns[np.array(keep, dtype=bool)]
+    return columns
 
 
 def load_methylation_tsv(
@@ -238,13 +196,7 @@ def load_methylation_tsv(
     ``merge_replicates`` sums consecutive column pairs two at a time, so a
     four-cell file of two replicates each becomes a two-cell sequence.
     """
-    table = _read_table(path, bin_size)
-    columns = table.columns
-    if context_filter is not None:
-        keep = np.array(
-            [context == context_filter for context in table.text_column(2)], dtype=bool
-        )
-        columns = columns[keep]
+    columns = _read_table(path, bin_size, context_filter)
     if len(columns) == 0:
         raise DataError(f"{path}: no rows left after filtering")
     cov, meth = columns[:, 1::2], columns[:, 2::2]

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import betainc, logsumexp
 from scipy.stats import binom as binom_dist
 
 from betahmm.errors import DataError
-from betahmm.io import MethylationRecord
 from betahmm.model import CountSequence
 from betahmm.moments import MomentSet
 
@@ -318,7 +318,18 @@ def _reference_header(line: str) -> int:
     return len(rest) // 2
 
 
-def reference_load_records(path, bin_size: int = 100) -> list:
+@dataclass(frozen=True)
+class ReferenceRecord:
+    """One row of a count table: location, context, and per-cell counts."""
+
+    chrom: str
+    bin_start: int
+    context: str
+    coverage: tuple[int, ...]
+    meth: tuple[int, ...]
+
+
+def reference_load_records(path, bin_size: int = 100) -> list[ReferenceRecord]:
     """Row-by-row count-table parser: the reference for the columnar reader."""
     records = []
     with open(path, encoding="utf-8") as fh:
@@ -351,7 +362,7 @@ def reference_load_records(path, bin_size: int = 100) -> list:
                         f"{path}:{lineno}: cell {j + 1} has meth {mu} outside [0, {c}]"
                     )
             records.append(
-                MethylationRecord(
+                ReferenceRecord(
                     chrom=fields[0],
                     bin_start=bin_start,
                     context=fields[2],

@@ -41,6 +41,16 @@ def _fit(tmp_path, data, algo="ftd", states=2, granularity=8, extra=()):
     return model
 
 
+def _planted_model(tmp_path):
+    path = tmp_path / "planted.json"
+    save_model(ModelFile(
+        num_states=2, num_cells=1, granularity=None,
+        initial_dist=np.array([0.5, 0.5]), transition=np.array([[0.9, 0.1], [0.1, 0.9]]),
+        meth_probs=np.array([[0.1, 0.8]]),
+    ), path)
+    return path
+
+
 class TestSimulate:
     def test_deterministic_output(self, tmp_path):
         a = _simulate(tmp_path, "a.tsv", truth=tmp_path / "ta.json")
@@ -259,11 +269,23 @@ class TestExitCodes:
         assert code == 3
         assert "underflowed at position 37" in capsys.readouterr().err
 
-    def test_bad_train_fraction(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["fit", "eval"])
+    def test_bad_train_fraction(self, tmp_path, capsys, command):
+        data = _simulate(tmp_path, length=50)
+        if command == "fit":
+            argv = ["fit", "--out", str(tmp_path / "m.json"), "--states", "2"]
+        else:
+            argv = ["eval", "--model", str(_planted_model(tmp_path))]
+        code = main([*argv, "--data", str(data), "--train-frac", "1.5"])
+        assert code == 2
+        assert "train fraction must lie in (0, 1], got 1.5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("floor", ["0.5", "0.7", "1.5", "-0.1", "nan"])
+    def test_prob_floor_outside_its_range(self, tmp_path, capsys, floor):
         data = _simulate(tmp_path, length=50)
         code = main([
-            "fit", "--data", str(data), "--out", str(tmp_path / "m.json"),
-            "--states", "2", "--train-frac", "1.5",
+            "eval", "--model", str(_planted_model(tmp_path)), "--data", str(data),
+            "--prob-floor", floor,
         ])
         assert code == 2
-        capsys.readouterr()
+        assert f"--prob-floor must lie in [0, 0.5), got {float(floor)}" in capsys.readouterr().err

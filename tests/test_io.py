@@ -11,7 +11,6 @@ from betahmm import (
     ModelFile,
     ParameterError,
     file_digest,
-    load_methylation_records,
     load_methylation_tsv,
     load_model,
     save_model,
@@ -45,7 +44,7 @@ class TestRoundTrip:
         seq = CountSequence([3, 0], [1, 0])
         path = tmp_path / "counts.tsv"
         write_methylation_tsv(path, seq, chrom="chr7", context="CG", bin_size=200)
-        records = load_methylation_records(path, bin_size=200)
+        records = reference_load_records(path, bin_size=200)
         assert [r.bin_start for r in records] == [0, 200]
         assert {r.chrom for r in records} == {"chr7"}
         assert {r.context for r in records} == {"CG"}
@@ -66,6 +65,16 @@ class TestFilteringAndMerging:
         seq = load_methylation_tsv(path, context_filter="CG")
         assert len(seq) == 2
         assert list(seq.coverage[:, 0]) == [5, 4]
+
+    def test_rows_are_validated_before_the_filter(self, tmp_path):
+        # the only bad row would be dropped by the filter, yet it still fails the load
+        text = HEADER_1 + "chr1\t0\tCG\t5\t2\nchr1\t100\tCHH\t3\t4\nchr1\t200\tCG\t4\t4\n"
+        path = _write(tmp_path / "t.tsv", text)
+        message = r"t\.tsv:3: cell 1 has meth 4 outside \[0, 3\]"
+        with pytest.raises(DataError, match=message):
+            reference_load_tsv(path, context_filter="CG")
+        with pytest.raises(DataError, match=message):
+            load_methylation_tsv(path, context_filter="CG")
 
     def test_filter_removing_everything(self, tmp_path):
         text = HEADER_1 + "chr1\t0\tCHH\t5\t2\n"
@@ -98,48 +107,48 @@ class TestMalformedTables:
     def test_empty_file(self, tmp_path):
         path = _write(tmp_path / "t.tsv", "")
         with pytest.raises(DataError, match="empty file"):
-            load_methylation_records(path)
+            load_methylation_tsv(path)
 
     def test_wrong_leading_columns(self, tmp_path):
         path = _write(tmp_path / "t.tsv", "chrom\tpos\tcontext\tcov_1\tmeth_1\n")
         with pytest.raises(DataError, match="header must start"):
-            load_methylation_records(path)
+            load_methylation_tsv(path)
 
     def test_missing_count_columns(self, tmp_path):
         path = _write(tmp_path / "t.tsv", "chrom\tbin_start\tcontext\n")
         with pytest.raises(DataError, match="column pairs"):
-            load_methylation_records(path)
+            load_methylation_tsv(path)
 
     def test_misnamed_count_columns(self, tmp_path):
         path = _write(tmp_path / "t.tsv", "chrom\tbin_start\tcontext\tcov_1\tmeth_2\n")
         with pytest.raises(DataError, match="expected columns"):
-            load_methylation_records(path)
+            load_methylation_tsv(path)
 
     def test_field_count_mismatch_names_the_line(self, tmp_path):
         text = HEADER_1 + "chr1\t0\tCG\t5\t2\nchr1\t100\tCG\t3\n"
         path = _write(tmp_path / "t.tsv", text)
         with pytest.raises(DataError, match=r"3: expected 5 fields"):
-            load_methylation_records(path)
+            load_methylation_tsv(path)
 
     def test_non_integer_count_names_the_line(self, tmp_path):
         text = HEADER_1 + "chr1\t0\tCG\tfive\t2\n"
         path = _write(tmp_path / "t.tsv", text)
         with pytest.raises(DataError, match=r"2:"):
-            load_methylation_records(path)
+            load_methylation_tsv(path)
 
     def test_meth_above_coverage_names_cell_and_line(self, tmp_path):
         text = HEADER_1 + "chr1\t0\tCG\t3\t4\n"
         path = _write(tmp_path / "t.tsv", text)
         with pytest.raises(DataError, match=r"2: cell 1 has meth 4 outside \[0, 3\]"):
-            load_methylation_records(path)
+            load_methylation_tsv(path)
 
     def test_misaligned_bin_start(self, tmp_path):
         text = HEADER_1 + "chr1\t50\tCG\t3\t1\n"
         path = _write(tmp_path / "t.tsv", text)
         with pytest.raises(DataError, match="multiple of 100"):
-            load_methylation_records(path)
+            load_methylation_tsv(path)
         # the same offset is legal under a finer bin size
-        assert len(load_methylation_records(path, bin_size=50)) == 1
+        assert len(load_methylation_tsv(path, bin_size=50)) == 1
 
     def test_bin_size_must_be_positive(self, tmp_path):
         path = _write(tmp_path / "t.tsv", HEADER_1 + "chr1\t0\tCG\t3\t1\n")
@@ -286,8 +295,6 @@ def _outcome(load, *args, **kwargs):
         result = load(*args, **kwargs)
     except DataError as exc:
         return ("error", str(exc))
-    if isinstance(result, list):
-        return ("records", result)
     assert result.coverage.dtype == result.meth.dtype == np.int64
     return ("sequence", result.coverage.tolist(), result.meth.tolist())
 
@@ -299,9 +306,6 @@ def _assert_same_as_reference(path, context_filter=None, merge_replicates=False,
     ) == _outcome(
         reference_load_tsv, path, context_filter=context_filter,
         merge_replicates=merge_replicates, bin_size=bin_size,
-    )
-    assert _outcome(load_methylation_records, path, bin_size=bin_size) == _outcome(
-        reference_load_records, path, bin_size=bin_size
     )
 
 
