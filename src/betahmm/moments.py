@@ -41,8 +41,11 @@ __all__ = ["MomentSet", "MomentAccumulator", "MAX_FEATURE_DIM"]
 MAX_FEATURE_DIM = 256
 
 # float64-sized elements of working memory for one chunk of groups in the
-# triple pass; bounds it whatever the number of distinct keys
-_BATCH_ELEMENTS = 1 << 20
+# triple pass; bounds it whatever the number of distinct keys. 2**18 (2 MB)
+# rather than 2**20: the pass's tracemalloc peak fell from 21.6 to 12.9 MB on
+# the genome-ftd sequence and from 16.5 to 6.8 MB on two-cell, and its CPU
+# time from 90 to 85 ms and from 149 to 107 ms (smaller chunks stay in cache)
+_BATCH_ELEMENTS = 1 << 18
 
 # a pair moment of k cells sums to k**2 and the triple to k**3; validation
 # allows this tolerance times max(1, total)

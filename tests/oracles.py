@@ -295,6 +295,22 @@ def naive_moment_means(f1, f2, f3):
     return p12 / n, p13 / n, p23 / n, t123 / n
 
 
+def reference_feature_keys(seq):
+    """Distinct (coverage, count) pairs of a sequence and each position's pair.
+
+    Returns ``(cov_u, meth_u, index)`` with the pairs in increasing order, as
+    ``features.feature_table`` keys them. Each pair is coded as one integer
+    from the ranks of its two counts among all count values (one np.unique
+    over the 2L values, a second over the L codes), so codes stay below
+    (2L)**2 however large the counts are.
+    """
+    cov = seq.coverage.ravel()
+    values, ranks = np.unique(np.concatenate([cov, seq.meth.ravel()]), return_inverse=True)
+    radix = values.size
+    keys, index = np.unique(ranks[: cov.size] * radix + ranks[cov.size :], return_inverse=True)
+    return values[keys // radix], values[keys % radix], index.reshape(seq.coverage.shape)
+
+
 # The count-table reader and writer as they were before the columnar rewrite:
 # one text-mode line at a time, one record per row, one int() per field.
 REFERENCE_TSV_COLUMNS = ("chrom", "bin_start", "context")

@@ -24,7 +24,12 @@ from betahmm import (
 from betahmm import features
 from betahmm.features import feature_table
 
-from oracles import beta_histogram_row, exact_beta_histogram_rows, reference_features
+from oracles import (
+    beta_histogram_row,
+    exact_beta_histogram_rows,
+    reference_feature_keys,
+    reference_features,
+)
 
 
 class TestFrozenValues:
@@ -244,6 +249,50 @@ class TestFeatureTable:
         table, index = feature_table(CountSequence(cov, meth), BetaMapConfig(granularity=3))
         assert table.shape == (5, 3)
         assert sorted(index[:, 0].tolist()) == [0, 1, 2, 3, 4]
+
+
+class TestFeatureTableKeys:
+    """``feature_table``'s sort keying against the rank-coded np.unique keying."""
+
+    @staticmethod
+    def _assert_matches_reference(seq, granularity=4):
+        cfg = BetaMapConfig(granularity=granularity)
+        table, index = feature_table(seq, cfg)
+        cov_u, meth_u, ref_index = reference_feature_keys(seq)
+        assert index.dtype == ref_index.dtype
+        assert np.array_equal(index, ref_index)
+        rows = [beta_map((c, mu), cfg) for c, mu in zip(cov_u.tolist(), meth_u.tolist())]
+        assert table.shape == (len(rows), granularity)
+        assert np.array_equal(table, np.array(rows))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_random_sequences(self, data):
+        cells = data.draw(st.integers(1, 2))
+        length = data.draw(st.integers(1, 40))
+        top = 2**63 - 1
+        cov = data.draw(st.lists(
+            st.one_of(st.integers(0, 12), st.integers(top - 3, top)),
+            min_size=length * cells, max_size=length * cells,
+        ))
+        meth = [
+            data.draw(st.one_of(st.integers(0, min(c, 3)), st.integers(max(0, c - 3), c)))
+            for c in cov
+        ]
+        self._assert_matches_reference(CountSequence(
+            np.array(cov, dtype=np.int64).reshape(length, cells),
+            np.array(meth, dtype=np.int64).reshape(length, cells),
+        ))
+
+    def test_counts_near_the_int64_limit(self):
+        top = 2**63 - 1
+        cov = np.array([[top, 0], [top, top - 1], [top - 1, top], [5, top], [top, top]])
+        meth = np.array([[top, 0], [0, top - 1], [top - 1, 1], [5, top], [top, top - 2]])
+        self._assert_matches_reference(CountSequence(cov, meth))
+
+    @pytest.mark.parametrize("cov, meth", [([7], [2]), ([[3, 5]], [[1, 5]])])
+    def test_one_position(self, cov, meth):
+        self._assert_matches_reference(CountSequence(cov, meth))
 
 
 class TestCacheThreads:

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from betahmm import (
     save_model,
     write_methylation_tsv,
 )
+from betahmm import io as io_module
 from betahmm.io import SCHEMA_VERSION
 from oracles import reference_load_records, reference_load_tsv, reference_write_tsv
 
@@ -361,6 +363,22 @@ class TestReaderMatchesRowParser:
         path.write_bytes(text.encode("utf-8"))
         _assert_same_as_reference(path, context_filter, merge_replicates, bin_size)
 
+    @settings(
+        max_examples=150, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        text=_count_tables(),
+        context_filter=st.sampled_from([None, "CG"]),
+        chunk_bytes=st.sampled_from([1, 7, 64]),
+    )
+    def test_generated_tables_in_small_chunks(self, tmp_path, text, context_filter, chunk_bytes):
+        path = tmp_path / "t.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(io_module, "_CHUNK_BYTES", chunk_bytes)
+            _assert_same_as_reference(path, context_filter)
+
     @pytest.mark.parametrize(
         "text, bin_size",
         [
@@ -408,6 +426,171 @@ class TestReaderMatchesRowParser:
         rows[900] = "chr1\t90000\tCG\t2\t3"  # meth above coverage
         path = _write(tmp_path / "t.tsv", HEADER_1 + "\n".join(rows) + "\n")
         _assert_same_as_reference(path)
+
+
+# --- chunked reading: the outcome does not depend on where the reads fall ---
+
+
+@pytest.fixture(params=[1, 7, 64])
+def chunk_bytes(request, monkeypatch):
+    """Bytes per read of the table reader, far below its default."""
+    monkeypatch.setattr(io_module, "_CHUNK_BYTES", request.param)
+    return request.param
+
+
+def _assert_same_as_one_chunk(path, **kwargs):
+    """The outcome in small reads equals the outcome of one read of the file."""
+    chunked = _outcome(load_methylation_tsv, path, **kwargs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(io_module, "_CHUNK_BYTES", 1 << 20)
+        assert chunked == _outcome(load_methylation_tsv, path, **kwargs)
+
+
+def _rows(count):
+    return [f"chr1\t{100 * t}\tCG\t{9 + t % 3}\t{t % 10}" for t in range(count)]
+
+
+class TestChunkBoundaries:
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("chr1\t3000\tCG\t9", "expected 5 fields, got 4"),
+            ("chr1\t3000\tCG\tnine\t2", "invalid literal for int"),
+            ("chr1\t3000\tCG\t99999999999999999999\t2", ".*64-bit"),
+            ("chr1\t3000\tCG\t2\t3", r"cell 1 has meth 3 outside \[0, 2\]"),
+            ("chr1\t3050\tCG\t9\t2", "bin_start 3050 is not a multiple of 100"),
+        ],
+    )
+    def test_each_error_kind_in_a_later_chunk(self, tmp_path, chunk_bytes, row, message):
+        rows = _rows(40)
+        rows[30] = row
+        path = _write(tmp_path / "t.tsv", HEADER_1 + "\n".join(rows) + "\n")
+        with pytest.raises(DataError, match=rf"t\.tsv:32: {message}"):
+            load_methylation_tsv(path)
+        # the row parser cannot hold counts beyond int64, so one read is the reference
+        _assert_same_as_one_chunk(path)
+
+    def test_bad_row_the_filter_would_drop_in_a_later_chunk(self, tmp_path, chunk_bytes):
+        rows = _rows(40)
+        rows[30] = "chr1\t3000\tCHH\t2\t3"
+        path = _write(tmp_path / "t.tsv", HEADER_1 + "\n".join(rows) + "\n")
+        with pytest.raises(DataError, match=r"t\.tsv:32: cell 1 has meth 3"):
+            load_methylation_tsv(path, context_filter="CG")
+        _assert_same_as_reference(path, context_filter="CG")
+
+    def test_crlf_pair_split_across_two_reads(self, tmp_path, chunk_bytes):
+        head = HEADER_1.replace("\n", "\r\n").encode()
+        tail = "\t0\tCG\t5\t2"
+        # a chrom of this length puts the first row's "\r" on a read's last byte
+        chrom = "c" * (1 + (-(len(head) + len(tail) + 2)) % chunk_bytes)
+        rows = [chrom + tail] + _rows(20)[1:]
+        data = head + "\r\n".join(rows).encode() + b"\r\n"
+        cr = len(head) + len(chrom) + len(tail)
+        assert data[cr : cr + 2] == b"\r\n" and (cr + 1) % chunk_bytes == 0
+        path = tmp_path / "t.tsv"
+        path.write_bytes(data)
+        assert len(load_methylation_tsv(path, context_filter="CG")) == 20
+        _assert_same_as_reference(path, context_filter="CG")
+
+    def test_cr_only_file(self, tmp_path, chunk_bytes):
+        rows = [
+            f"chr1\t{100 * t}\t{'CG' if t % 3 else 'CHH'}\t5\t{t % 6}\t4\t1" for t in range(20)
+        ]
+        path = tmp_path / "t.tsv"
+        path.write_bytes((HEADER_2 + "\n".join(rows)).replace("\n", "\r").encode())
+        assert len(load_methylation_tsv(path)) == 20
+        _assert_same_as_reference(path, context_filter="CG", merge_replicates=True)
+
+    def test_non_utf8_byte_in_a_later_chunk_outranks_an_earlier_bad_row(
+        self, tmp_path, chunk_bytes
+    ):
+        # the message reading the file whole gives: a byte that is not UTF-8
+        # anywhere in the file wins over a bad row before it
+        rows = _rows(40)
+        rows[3] = "chr1\t300\tCG\t2\t3"
+        rows[30] = "chr\xe91\t3000\tCG\t9\t0"
+        data = (HEADER_1 + "\n".join(rows) + "\n").encode().replace(b"\xc3\xa9", b"\xe9")
+        path = tmp_path / "t.tsv"
+        path.write_bytes(data)
+        with pytest.raises(
+            DataError, match=r"t\.tsv:32: not valid UTF-8 \(invalid continuation byte\)$"
+        ):
+            load_methylation_tsv(path)
+        _assert_same_as_one_chunk(path)
+
+    def test_truncated_utf8_at_the_end_of_the_file(self, tmp_path, chunk_bytes):
+        path = tmp_path / "t.tsv"
+        path.write_bytes(HEADER_1.encode() + b"chr1\t0\tCG\t5\t2\r\n\nchr\xc3")
+        with pytest.raises(
+            DataError, match=r"t\.tsv:4: not valid UTF-8 \(unexpected end of data\)$"
+        ):
+            load_methylation_tsv(path)
+        _assert_same_as_one_chunk(path)
+
+    @pytest.mark.parametrize("text", [HEADER_1, HEADER_1.rstrip("\n"), HEADER_1 + "\n \n"])
+    def test_header_only(self, tmp_path, chunk_bytes, text):
+        path = _write(tmp_path / "t.tsv", text)
+        with pytest.raises(DataError, match="no rows left"):
+            load_methylation_tsv(path)
+        _assert_same_as_reference(path)
+
+    @pytest.mark.parametrize("last", ["meth_4", "meth_5"])
+    def test_header_longer_than_a_chunk(self, tmp_path, chunk_bytes, last):
+        header = "\t".join(
+            ["chrom", "bin_start", "context"]
+            + [f"{col}_{j}" for j in range(1, 5) for col in ("cov", "meth")]
+        )
+        assert len(header) > 64
+        header = header[: -len("meth_4")] + last  # meth_5 breaks the header
+        rows = [f"chr1\t{100 * t}\tCG" + "\t4\t2" * 4 for t in range(5)]
+        path = _write(tmp_path / "t.tsv", header + "\n" + "\n".join(rows) + "\n")
+        _assert_same_as_reference(path, merge_replicates=True)
+
+    def test_no_final_newline_and_blank_lines_at_chunk_edges(self, tmp_path, chunk_bytes):
+        lines = []
+        for t, row in enumerate(_rows(30)):
+            lines += [row, BLANK_LINES[t % len(BLANK_LINES)]]
+        lines[-1] = "chr1\t3000\tCG\t5\t5"
+        path = _write(tmp_path / "t.tsv", HEADER_1 + "\n".join(lines))
+        assert len(load_methylation_tsv(path)) == 31
+        _assert_same_as_reference(path)
+
+    @pytest.mark.parametrize("chunk", [64, 4096])
+    def test_first_bad_line_wins_across_chunks(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(io_module, "_CHUNK_BYTES", chunk)
+        rows = [f"chr1\t{100 * t}\tCG\t9\t{t % 10}" for t in range(3000)]
+        rows[2500] = "chr1\t250000\tCG\t9"  # wrong field count
+        rows[2100] = "chr1\t210000\tCG\t9\tlots"  # not an integer
+        rows[1700] = "chr1\t170000\tCG\t99999999999999999999\t2"  # beyond int64
+        path = _write(tmp_path / "t.tsv", HEADER_1 + "\n".join(rows) + "\n")
+        with pytest.raises(DataError, match=r"t\.tsv:1702: .*64-bit"):
+            load_methylation_tsv(path)
+        rows[1700] = "chr1\t170000\tCG\t9\t2"
+        path = _write(tmp_path / "t.tsv", HEADER_1 + "\n".join(rows) + "\n")
+        _assert_same_as_reference(path)
+        rows[900] = "chr1\t90000\tCG\t2\t3"  # meth above coverage
+        path = _write(tmp_path / "t.tsv", HEADER_1 + "\n".join(rows) + "\n")
+        _assert_same_as_reference(path)
+
+
+class TestLoadMemory:
+    def test_peak_is_a_few_times_the_returned_columns(self, tmp_path):
+        # a table of 100k rows takes about 2 MB of text, and a Python string per
+        # line about 6 MB more; chunked reading holds one chunk's lines, so the
+        # peak is set by the int64 columns (measured: 3.1x the returned bytes,
+        # 8.8x when the whole file was split into lines)
+        gen = np.random.default_rng(3)
+        cov = gen.integers(0, 40, size=100_000)
+        path = tmp_path / "t.tsv"
+        write_methylation_tsv(path, CountSequence(cov, gen.binomial(cov, 0.4)))
+        tracemalloc.start()
+        try:
+            seq = load_methylation_tsv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        returned = seq.coverage.nbytes + seq.meth.nbytes
+        assert peak < 5 * returned, f"peak {peak / returned:.1f}x the returned bytes"
 
 
 class TestWriterMatchesRowWriter:

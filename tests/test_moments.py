@@ -259,6 +259,30 @@ class TestMemory:
         assert peak < 24 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
+    def test_keying_and_pass_peaks_are_a_few_times_the_feature_table(self):
+        # 100k positions of one cell at granularity 30, as in a genome-length
+        # fit. Measured as multiples of table + index bytes: keying 3.5x and
+        # the pass 8.3x; 10.5x and 18.4x with two np.unique passes and a
+        # 2**20-element batch
+        gen = np.random.default_rng(0)
+        cov = gen.integers(0, 40, size=100_000)
+        seq = CountSequence(cov, gen.binomial(cov, 0.4))
+        cfg = BetaMapConfig(granularity=30)
+        feature_table(seq, cfg)  # rows cached, so the first peak is the keying's
+        tracemalloc.start()
+        try:
+            table, index = feature_table(seq, cfg)
+            _, keying = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            MomentAccumulator(30).add_indexed(table, index)
+            _, moment_pass = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = table.nbytes + index.nbytes
+        assert keying < 6 * size, f"keying peak {keying / size:.1f}x table + index"
+        assert moment_pass < 12 * size, f"pass peak {moment_pass / size:.1f}x table + index"
+
+
 class TestConstructionErrors:
     def test_dimension_cap(self):
         MomentAccumulator(MAX_FEATURE_DIM)
