@@ -347,6 +347,23 @@ def _count_tables(draw):
     return "".join(line + end for line, end in zip(lines, endings))
 
 
+def _check_first_bad_line_wins(tmp_path):
+    """Bad rows far apart in a table of 3000: the first one is named each time."""
+    rows = [f"chr1\t{100 * t}\tCG\t9\t{t % 10}" for t in range(3000)]
+    rows[2500] = "chr1\t250000\tCG\t9"  # wrong field count
+    rows[2100] = "chr1\t210000\tCG\t9\tlots"  # not an integer
+    rows[1700] = "chr1\t170000\tCG\t99999999999999999999\t2"  # beyond int64
+    path = _write(tmp_path / "t.tsv", HEADER_1 + "\n".join(rows) + "\n")
+    with pytest.raises(DataError, match=r"t\.tsv:1702: .*64-bit"):
+        load_methylation_tsv(path)
+    rows[1700] = "chr1\t170000\tCG\t9\t2"
+    path = _write(tmp_path / "t.tsv", HEADER_1 + "\n".join(rows) + "\n")
+    _assert_same_as_reference(path)
+    rows[900] = "chr1\t90000\tCG\t2\t3"  # meth above coverage
+    path = _write(tmp_path / "t.tsv", HEADER_1 + "\n".join(rows) + "\n")
+    _assert_same_as_reference(path)
+
+
 class TestReaderMatchesRowParser:
     @settings(
         max_examples=300, deadline=None,
@@ -413,19 +430,7 @@ class TestReaderMatchesRowParser:
         _assert_same_as_reference(path)
 
     def test_first_bad_line_wins_in_a_long_table(self, tmp_path):
-        rows = [f"chr1\t{100 * t}\tCG\t9\t{t % 10}" for t in range(3000)]
-        rows[2500] = "chr1\t250000\tCG\t9"  # wrong field count
-        rows[2100] = "chr1\t210000\tCG\t9\tlots"  # not an integer
-        rows[1700] = "chr1\t170000\tCG\t99999999999999999999\t2"  # beyond int64
-        path = _write(tmp_path / "t.tsv", HEADER_1 + "\n".join(rows) + "\n")
-        with pytest.raises(DataError, match=r"t\.tsv:1702: .*64-bit"):
-            load_methylation_tsv(path)
-        rows[1700] = "chr1\t170000\tCG\t9\t2"
-        path = _write(tmp_path / "t.tsv", HEADER_1 + "\n".join(rows) + "\n")
-        _assert_same_as_reference(path)
-        rows[900] = "chr1\t90000\tCG\t2\t3"  # meth above coverage
-        path = _write(tmp_path / "t.tsv", HEADER_1 + "\n".join(rows) + "\n")
-        _assert_same_as_reference(path)
+        _check_first_bad_line_wins(tmp_path)
 
 
 # --- chunked reading: the outcome does not depend on where the reads fall ---
@@ -558,19 +563,7 @@ class TestChunkBoundaries:
     @pytest.mark.parametrize("chunk", [64, 4096])
     def test_first_bad_line_wins_across_chunks(self, tmp_path, monkeypatch, chunk):
         monkeypatch.setattr(io_module, "_CHUNK_BYTES", chunk)
-        rows = [f"chr1\t{100 * t}\tCG\t9\t{t % 10}" for t in range(3000)]
-        rows[2500] = "chr1\t250000\tCG\t9"  # wrong field count
-        rows[2100] = "chr1\t210000\tCG\t9\tlots"  # not an integer
-        rows[1700] = "chr1\t170000\tCG\t99999999999999999999\t2"  # beyond int64
-        path = _write(tmp_path / "t.tsv", HEADER_1 + "\n".join(rows) + "\n")
-        with pytest.raises(DataError, match=r"t\.tsv:1702: .*64-bit"):
-            load_methylation_tsv(path)
-        rows[1700] = "chr1\t170000\tCG\t9\t2"
-        path = _write(tmp_path / "t.tsv", HEADER_1 + "\n".join(rows) + "\n")
-        _assert_same_as_reference(path)
-        rows[900] = "chr1\t90000\tCG\t2\t3"  # meth above coverage
-        path = _write(tmp_path / "t.tsv", HEADER_1 + "\n".join(rows) + "\n")
-        _assert_same_as_reference(path)
+        _check_first_bad_line_wins(tmp_path)
 
 
 class TestLoadMemory:
