@@ -10,11 +10,11 @@ context filter keeps only rows whose context matches (e.g. "CG").
 
 Tables are read and written by column. The reader takes the file in
 line-aligned chunks of about 64 KB, so the text it holds at any time is one
-chunk's and a load's memory is bounded by the int64 columns it returns. In
-each chunk, line ends and tabs are found as bytes, the integer columns go
-through numpy's text parser and are validated with whole-array masks, and a
-context filter compares the context field's bytes. The writer lays out every
-row's digits in one byte buffer.
+chunk's and a load's memory is bounded by the int64 columns it returns. Each
+chunk is split into line strings for numpy's text parser, which reads the
+integer columns; field counts come from the chunk's tab bytes, the columns are
+validated with whole-array masks, and a context filter compares the context
+field's bytes. The writer lays out every row's digits in one byte buffer.
 
 Model files are JSON with an explicit schema version. Floats go through
 Python's shortest-round-trip repr, so a save/load cycle reproduces every
@@ -72,16 +72,22 @@ def _line_chunks(path):
         block = fh.read(_CHUNK_BYTES)
         if not block:
             raise DataError(f"{path}: empty file")
-        first, carry = 0, b""
+        # only each new block is searched for a line end, and the blocks of a
+        # line are joined once, so a line of many blocks is read in linear time
+        first, pending = 0, []
         while block:
-            data = carry + block
-            block = fh.read(_CHUNK_BYTES)
-            if block:  # else the last chunk takes the rest
+            after = fh.read(_CHUNK_BYTES)
+            cut = len(block)  # the last block closes the last chunk
+            if after:
                 # a "\r" at the end may be the first half of "\r\n"
-                cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, len(data) - 1)) + 1
-                data, carry = data[:cut], data[cut:]
-            if not data:
+                cut = max(block.rfind(b"\n"), block.rfind(b"\r", 0, len(block) - 1)) + 1
+            if not cut:
+                pending.append(block)
+                block = after
                 continue
+            data = b"".join([*pending, block[:cut]])
+            pending = [block[cut:]]
+            block = after
             if b"\r" in data:
                 data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
             try:
@@ -168,10 +174,6 @@ def _line_error(line: str, num_cells: int, bin_size: int) -> str:
     return "bin_start and counts must be plain decimal integers within the 64-bit range"
 
 
-# bytes that str.strip() keeps: a line holding one is not blank
-_SOLID_BYTES = np.array([b < 128 and chr(b).strip() != "" for b in range(256)])
-
-
 def _chunk_columns(
     path, first: int, data: bytes, text: str, num_cells: int, bin_size: int,
     context_filter: str | None,
@@ -179,8 +181,9 @@ def _chunk_columns(
     """The validated, filtered columns of one chunk of :func:`_line_chunks`.
 
     Line ``j`` of the chunk is file line ``first + j + 1``; the file's header
-    is skipped. Lines are located by their "\\n" bytes and fields by their tab
-    bytes, so only the rows numpy parses become Python strings.
+    is skipped. The chunk is split into one string per line, but line ends and
+    tabs are found as bytes, so field counts and the context field need no
+    per-line ``count`` or ``split``.
     """
     if not data.endswith(b"\n"):
         data += b"\n"
@@ -192,21 +195,14 @@ def _chunk_columns(
     first_tab = np.r_[0, tabs_before_end[:-1]]
     tabs = tabs_before_end - first_tab
     lines = text.split("\n")
-    # a line whose first byte str.strip() keeps is not blank; the rest are
-    # checked as text
-    kept = _SOLID_BYTES[buf[np.r_[0, ends[:-1] + 1]]]
-    for j in np.flatnonzero(~kept).tolist():
-        kept[j] = bool(lines[j].strip())
+    kept = np.array([bool(line.strip()) for line in lines])
     if first == 0:
         kept[0] = False
     rows = np.flatnonzero(kept)
     wrong_width = np.flatnonzero(tabs[rows] != 2 + 2 * num_cells)
     end = int(wrong_width[0]) if wrong_width.size else rows.size
     # rows[:end] have the right field count; every later check only shortens end
-    if end and rows[end - 1] - rows[0] == end - 1:  # no blank line between
-        body = lines[rows[0] : rows[0] + end]
-    else:
-        body = [lines[i] for i in rows[:end].tolist()]
+    body = [lines[i] for i in rows[:end].tolist()]
     try:
         columns = _parse_columns(body, num_cells)
     except ValueError:

@@ -1,4 +1,5 @@
 import json
+import time
 import tracemalloc
 
 import numpy as np
@@ -550,6 +551,27 @@ class TestChunkBoundaries:
         rows = [f"chr1\t{100 * t}\tCG" + "\t4\t2" * 4 for t in range(5)]
         path = _write(tmp_path / "t.tsv", header + "\n" + "\n".join(rows) + "\n")
         _assert_same_as_reference(path, merge_replicates=True)
+
+    def test_row_longer_than_many_chunks(self, tmp_path, chunk_bytes):
+        rows = _rows(6)
+        rows[2] = rows[2].replace("chr1", "c" * 300, 1)
+        path = _write(tmp_path / "t.tsv", HEADER_1 + "\n".join(rows) + "\n")
+        assert len(load_methylation_tsv(path)) == 6
+        _assert_same_as_reference(path)
+
+    def test_long_line_is_read_in_linear_time(self, tmp_path, monkeypatch):
+        # a 4 MB line in 16-byte reads: joining the reads once copies 4 MB and
+        # loads in about 0.3 s; joining each read onto the line so far copies
+        # about 500 GB and took over a minute on the same machine
+        monkeypatch.setattr(io_module, "_CHUNK_BYTES", 16)
+        rows = _rows(3)
+        rows[1] = rows[1].replace("chr1", "c" * (4 << 20), 1)
+        path = _write(tmp_path / "t.tsv", HEADER_1 + "\n".join(rows) + "\n")
+        start = time.perf_counter()
+        seq = load_methylation_tsv(path)
+        elapsed = time.perf_counter() - start
+        assert seq.coverage[:, 0].tolist() == [9, 10, 11]
+        assert elapsed < 10, f"{elapsed:.1f} s"
 
     def test_no_final_newline_and_blank_lines_at_chunk_edges(self, tmp_path, chunk_bytes):
         lines = []

@@ -211,12 +211,12 @@ class TestMerge:
 
 
 class TestCoordinateBatches:
-    @pytest.mark.parametrize("budget", [1, 1000, 1 << 20])
+    @pytest.mark.parametrize("budget", [1, 1000, 1 << 18, 1 << 20])
     def test_batch_size_does_not_change_the_moments(self, rng, monkeypatch, budget):
         # the budget bounds the elements of one batched product: budget 1
         # runs every key triple as a piece and a batch of its own, 1000 caps
         # a batch at 28 pieces of width 1 down to 9 of width 8, and the
-        # default runs every piece of one width at once
+        # default 2**18, like 2**20, runs every piece of one width at once
         seq = _random_sequence(rng, 60, cells=2, max_cov=8)
         cfg = BetaMapConfig(granularity=5)
         monkeypatch.setattr(moments_module, "_BATCH_ELEMENTS", budget)
@@ -257,7 +257,6 @@ class TestMemory:
             tracemalloc.stop()
         assert acc.count == len(seq) - 2
         assert peak < 24 * 2**20, f"peak {peak / 2**20:.1f} MiB"
-
 
     def test_keying_and_pass_peaks_are_a_few_times_the_feature_table(self):
         # 100k positions of one cell at granularity 30, as in a genome-length
