@@ -552,13 +552,6 @@ class TestChunkBoundaries:
         path = _write(tmp_path / "t.tsv", header + "\n" + "\n".join(rows) + "\n")
         _assert_same_as_reference(path, merge_replicates=True)
 
-    def test_row_longer_than_many_chunks(self, tmp_path, chunk_bytes):
-        rows = _rows(6)
-        rows[2] = rows[2].replace("chr1", "c" * 300, 1)
-        path = _write(tmp_path / "t.tsv", HEADER_1 + "\n".join(rows) + "\n")
-        assert len(load_methylation_tsv(path)) == 6
-        _assert_same_as_reference(path)
-
     def test_long_line_is_read_in_linear_time(self, tmp_path, monkeypatch):
         # a 4 MB line in 16-byte reads: joining the reads once copies 4 MB and
         # loads in about 0.3 s; joining each read onto the line so far copies
