@@ -141,7 +141,7 @@ def _cmd_fit(args) -> int:
     granularity: int | None = args.granularity
     if args.algo == "ftd":
         model = ftd_fit(train, args.states, ftd_cfg)
-        params, probs = model.params, model.per_cell_probs
+        params = model.params
         weights = model.prior_weights
         diagnostics = model.diagnostics
     elif args.algo == "em":
@@ -149,13 +149,13 @@ def _cmd_fit(args) -> int:
             max_iters=args.em_iters, rel_ll_tolerance=args.em_tol, seed=args.seed
         )
         trace = em_fit(train, args.states, em_cfg)
-        params, probs = trace.params, trace.params.cell_probs()
+        params = trace.params
         weights = prior_weights(train)
         diagnostics = {"log_likelihoods": trace.log_likelihoods, "em_seconds": trace.seconds}
         granularity = None
     else:
         model, trace = ftd_then_em(train, args.states, ftd_cfg, rounds=args.em_rounds)
-        params, probs = trace.params, trace.params.cell_probs()
+        params = trace.params
         weights = model.prior_weights
         diagnostics = {**model.diagnostics, "log_likelihoods": trace.log_likelihoods,
                        "em_seconds": trace.seconds}
@@ -165,7 +165,7 @@ def _cmd_fit(args) -> int:
         granularity=granularity,
         initial_dist=params.initial_dist,
         transition=params.transition,
-        meth_probs=np.atleast_2d(probs),
+        meth_probs=params.cell_probs(),
         prior_weights=weights,
         diagnostics=diagnostics,
         provenance={
@@ -201,10 +201,10 @@ def _cmd_eval(args) -> int:
     floor = args.prob_floor
     if not 0.0 <= floor < 0.5:
         raise ParameterError(f"--prob-floor must lie in [0, 0.5), got {floor}")
-    probs = np.clip(model.meth_probs, floor, 1.0 - floor)
-    meth = probs[0] if model.num_cells == 1 else probs
     params = HmmParams(
-        initial_dist=model.initial_dist, transition=model.transition, meth_probs=meth
+        initial_dist=model.initial_dist,
+        transition=model.transition,
+        meth_probs=np.clip(model.meth_probs, floor, 1.0 - floor),
     )
     ll = log_likelihood(params, test)
     result = {

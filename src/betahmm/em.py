@@ -64,8 +64,6 @@ def random_init(num_states: int, num_cells: int, rng: np.random.Generator) -> Hm
     pi = rng.dirichlet(alpha)
     T = np.column_stack([rng.dirichlet(alpha) for _ in range(num_states)])
     p = rng.uniform(0.05, 0.95, size=(num_cells, num_states))
-    if num_cells == 1:
-        p = p[0]
     return HmmParams(initial_dist=pi, transition=T, meth_probs=p)
 
 
@@ -222,7 +220,6 @@ def _m_step(
     scales: np.ndarray,
     b: np.ndarray,
     T: np.ndarray,
-    single_cell: bool,
 ) -> HmmParams:
     L, m = alphas.shape
     gammas = alphas * betas  # rows sum to 1: _backward scales alpha_t . beta_t to 1
@@ -255,8 +252,7 @@ def _m_step(
         np.divide(num, den, out=p_new, where=~degenerate)
     p_new[degenerate] = 0.5
     np.clip(p_new, 0.0, 1.0, out=p_new)
-    p_out = p_new.T[0] if single_cell else p_new.T
-    return HmmParams(initial_dist=pi_new, transition=T_new, meth_probs=p_out)
+    return HmmParams(initial_dist=pi_new, transition=T_new, meth_probs=p_new.T)
 
 
 def em_fit(seq: CountSequence, num_states: int, config: EmConfig) -> EmTrace:
@@ -284,7 +280,6 @@ def em_fit(seq: CountSequence, num_states: int, config: EmConfig) -> EmTrace:
         rng = np.random.default_rng(config.seed)
         params = random_init(num_states, seq.num_cells, rng)
 
-    single_cell = params.meth_probs.ndim == 1
     log_choose = float(_log_choose(seq).sum())  # data only: once per fit
     lls: list[float] = []
     stamps = [time.perf_counter()]
@@ -302,7 +297,7 @@ def em_fit(seq: CountSequence, num_states: int, config: EmConfig) -> EmTrace:
         ):
             break
         betas = _backward(params.transition, b, alphas)
-        params = _m_step(seq, alphas, betas, scales, b, params.transition, single_cell)
+        params = _m_step(seq, alphas, betas, scales, b, params.transition)
         validate_params(params)
     seconds = np.diff(stamps).tolist()
     return EmTrace(log_likelihoods=lls, seconds=seconds, params=params, iterations=len(lls))

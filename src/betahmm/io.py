@@ -8,13 +8,14 @@ with one (coverage, methylated) column pair per cell type. Replicates can be
 merged at load time by summing consecutive column pairs two at a time, and a
 context filter keeps only rows whose context matches (e.g. "CG").
 
-Tables are read and written by column. The reader takes the file in
-line-aligned chunks of about 64 KB, so the text it holds at any time is one
-chunk's and a load's memory is bounded by the int64 columns it returns. Each
-chunk is split into line strings for numpy's text parser, which reads the
-integer columns; field counts come from the chunk's tab bytes, the columns are
-validated with whole-array masks, and a context filter compares the context
-field's bytes. The writer lays out every row's digits in one byte buffer.
+Tables are read and written by column. Python's text layer frames the lines:
+it decodes UTF-8 and turns "\\r\\n" and a lone "\\r" into "\\n". The reader
+takes its lines in chunks of about 64 KB from ``readlines``, so the text it
+holds at any time is one chunk's and a load's memory is bounded by the int64
+columns it returns. numpy's text parser reads each chunk's integer columns;
+field counts come from the chunk's tab bytes, the columns are validated with
+whole-array masks, and a context filter compares the context field's bytes.
+The writer lays out every row's digits in one byte buffer.
 
 Model files are JSON with an explicit schema version. Floats go through
 Python's shortest-round-trip repr, so a save/load cycle reproduces every
@@ -52,51 +53,42 @@ def _check_bin_size(bin_size: int) -> None:
         raise ParameterError(f"bin_size must be >= 1, got {bin_size}")
 
 
-# bytes read per block. A block is cut after its last line end and the rest
-# carried into the next, so the reader holds about one block of text at a
-# time. Loading the 262,144-row genome-ftd table peaked at 37.4 MB of
-# tracemalloc'd memory when the whole file was split into lines, and at
-# 12.6 MB in 64 KB chunks, most of it the int64 columns themselves.
+# characters (bytes, in an ASCII table) per chunk of whole lines, the
+# `readlines` hint, so the reader holds about one chunk of text at a time.
+# Loading the 262,144-row genome-ftd table peaked at 37.4 MB of tracemalloc'd
+# memory when the whole file was split into lines, and at 12.6 MB in 64 KB
+# chunks, most of it the int64 columns themselves.
 _CHUNK_BYTES = 1 << 16
 
 
-def _line_chunks(path):
-    """The file as ``(index of first line, bytes, text)`` chunks of whole lines.
+def _undecodable_line(path) -> int:
+    """Number of the first line holding a byte that is not UTF-8, in a file with one.
 
-    "\\r\\n" and a lone "\\r" end a line as "\\n" does and come out as "\\n";
-    every chunk but the last ends with one. A chunk is never cut between
-    "\\r" and "\\n", so its own line count is exact. An empty file or a byte
-    that is not UTF-8 raises :class:`DataError` naming the file line.
+    The file is read line by line, each such byte escaped to a lone surrogate,
+    which UTF-8 cannot encode.
     """
-    with open(path, "rb") as fh:
-        block = fh.read(_CHUNK_BYTES)
-        if not block:
-            raise DataError(f"{path}: empty file")
-        # only each new block is searched for a line end, and the blocks of a
-        # line are joined once, so a line of many blocks is read in linear time
-        first, pending = 0, []
-        while block:
-            after = fh.read(_CHUNK_BYTES)
-            cut = len(block)  # the last block closes the last chunk
-            if after:
-                # a "\r" at the end may be the first half of "\r\n"
-                cut = max(block.rfind(b"\n"), block.rfind(b"\r", 0, len(block) - 1)) + 1
-            if not cut:
-                pending.append(block)
-                block = after
-                continue
-            data = b"".join([*pending, block[:cut]])
-            pending = [block[cut:]]
-            block = after
-            if b"\r" in data:
-                data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    with open(path, encoding="utf-8", errors="surrogateescape", newline=None) as fh:
+        for lineno, line in enumerate(fh, 1):
             try:
-                text = data.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                lineno = first + 1 + data.count(b"\n", 0, exc.start)
-                raise DataError(f"{path}:{lineno}: not valid UTF-8 ({exc.reason})") from exc
-            yield first, data, text
-            first += data.count(b"\n")
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                return lineno
+
+
+def _line_chunks(path):
+    """The lines of a text file, in lists of about ``_CHUNK_BYTES`` characters.
+
+    Python's text layer decodes UTF-8 and turns "\\r\\n" and a lone "\\r"
+    into "\\n"; every line but the file's last ends with "\\n". A byte that
+    is not UTF-8 raises :class:`DataError` naming its line.
+    """
+    with open(path, encoding="utf-8", newline=None) as fh:
+        try:
+            yield from iter(lambda: fh.readlines(_CHUNK_BYTES), [])
+        except UnicodeDecodeError as exc:
+            # the text layer does not say where the byte is
+            line = _undecodable_line(path)
+            raise DataError(f"{path}:{line}: not valid UTF-8 ({exc.reason})") from exc
 
 
 def _parse_header(line: str) -> int:
@@ -137,22 +129,12 @@ def _parse_columns(lines: list[str], num_cells: int) -> np.ndarray:
     )
 
 
-def _first_unparsable(lines: list[str], num_cells: int) -> int:
-    """Index of the first line :func:`_parse_columns` rejects, when one does.
-
-    Bisects on halves of the still-unsettled range, so it parses about twice
-    as many lines as there are.
-    """
-    lo, hi = 0, len(lines)  # lines[:lo] parse; the first failure is in lines[lo:hi]
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        try:
-            _parse_columns(lines[lo:mid], num_cells)
-        except ValueError:
-            hi = mid
-        else:
-            lo = mid
-    return lo
+def _parses(line: str, num_cells: int) -> bool:
+    try:
+        _parse_columns([line], num_cells)
+    except ValueError:
+        return False
+    return True
 
 
 def _line_error(line: str, num_cells: int, bin_size: int) -> str:
@@ -175,16 +157,16 @@ def _line_error(line: str, num_cells: int, bin_size: int) -> str:
 
 
 def _chunk_columns(
-    path, first: int, data: bytes, text: str, num_cells: int, bin_size: int,
+    path, first: int, lines: list[str], num_cells: int, bin_size: int,
     context_filter: str | None,
 ) -> np.ndarray:
-    """The validated, filtered columns of one chunk of :func:`_line_chunks`.
+    """The validated, filtered columns of one chunk of a table's lines.
 
     Line ``j`` of the chunk is file line ``first + j + 1``; the file's header
-    is skipped. The chunk is split into one string per line, but line ends and
-    tabs are found as bytes, so field counts and the context field need no
-    per-line ``count`` or ``split``.
+    is skipped. Line ends and tabs are found in the chunk's UTF-8 bytes, so
+    field counts and the context field need no per-line ``count`` or ``split``.
     """
+    data = "".join(lines).encode("utf-8")
     if not data.endswith(b"\n"):
         data += b"\n"
     buf = np.frombuffer(data, dtype=np.uint8)
@@ -194,9 +176,6 @@ def _chunk_columns(
     tabs_before_end = np.searchsorted(tab_at, ends)
     first_tab = np.r_[0, tabs_before_end[:-1]]
     tabs = tabs_before_end - first_tab
-    lines = text.split("\n")
-    # filled from an iterator, not a list per chunk: the list raised the
-    # genome-ftd fit's peak RSS by 2.4 MB
     kept = np.fromiter(map(bool, map(str.strip, lines)), dtype=bool, count=len(lines))
     if first == 0:
         kept[0] = False
@@ -208,7 +187,8 @@ def _chunk_columns(
     try:
         columns = _parse_columns(body, num_cells)
     except ValueError:
-        end = _first_unparsable(body, num_cells)
+        # each line is parsed on its own, so a line fails alone as in a batch
+        end = next(i for i, line in enumerate(body) if not _parses(line, num_cells))
         columns = _parse_columns(body[:end], num_cells)
     bin_start, cov, meth = columns[:, 0], columns[:, 1::2], columns[:, 2::2]
     invalid = (
@@ -220,9 +200,8 @@ def _chunk_columns(
         end = int(invalid.argmax())
     if end < rows.size:
         i = int(rows[end])
-        raise DataError(
-            f"{path}:{first + i + 1}: {_line_error(lines[i], num_cells, bin_size)}"
-        )
+        why = _line_error(lines[i].removesuffix("\n"), num_cells, bin_size)
+        raise DataError(f"{path}:{first + i + 1}: {why}")
     if context_filter is not None:
         # a row's context lies between its second and third tabs; a filter
         # that is not valid text (a surrogate-escaped argument) matches none
@@ -244,26 +223,29 @@ def _read_table(path, bin_size: int, context_filter: str | None) -> np.ndarray:
     names the first rejected line in the file. Every data line is checked
     before ``context_filter`` drops the rows whose context differs.
 
-    The file is read in line-aligned chunks of about ``_CHUNK_BYTES``, each
-    validated and filtered on its own, so the text held at any time is one
-    chunk's. The errors are those of reading the file whole: a byte that is
-    not UTF-8 anywhere in the file outranks a bad header or row, which are
-    raised only once the rest of the file has decoded.
+    The lines come in chunks of :func:`_line_chunks`, each validated and
+    filtered on its own, so the text held at any time is one chunk's. The
+    errors are those of reading the file whole: a byte that is not UTF-8
+    anywhere in the file outranks a bad header or row, which are raised only
+    once the rest of the file has decoded.
     """
     _check_bin_size(bin_size)
     parts = []
     error = None
-    for first, data, text in _line_chunks(path):
-        if error is not None:
-            continue
-        try:
-            if first == 0:
-                num_cells = _parse_header(text.split("\n", 1)[0])
-            parts.append(
-                _chunk_columns(path, first, data, text, num_cells, bin_size, context_filter)
-            )
-        except DataError as exc:
-            error = exc
+    first = 0
+    for lines in _line_chunks(path):
+        if error is None:
+            try:
+                if first == 0:
+                    num_cells = _parse_header(lines[0].removesuffix("\n"))
+                parts.append(
+                    _chunk_columns(path, first, lines, num_cells, bin_size, context_filter)
+                )
+            except DataError as exc:
+                error = exc
+        first += len(lines)
+    if first == 0:
+        raise DataError(f"{path}: empty file")
     if error is not None:
         raise error
     return np.concatenate(parts)
@@ -368,12 +350,11 @@ class ModelFile:
     schema_version: int = SCHEMA_VERSION
 
     def to_params(self) -> HmmParams:
-        meth = self.meth_probs[0] if self.num_cells == 1 else self.meth_probs
         return validate_params(
             HmmParams(
                 initial_dist=self.initial_dist,
                 transition=self.transition,
-                meth_probs=meth,
+                meth_probs=self.meth_probs,
             )
         )
 
@@ -409,6 +390,10 @@ def load_model(path) -> ModelFile:
     if not isinstance(payload, dict) or "schema_version" not in payload:
         raise DataError(f"{path}: missing schema_version")
     version = payload["schema_version"]
+    if type(version) is not int or version < 1:
+        raise DataError(
+            f"{path}: malformed model file (schema_version {version!r} is not a positive integer)"
+        )
     if version > SCHEMA_VERSION:
         raise DataError(
             f"{path}: schema version {version} is newer than supported {SCHEMA_VERSION}"
@@ -430,7 +415,7 @@ def load_model(path) -> ModelFile:
             ),
             diagnostics=payload.get("diagnostics", {}),
             provenance=payload.get("provenance", {}),
-            schema_version=int(version),
+            schema_version=version,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed model file ({exc})") from exc

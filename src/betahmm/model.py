@@ -130,6 +130,7 @@ class HmmParams:
 
     ``meth_probs`` is either a length-m vector (single cell) or a (k, m)
     matrix holding one row of per-state success probabilities per cell type.
+    A one-row matrix is stored as its vector.
     """
 
     initial_dist: np.ndarray
@@ -141,6 +142,8 @@ class HmmParams:
             arr = np.array(getattr(self, name), dtype=np.float64)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        if self.meth_probs.ndim == 2 and len(self.meth_probs) == 1:
+            object.__setattr__(self, "meth_probs", self.meth_probs[0])
 
     @property
     def num_states(self) -> int:

@@ -164,8 +164,7 @@ def ftd_fit_moments(
     pi, T = chain_from_joint(
         joint.matrix[np.ix_(mapping, mapping)] / np.outer(multiplicity, multiplicity)
     )
-    meth = probs[0] if moments.num_blocks == 1 else probs
-    params = validate_params(HmmParams(initial_dist=pi, transition=T, meth_probs=meth))
+    params = validate_params(HmmParams(initial_dist=pi, transition=T, meth_probs=probs))
     timings = {
         "spectral_s": spectral_done - start,
         "recovery_s": time.perf_counter() - spectral_done,

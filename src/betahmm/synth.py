@@ -90,8 +90,7 @@ def generate_params(cfg: SynthConfig, seed) -> HmmParams:
     T /= T.sum(axis=0, keepdims=True)
     pi = rng.uniform(size=m)
     pi /= pi.sum()
-    meth = p[0] if cfg.num_cells == 1 else p
-    return validate_params(HmmParams(initial_dist=pi, transition=T, meth_probs=meth))
+    return validate_params(HmmParams(initial_dist=pi, transition=T, meth_probs=p))
 
 
 def _hidden_states(params: HmmParams, u: np.ndarray) -> np.ndarray:

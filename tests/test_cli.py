@@ -220,6 +220,18 @@ class TestExitCodes:
         assert code == 2
         assert f"{bad}:3: not valid UTF-8" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("version", ["1", None])
+    def test_non_numeric_schema_version_is_data_error(self, tmp_path, capsys, version):
+        model_path = _planted_model(tmp_path)
+        payload = json.loads(model_path.read_text())
+        payload["schema_version"] = version
+        model_path.write_text(json.dumps(payload))
+        code = main([
+            "eval", "--model", str(model_path), "--data", str(_simulate(tmp_path, length=50)),
+        ])
+        assert code == 2
+        assert "malformed model file" in capsys.readouterr().err
+
     def test_count_above_int64_is_data_error(self, tmp_path, capsys):
         model_path = _fit(tmp_path, _simulate(tmp_path, length=200))
         bad = tmp_path / "bad.tsv"

@@ -264,6 +264,12 @@ class TestEmFit:
         moved, _ = estimation_error(truth.meth_probs, trace.params.meth_probs)
         assert moved <= 0.1
 
+    def test_warm_start_from_a_one_row_matrix_fits_a_vector(self):
+        truth = _params([0.5, 0.5], [[0.9, 0.1], [0.1, 0.9]], [[0.1, 0.9]])
+        seq = sample_sequence(truth, length=500, coverage_mean=20, seed=7)
+        trace = em_fit(seq, 2, EmConfig(max_iters=3, rel_ll_tolerance=0.0, init=truth))
+        assert trace.params.meth_probs.shape == (2,)
+
     def test_early_stopping_with_loose_tolerance(self, rng):
         _, seq = _random_instance(rng, 2, 40, max_cov=8)
         trace = em_fit(seq, 2, EmConfig(max_iters=50, rel_ll_tolerance=0.5, seed=3))

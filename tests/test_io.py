@@ -220,6 +220,16 @@ class TestModelFiles:
         with pytest.raises(DataError, match="newer than supported"):
             load_model(path)
 
+    @pytest.mark.parametrize("version", ["1", None, [1], True, 0.5, 1.0, 0, -3])
+    def test_schema_version_not_a_positive_integer_is_malformed(self, tmp_path, version):
+        path = tmp_path / "model.json"
+        save_model(self._model(), path)
+        payload = json.loads(path.read_text())
+        payload["schema_version"] = version
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match="malformed model file"):
+            load_model(path)
+
     def test_truncated_json(self, tmp_path):
         path = tmp_path / "model.json"
         save_model(self._model(), path)
@@ -579,6 +589,44 @@ class TestChunkBoundaries:
     def test_first_bad_line_wins_across_chunks(self, tmp_path, monkeypatch, chunk):
         monkeypatch.setattr(io_module, "_CHUNK_BYTES", chunk)
         _check_first_bad_line_wins(tmp_path)
+
+
+class TestBadBytesPastTheFirstDecodeBlock:
+    """A byte that is not UTF-8 far beyond the text layer's first 8 KB decode."""
+
+    @staticmethod
+    def _table(ending, tail):
+        rows = _rows(4000)  # about 100 KB, so also past the first 64 KB chunk
+        text = (HEADER_1 + "\n".join(rows) + "\n").replace("\n", ending)
+        return text.encode() + tail
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize(
+        "bad, reason",
+        [
+            (b"\xff", "invalid start byte"),
+            (b"\xe2\x82", "invalid continuation byte"),
+            (b"\xed\xa0\x80", "invalid continuation byte"),
+        ],
+    )
+    @pytest.mark.parametrize("row", [2000, 3999])
+    def test_line_and_reason(self, tmp_path, ending, bad, reason, row):
+        data = self._table(ending, b"")
+        start = data.index(f"chr1\t{100 * row}\t".encode())
+        assert start > 8192
+        path = tmp_path / "t.tsv"
+        path.write_bytes(data[:start + 3] + bad + data[start + 4 :])
+        message = rf"t\.tsv:{row + 2}: not valid UTF-8 \({reason}\)$"
+        with pytest.raises(DataError, match=message):
+            load_methylation_tsv(path)
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+    def test_truncated_last_line(self, tmp_path, ending):
+        path = tmp_path / "t.tsv"
+        path.write_bytes(self._table(ending, b"chr\xe2\x82"))
+        message = r"t\.tsv:4002: not valid UTF-8 \(unexpected end of data\)$"
+        with pytest.raises(DataError, match=message):
+            load_methylation_tsv(path)
 
 
 class TestLoadMemory:

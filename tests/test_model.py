@@ -140,6 +140,12 @@ class TestValidateParams:
         assert params.num_cells == 2
         assert params.cell_probs().shape == (2, 2)
 
+    def test_one_row_matrix_is_stored_as_a_vector(self):
+        params = validate_params(_params([0.5, 0.5], np.eye(2), [[0.1, 0.9]]))
+        assert params.meth_probs.shape == (2,)
+        assert params.num_cells == 1
+        assert params.cell_probs().tolist() == [[0.1, 0.9]]
+
     def test_non_finite(self):
         with pytest.raises(ParameterError, match="non-finite"):
             validate_params(_params([0.5, np.nan], np.eye(2), [0.1, 0.2]))
