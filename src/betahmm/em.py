@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, NumericalError, ParameterError
-from .model import CountSequence, HmmParams, validate_params
+from .model import CountSequence, HmmParams
 
 __all__ = ["EmConfig", "EmTrace", "log_likelihood", "em_fit", "random_init"]
 
@@ -205,7 +205,6 @@ def _backward(T: np.ndarray, b: np.ndarray, alphas: np.ndarray) -> np.ndarray:
 
 def log_likelihood(params: HmmParams, seq: CountSequence) -> float:
     """Exact log-likelihood of a count sequence under a binomial HMM."""
-    validate_params(params)
     if len(seq) < 1:
         raise DataError("cannot score an empty sequence")
     log_b = emission_log_probs(params, seq)
@@ -267,7 +266,7 @@ def em_fit(seq: CountSequence, num_states: int, config: EmConfig) -> EmTrace:
     if len(seq) < 2:
         raise DataError(f"need at least 2 positions to fit transitions, got {len(seq)}")
     if config.init is not None:
-        params = validate_params(config.init)
+        params = config.init
         if params.num_states != num_states:
             raise ParameterError(
                 f"warm start carries {params.num_states} states, expected {num_states}"
@@ -298,6 +297,5 @@ def em_fit(seq: CountSequence, num_states: int, config: EmConfig) -> EmTrace:
             break
         betas = _backward(params.transition, b, alphas)
         params = _m_step(seq, alphas, betas, scales, b, params.transition)
-        validate_params(params)
     seconds = np.diff(stamps).tolist()
     return EmTrace(log_likelihoods=lls, seconds=seconds, params=params, iterations=len(lls))

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, ParameterError
-from .model import CountSequence, HmmParams, validate_params
+from .model import CountSequence, HmmParams
 
 __all__ = [
     "ModelFile",
@@ -350,12 +350,10 @@ class ModelFile:
     schema_version: int = SCHEMA_VERSION
 
     def to_params(self) -> HmmParams:
-        return validate_params(
-            HmmParams(
-                initial_dist=self.initial_dist,
-                transition=self.transition,
-                meth_probs=self.meth_probs,
-            )
+        return HmmParams(
+            initial_dist=self.initial_dist,
+            transition=self.transition,
+            meth_probs=self.meth_probs,
         )
 
 

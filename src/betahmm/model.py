@@ -48,7 +48,8 @@ class CountSequence:
     """An immutable run of count observations with shape ``(length, num_cells)``.
 
     Counts are stored as two integer arrays so feature mapping and moment
-    accumulation can run vectorised over positions.
+    accumulation can run vectorised over positions. The constructor checks
+    them and stores them read-only; slices share that storage.
     """
 
     __slots__ = ("_coverage", "_meth")
@@ -112,13 +113,17 @@ class CountSequence:
         return self._coverage.shape[0]
 
     def cell(self, index: int) -> "CountSequence":
-        """A single-cell view of one column."""
+        """A single-cell sequence holding a copy of one column."""
         return CountSequence(self._coverage[:, [index]], self._meth[:, [index]])
 
     def __getitem__(self, key) -> "CountSequence":
+        """A slice sharing this sequence's storage: views of its read-only
+        arrays, which the constructor checked, so no copy and no re-check."""
         if not isinstance(key, slice):
             raise TypeError("CountSequence supports slicing only")
-        return CountSequence(self._coverage[key], self._meth[key])
+        view = object.__new__(CountSequence)
+        view._coverage, view._meth = self._coverage[key], self._meth[key]
+        return view
 
     def __repr__(self) -> str:
         return f"CountSequence(length={len(self)}, num_cells={self.num_cells})"
@@ -130,7 +135,9 @@ class HmmParams:
 
     ``meth_probs`` is either a length-m vector (single cell) or a (k, m)
     matrix holding one row of per-state success probabilities per cell type.
-    A one-row matrix is stored as its vector.
+    A one-row matrix is stored as its vector. Construction copies the arrays
+    read-only and checks them with :func:`validate_params`, so every instance
+    is valid and no caller checks one again.
     """
 
     initial_dist: np.ndarray
@@ -144,6 +151,7 @@ class HmmParams:
             object.__setattr__(self, name, arr)
         if self.meth_probs.ndim == 2 and len(self.meth_probs) == 1:
             object.__setattr__(self, "meth_probs", self.meth_probs[0])
+        validate_params(self)
 
     @property
     def num_states(self) -> int:
@@ -163,6 +171,7 @@ def validate_params(params: HmmParams) -> HmmParams:
     """Check HMM parameter invariants, returning ``params`` unchanged.
 
     Raises :class:`ParameterError` naming the first violated invariant.
+    ``HmmParams.__post_init__`` calls it on every instance it builds.
     """
     pi = params.initial_dist
     T = params.transition
@@ -196,6 +205,8 @@ def validate_params(params: HmmParams) -> HmmParams:
         raise ParameterError(
             f"meth_probs shape {p.shape} does not match {m} states"
         )
+    if p.shape[0] < 1:
+        raise ParameterError("meth_probs must carry at least one cell")
     if np.any(~np.isfinite(p)):
         raise ParameterError("meth_probs has non-finite entries")
     if np.any(p < 0) or np.any(p > 1):

@@ -114,35 +114,38 @@ def _triple_block(
 
 @dataclass(frozen=True, eq=False)
 class MomentSet:
-    """Finalized empirical moments: six pairwise orientations and the triple.
+    """Finalized empirical moments: three pair moments and the triple.
 
     ``p12[i, j]`` is the mean of (first vector)_i * (second vector)_j over all
-    accumulated triples; transposed orientations are exact transposes by
-    construction. ``t123`` is the mean order-3 outer product.
+    accumulated triples, and ``t123`` is the mean order-3 outer product. The
+    arrays are stored read-only, each pair moment once: ``p21``, ``p31`` and
+    ``p32`` are transposed views, exact by construction and never checked.
+    ``MomentAccumulator.finalize`` checks shapes, signs and sums (``validate``).
     """
 
     p12: np.ndarray
-    p21: np.ndarray
     p13: np.ndarray
-    p31: np.ndarray
     p23: np.ndarray
-    p32: np.ndarray
     t123: np.ndarray
     count: int
     num_blocks: int = 1
 
     def __post_init__(self) -> None:
-        for name in ("p12", "p21", "p13", "p31", "p23", "p32", "t123"):
+        for name in ("p12", "p13", "p23", "t123"):
             arr = np.asarray(getattr(self, name), dtype=np.float64)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    p21 = property(lambda self: self.p12.T)
+    p31 = property(lambda self: self.p13.T)
+    p32 = property(lambda self: self.p23.T)
 
     @property
     def dim(self) -> int:
         return self.p12.shape[0]
 
     def validate(self) -> "MomentSet":
-        """Check normalization and symmetry bookkeeping; returns self."""
+        """Check shapes, non-negativity and normalization; returns self."""
         k = self.num_blocks
         d = self.dim
         if self.count < 1:
@@ -158,9 +161,6 @@ class MomentSet:
                 raise ParameterError(
                     f"{name} entries sum to {total}, expected {k * k}"
                 )
-        for a, b in (("p21", "p12"), ("p31", "p13"), ("p32", "p23")):
-            if not np.array_equal(getattr(self, a), getattr(self, b).T):
-                raise ParameterError(f"{a} is not the exact transpose of {b}")
         if self.t123.shape != (d, d, d):
             raise ParameterError(f"t123 has shape {self.t123.shape}, expected {(d, d, d)}")
         if float(self.t123.min()) < -1e-12:
@@ -249,16 +249,10 @@ class MomentAccumulator:
             raise DataError("cannot finalize an empty accumulator")
         t123 = self._t123 / float(self.count)
         cell = slice(0, self.feature_dim // self.num_blocks)
-        p12 = t123[:, :, cell].sum(axis=2)
-        p13 = t123[:, cell, :].sum(axis=1)
-        p23 = t123[cell].sum(axis=0)
         moments = MomentSet(
-            p12=p12,
-            p21=p12.T.copy(),
-            p13=p13,
-            p31=p13.T.copy(),
-            p23=p23,
-            p32=p23.T.copy(),
+            p12=t123[:, :, cell].sum(axis=2),
+            p13=t123[:, cell, :].sum(axis=1),
+            p23=t123[cell].sum(axis=0),
             t123=t123,
             count=self.count,
             num_blocks=self.num_blocks,

@@ -16,7 +16,7 @@ import numpy as np
 from .em import EmConfig, EmTrace, em_fit
 from .errors import DataError, ParameterError
 from .features import BetaMapConfig, feature_table, prior_weights
-from .model import CountSequence, HmmParams, validate_params
+from .model import CountSequence, HmmParams
 from .moments import MomentAccumulator, MomentSet
 from .recovery import chain_from_joint, estimate_joint_lsq, recover_meth_probs
 from .spectral import (
@@ -164,7 +164,7 @@ def ftd_fit_moments(
     pi, T = chain_from_joint(
         joint.matrix[np.ix_(mapping, mapping)] / np.outer(multiplicity, multiplicity)
     )
-    params = validate_params(HmmParams(initial_dist=pi, transition=T, meth_probs=probs))
+    params = HmmParams(initial_dist=pi, transition=T, meth_probs=probs)
     timings = {
         "spectral_s": spectral_done - start,
         "recovery_s": time.perf_counter() - spectral_done,

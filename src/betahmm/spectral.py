@@ -119,13 +119,13 @@ def symmetrize_moments(
     """
     if num_states < 1:
         raise ParameterError(f"num_states must be >= 1, got {num_states}")
-    for name in ("p13", "p31"):
-        rank = _effective_rank(getattr(moments, name))
-        if rank < num_states:
-            raise NumericalError(
-                f"rank condition violated: effective rank of {name} is {rank}, "
-                f"need at least {num_states}"
-            )
+    # p31 is the transpose of p13, so one rank check covers both
+    rank = _effective_rank(moments.p13)
+    if rank < num_states:
+        raise NumericalError(
+            f"rank condition violated: effective rank of p13 is {rank}, "
+            f"need at least {num_states}"
+        )
     s1 = moments.p23 @ _pinv(moments.p13, rank=num_states)
     s3 = moments.p21 @ _pinv(moments.p31, rank=num_states)
     raw = np.einsum("ia,ajc,lc->ijl", s1, moments.t123, s3, optimize=True)

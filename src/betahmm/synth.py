@@ -20,7 +20,7 @@ import numpy as np
 from .em import EmConfig, _chain_walk, em_fit
 from .errors import BetaHmmError, ParameterError
 from .hungarian import solve_assignment
-from .model import CountSequence, HmmParams, validate_params
+from .model import CountSequence, HmmParams
 from .pipeline import FtdConfig, ftd_fit
 
 __all__ = [
@@ -36,20 +36,22 @@ __all__ = [
 
 _ALGORITHMS = ("ftd", "em")
 
+# success-probability ranges of the low and the high state group
+_LOW_RANGE = (0.0, 0.3)
+_HIGH_RANGE = (0.7, 1.0)
+
 
 @dataclass(frozen=True)
 class SynthConfig:
     """Protocol of the synthetic sweep.
 
-    States split into a low group drawn from ``low_range`` and a high group
-    from ``high_range``; the transition matrix mixes ``diag_weight`` times the
+    States split into a low group drawn from ``_LOW_RANGE`` and a high group
+    from ``_HIGH_RANGE``; the transition matrix mixes ``diag_weight`` times the
     identity with a column-normalized uniform random matrix.
     """
 
     num_states: int = 4
     num_cells: int = 1
-    low_range: tuple[float, float] = (0.0, 0.3)
-    high_range: tuple[float, float] = (0.7, 1.0)
     diag_weight: float = 0.2
     coverage_mean: float = 25.0
     lengths: tuple[int, ...] = (128, 256, 512, 1024, 2048, 4096, 8192)
@@ -62,10 +64,14 @@ class SynthConfig:
     def __post_init__(self) -> None:
         if self.num_states < 1:
             raise ParameterError(f"num_states must be >= 1, got {self.num_states}")
+        if self.num_cells < 1:
+            raise ParameterError(f"num_cells must be >= 1, got {self.num_cells}")
         if self.trials < 1:
             raise ParameterError(f"trials must be >= 1, got {self.trials}")
         if not 0.0 <= self.diag_weight <= 1.0:
             raise ParameterError(f"diag_weight must lie in [0, 1], got {self.diag_weight}")
+        if not self.lengths:
+            raise ParameterError("lengths must name at least one benchmark length")
         if any(length < 3 for length in self.lengths):
             raise ParameterError("every benchmark length must be >= 3")
 
@@ -82,15 +88,15 @@ def generate_params(cfg: SynthConfig, seed) -> HmmParams:
     m = cfg.num_states
     n_low = m // 2
     p = np.empty((cfg.num_cells, m))
-    p[:, :n_low] = rng.uniform(*cfg.low_range, size=(cfg.num_cells, n_low))
-    p[:, n_low:] = rng.uniform(*cfg.high_range, size=(cfg.num_cells, m - n_low))
+    p[:, :n_low] = rng.uniform(*_LOW_RANGE, size=(cfg.num_cells, n_low))
+    p[:, n_low:] = rng.uniform(*_HIGH_RANGE, size=(cfg.num_cells, m - n_low))
     u = rng.uniform(size=(m, m))
     u /= u.sum(axis=0, keepdims=True)
     T = cfg.diag_weight * np.eye(m) + (1.0 - cfg.diag_weight) * u
     T /= T.sum(axis=0, keepdims=True)
     pi = rng.uniform(size=m)
     pi /= pi.sum()
-    return validate_params(HmmParams(initial_dist=pi, transition=T, meth_probs=p))
+    return HmmParams(initial_dist=pi, transition=T, meth_probs=p)
 
 
 def _hidden_states(params: HmmParams, u: np.ndarray) -> np.ndarray:
@@ -119,7 +125,6 @@ def sample_sequence(
         raise ParameterError(f"length must be >= 1, got {length}")
     if coverage_mean < 0.0:
         raise ParameterError(f"coverage_mean must be >= 0, got {coverage_mean}")
-    validate_params(params)
     rng = np.random.default_rng(seed)
     states = _hidden_states(params, rng.random(length))
     probs = params.cell_probs()[:, states].T  # (length, num_cells)
@@ -176,23 +181,15 @@ class ExperimentReport:
     config: SynthConfig
     rows: list
 
+    def _ok_rows(self, length: int, algorithm: str) -> list:
+        key = (length, algorithm, "ok")
+        return [r for r in self.rows if (r.length, r.algorithm, r.status) == key]
+
     def ok_errors(self, length: int, algorithm: str) -> np.ndarray:
-        return np.array(
-            [
-                r.error
-                for r in self.rows
-                if r.length == length and r.algorithm == algorithm and r.status == "ok"
-            ]
-        )
+        return np.array([r.error for r in self._ok_rows(length, algorithm)])
 
     def ok_seconds(self, length: int, algorithm: str) -> np.ndarray:
-        return np.array(
-            [
-                r.seconds
-                for r in self.rows
-                if r.length == length and r.algorithm == algorithm and r.status == "ok"
-            ]
-        )
+        return np.array([r.seconds for r in self._ok_rows(length, algorithm)])
 
     def summarize(self) -> list[dict]:
         out = []
@@ -228,18 +225,8 @@ class ExperimentReport:
     def write_summary_csv(self, path) -> None:
         rows = self.summarize()
         with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(
-                fh,
-                fieldnames=[
-                    "length",
-                    "algorithm",
-                    "trials",
-                    "ok",
-                    "mean_error",
-                    "std_error",
-                    "mean_seconds",
-                ],
-            )
+            # summarize() fixes the columns: every row has the same keys
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
             writer.writeheader()
             writer.writerows(rows)
 

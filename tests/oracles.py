@@ -119,11 +119,8 @@ def population_moments(pi, transition, feature_map, count=10**9, num_blocks=1):
     t123 = np.einsum("abc,ia,jb,kc->ijk", j123, C, C, C, optimize=True)
     return MomentSet(
         p12=p12,
-        p21=p12.T.copy(),
         p13=p13,
-        p31=p13.T.copy(),
         p23=p23,
-        p32=p23.T.copy(),
         t123=t123,
         count=count,
         num_blocks=num_blocks,

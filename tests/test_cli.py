@@ -189,6 +189,13 @@ class TestExitCodes:
         assert code == 1
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    def test_zero_cells_is_parameter_error(self, tmp_path, capsys):
+        out = tmp_path / "x.tsv"
+        code = main(["simulate", "--length", "10", "--cells", "0", "--out", str(out)])
+        assert code == 2
+        assert "num_cells must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_input_file(self, tmp_path, capsys):
         code = main([
             "fit", "--data", str(tmp_path / "missing.tsv"),

@@ -75,6 +75,21 @@ class TestCountSequence:
         assert len(sub) == 2
         assert sub.coverage[0, 0] == 2
 
+    def test_slice_shares_the_parent_storage(self):
+        seq = CountSequence([[3, 4], [2, 2], [5, 1], [1, 1]], [[1, 0], [2, 1], [4, 0], [0, 1]])
+        sub = seq[1:3]
+        assert np.shares_memory(sub.coverage, seq.coverage)
+        assert np.shares_memory(sub.meth, seq.meth)
+        assert not sub.coverage.flags.writeable
+        assert not sub.meth.flags.writeable
+        assert sub.num_cells == 2
+        assert sub.meth.tolist() == [[2, 1], [4, 0]]
+
+    def test_empty_and_strided_slices(self):
+        seq = CountSequence([3, 2, 5, 1], [1, 0, 4, 0])
+        assert len(seq[4:]) == 0
+        assert seq[::-2].coverage[:, 0].tolist() == [1, 2]
+
     def test_integer_indexing_rejected(self):
         seq = CountSequence([3, 2], [1, 0])
         with pytest.raises(TypeError):
@@ -85,6 +100,17 @@ class TestCountSequence:
         right = seq.cell(1)
         assert right.num_cells == 1
         assert list(right.coverage[:, 0]) == [4, 2]
+
+    def test_cell_index_out_of_range(self):
+        seq = CountSequence([[3, 4], [2, 2]], [[1, 0], [2, 1]])
+        with pytest.raises(IndexError):
+            seq.cell(2)
+
+    def test_negative_cell_index_counts_from_the_end(self):
+        seq = CountSequence([[3, 4], [2, 2]], [[1, 0], [2, 1]])
+        last = seq.cell(-1)
+        assert last.num_cells == 1
+        assert last.meth[:, 0].tolist() == [0, 1]
 
     def test_from_observations(self):
         seq = CountSequence.from_observations(
@@ -149,6 +175,17 @@ class TestValidateParams:
     def test_non_finite(self):
         with pytest.raises(ParameterError, match="non-finite"):
             validate_params(_params([0.5, np.nan], np.eye(2), [0.1, 0.2]))
+
+    def test_zero_cells_rejected(self):
+        with pytest.raises(ParameterError, match="at least one cell"):
+            _params([0.5, 0.5], np.eye(2), np.zeros((0, 2)))
+
+
+class TestConstructionValidates:
+    def test_bad_transition_column_raises_on_construction(self):
+        T = [[0.3, 0.5], [0.6, 0.5]]  # column 0 sums to 0.9
+        with pytest.raises(ParameterError, match="transition column 0 sums to"):
+            HmmParams(initial_dist=[0.5, 0.5], transition=T, meth_probs=[0.1, 0.2])
 
 
 @given(

@@ -61,15 +61,14 @@ def _split_moments(seq, granularity):
 
 
 def _perturbed(moments, rng, rel):
-    """Relative perturbation of every moment, transposed orientations kept exact."""
+    """Relative perturbation of every moment."""
 
     def jitter(x):
         return x * (1.0 + rel * rng.standard_normal(x.shape))
 
-    p12, p13, p23 = jitter(moments.p12), jitter(moments.p13), jitter(moments.p23)
     return MomentSet(
-        p12=p12, p21=p12.T.copy(), p13=p13, p31=p13.T.copy(),
-        p23=p23, p32=p23.T.copy(), t123=jitter(moments.t123),
+        p12=jitter(moments.p12), p13=jitter(moments.p13),
+        p23=jitter(moments.p23), t123=jitter(moments.t123),
         count=moments.count, num_blocks=moments.num_blocks,
     )
 
@@ -136,8 +135,7 @@ class TestExactMoments:
     def test_block_count_must_divide_dimension(self):
         _, _, _, moments, weight = _exact_two_state()
         bad = MomentSet(
-            p12=moments.p12, p21=moments.p21, p13=moments.p13, p31=moments.p31,
-            p23=moments.p23, p32=moments.p32, t123=moments.t123,
+            p12=moments.p12, p13=moments.p13, p23=moments.p23, t123=moments.t123,
             count=moments.count, num_blocks=3,
         )
         with pytest.raises(ParameterError, match="divisible"):
@@ -152,8 +150,7 @@ class TestExactMoments:
         j123 = chain_joints(pi, T)[3].copy()
         j123[:, 1, :] = 0.0
         lonely = MomentSet(
-            p12=moments.p12, p21=moments.p21, p13=moments.p13, p31=moments.p31,
-            p23=moments.p23, p32=moments.p32,
+            p12=moments.p12, p13=moments.p13, p23=moments.p23,
             t123=np.einsum("abc,ia,jb,kc->ijk", j123, C, C, C),
             count=moments.count,
         )

@@ -48,11 +48,8 @@ class TestSymmetrize:
         t123 = np.full((2, 2, 2), 0.125)
         return MomentSet(
             p12=p12,
-            p21=p12.T.copy(),
             p13=p13,
-            p31=p13.T.copy(),
             p23=p23,
-            p32=p23.T.copy(),
             t123=t123,
             count=10,
         )

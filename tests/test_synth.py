@@ -72,6 +72,14 @@ class TestGenerateParams:
         with pytest.raises(ParameterError):
             SynthConfig(lengths=(2,))
 
+    def test_zero_cells_rejected(self):
+        with pytest.raises(ParameterError, match="num_cells must be >= 1, got 0"):
+            SynthConfig(num_cells=0)
+
+    def test_empty_lengths_rejected(self):
+        with pytest.raises(ParameterError, match="at least one benchmark length"):
+            SynthConfig(lengths=())
+
 
 class TestSampleSequence:
     def test_degenerate_probabilities(self):
@@ -304,3 +312,10 @@ class TestRunBenchmark:
             summary = list(csv.DictReader(fh))
         assert len(summary) == 2
         assert {s["algorithm"] for s in summary} == {"ftd", "em"}
+
+    def test_summary_csv_columns(self, tmp_path):
+        report = run_benchmark(_tiny_config())
+        path = tmp_path / "summary.csv"
+        report.write_summary_csv(path)
+        header = path.read_text().splitlines()[0]
+        assert header == "length,algorithm,trials,ok,mean_error,std_error,mean_seconds"
