@@ -15,6 +15,10 @@ holds at any time is one chunk's and a load's memory is bounded by the int64
 columns it returns. numpy's text parser reads each chunk's integer columns;
 field counts come from the chunk's tab bytes, the columns are validated with
 whole-array masks, and a context filter compares the context field's bytes.
+A chunk whose lines all have the right tab count goes to numpy's parser
+whole. Only a chunk with a tab count off, or one numpy rejects, is taken line
+by line: ``str.strip`` finds its blank lines and the rest are selected up to
+the first bad one.
 The writer lays out every row's digits in one byte buffer.
 
 Model files are JSON with an explicit schema version. Floats go through
@@ -165,6 +169,13 @@ def _chunk_columns(
     Line ``j`` of the chunk is file line ``first + j + 1``; the file's header
     is skipped. Line ends and tabs are found in the chunk's UTF-8 bytes, so
     field counts and the context field need no per-line ``count`` or ``split``.
+
+    A clean chunk, whose every line has the right tab count and parses, goes
+    to numpy's parser whole, with no per-line Python pass. Only when a line's
+    tab count is off or numpy rejects the batch are blank and whitespace-only
+    lines found with ``str.strip`` and the other lines selected one by one up
+    to the first bad one. A whitespace-only line can have the right tab count;
+    it has no digits, so it fails the batch parse and is skipped there.
     """
     data = "".join(lines).encode("utf-8")
     if not data.endswith(b"\n"):
@@ -176,20 +187,27 @@ def _chunk_columns(
     tabs_before_end = np.searchsorted(tab_at, ends)
     first_tab = np.r_[0, tabs_before_end[:-1]]
     tabs = tabs_before_end - first_tab
-    kept = np.fromiter(map(bool, map(str.strip, lines)), dtype=bool, count=len(lines))
-    if first == 0:
-        kept[0] = False
-    rows = np.flatnonzero(kept)
-    wrong_width = np.flatnonzero(tabs[rows] != 2 + 2 * num_cells)
-    end = int(wrong_width[0]) if wrong_width.size else rows.size
-    # rows[:end] have the right field count; every later check only shortens end
-    body = [lines[i] for i in rows[:end].tolist()]
+    skip = 1 if first == 0 else 0
+    rows = np.arange(skip, len(lines))
+    end = rows.size
     try:
-        columns = _parse_columns(body, num_cells)
+        if (tabs[skip:] != 2 + 2 * num_cells).any():
+            raise ValueError("a line has the wrong field count")
+        columns = _parse_columns(lines[skip:], num_cells)
     except ValueError:
-        # each line is parsed on its own, so a line fails alone as in a batch
-        end = next(i for i, line in enumerate(body) if not _parses(line, num_cells))
-        columns = _parse_columns(body[:end], num_cells)
+        kept = np.fromiter(map(bool, map(str.strip, lines)), dtype=bool, count=len(lines))
+        kept[:skip] = False
+        rows = np.flatnonzero(kept)
+        wrong_width = np.flatnonzero(tabs[rows] != 2 + 2 * num_cells)
+        end = int(wrong_width[0]) if wrong_width.size else rows.size
+        # rows[:end] have the right field count; every later check only shortens end
+        body = [lines[i] for i in rows[:end].tolist()]
+        try:
+            columns = _parse_columns(body, num_cells)
+        except ValueError:
+            # each line is parsed on its own, so a line fails alone as in a batch
+            end = next(i for i, line in enumerate(body) if not _parses(line, num_cells))
+            columns = _parse_columns(body[:end], num_cells)
     bin_start, cov, meth = columns[:, 0], columns[:, 1::2], columns[:, 2::2]
     invalid = (
         (bin_start < 0)

@@ -119,8 +119,11 @@ class MomentSet:
     ``p12[i, j]`` is the mean of (first vector)_i * (second vector)_j over all
     accumulated triples, and ``t123`` is the mean order-3 outer product. The
     arrays are stored read-only, each pair moment once: ``p21``, ``p31`` and
-    ``p32`` are transposed views, exact by construction and never checked.
-    ``MomentAccumulator.finalize`` checks shapes, signs and sums (``validate``).
+    ``p32`` are transposed views, exact by construction and never checked. An
+    array the caller can still write is copied first, so it stays writable;
+    a read-only one is kept as it is. Construction checks that ``num_blocks``
+    divides the dimension; ``MomentAccumulator.finalize`` checks shapes,
+    signs and sums (``validate``).
     """
 
     p12: np.ndarray
@@ -133,8 +136,14 @@ class MomentSet:
     def __post_init__(self) -> None:
         for name in ("p12", "p13", "p23", "t123"):
             arr = np.asarray(getattr(self, name), dtype=np.float64)
+            if arr.flags.writeable:  # the caller's to write: keep a copy
+                arr = arr.copy()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        if self.num_blocks < 1 or self.dim % self.num_blocks != 0:
+            raise ParameterError(
+                f"moment dimension {self.dim} is not divisible by its block count {self.num_blocks}"
+            )
 
     p21 = property(lambda self: self.p12.T)
     p31 = property(lambda self: self.p13.T)
@@ -248,6 +257,7 @@ class MomentAccumulator:
         if self.count < 1:
             raise DataError("cannot finalize an empty accumulator")
         t123 = self._t123 / float(self.count)
+        t123.setflags(write=False)  # handed over, not copied
         cell = slice(0, self.feature_dim // self.num_blocks)
         moments = MomentSet(
             p12=t123[:, :, cell].sum(axis=2),

@@ -112,8 +112,6 @@ def ftd_fit_moments(
     """
     start = time.perf_counter()
     dim = moments.dim
-    if dim % moments.num_blocks != 0:
-        raise ParameterError("moment dimension is not divisible by its block count")
     granularity = dim // moments.num_blocks
     _, s3, g, asymmetry = symmetrize_moments(moments, num_states)
     spectrum = pair_spectrum(s3, moments.p32)

@@ -591,6 +591,45 @@ class TestChunkBoundaries:
         _check_first_bad_line_wins(tmp_path)
 
 
+class TestCleanChunks:
+    """A chunk whose every line has the right tab count and parses skips the per-line pass."""
+
+    def test_clean_table_runs_no_per_line_path(self, tmp_path, monkeypatch):
+        gen = np.random.default_rng(4)
+        cov = gen.integers(0, 40, size=20_000)
+        seq = CountSequence(cov, gen.binomial(cov, 0.4))
+        path = tmp_path / "t.tsv"
+        write_methylation_tsv(path, seq)
+
+        def per_line(*args, **kwargs):
+            raise AssertionError("a per-line path ran on a clean table")
+
+        monkeypatch.setattr(io_module, "_parses", per_line)
+        monkeypatch.setattr(io_module, "_line_error", per_line)
+        monkeypatch.setattr(np, "fromiter", per_line)  # the blank-line mask
+        loaded = load_methylation_tsv(path)
+        assert np.array_equal(loaded.coverage, seq.coverage)
+        assert np.array_equal(loaded.meth, seq.meth)
+
+    @staticmethod
+    def _table_with_a_blank_and_a_signed_count(tmp_path):
+        rows = _rows(3000)
+        rows[1500] = "\t\t\t\t"  # whitespace only, with the right tab count
+        rows[2200] = "chr1\t220000\tCG\t9\t+3"
+        return _write(tmp_path / "t.tsv", HEADER_1 + "\n".join(rows) + "\n")
+
+    def test_fallback_at_the_default_chunk_size(self, tmp_path):
+        path = self._table_with_a_blank_and_a_signed_count(tmp_path)
+        seq = load_methylation_tsv(path)
+        assert len(seq) == 2999 and seq.meth[2199, 0] == 3
+        _assert_same_as_reference(path)
+
+    def test_fallback_in_small_chunks(self, tmp_path, chunk_bytes):
+        path = self._table_with_a_blank_and_a_signed_count(tmp_path)
+        assert len(load_methylation_tsv(path)) == 2999
+        _assert_same_as_reference(path)
+
+
 class TestBadBytesPastTheFirstDecodeBlock:
     """A byte that is not UTF-8 far beyond the text layer's first 8 KB decode."""
 

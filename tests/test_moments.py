@@ -331,6 +331,20 @@ class TestValidate:
         with pytest.raises(ValueError):
             ms.p12[0, 0] = 5.0
 
+    def test_caller_arrays_stay_writable(self):
+        ms = self._valid_set()
+        mine = {name: np.array(getattr(ms, name)) for name in ("p12", "p13", "p23", "t123")}
+        copy = MomentSet(**mine, count=ms.count)
+        for name, arr in mine.items():
+            assert arr.flags.writeable
+            assert not np.shares_memory(arr, getattr(copy, name))
+
+    def test_read_only_arrays_are_kept_without_a_copy(self):
+        ms = self._valid_set()
+        again = dataclasses.replace(ms, count=ms.count + 1)
+        for name in ("p12", "p13", "p23", "t123"):
+            assert np.shares_memory(getattr(again, name), getattr(ms, name))
+
     def test_transposed_orientations_are_readonly_views(self):
         ms = self._valid_set()
         for name, base in (("p21", ms.p12), ("p31", ms.p13), ("p32", ms.p23)):

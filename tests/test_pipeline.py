@@ -132,14 +132,14 @@ class TestExactMoments:
         assert "Infinity" not in path.read_text()
         assert load_model(path).diagnostics["rank_margins"] == [None, None]
 
-    def test_block_count_must_divide_dimension(self):
-        _, _, _, moments, weight = _exact_two_state()
-        bad = MomentSet(
-            p12=moments.p12, p13=moments.p13, p23=moments.p23, t123=moments.t123,
-            count=moments.count, num_blocks=3,
-        )
+    @pytest.mark.parametrize("num_blocks", [0, 3])
+    def test_block_count_must_divide_dimension(self, num_blocks):
+        moments = _exact_two_state()[3]
         with pytest.raises(ParameterError, match="divisible"):
-            ftd_fit_moments(bad, 2, [0.1, 0.1, 0.1], FtdConfig())
+            MomentSet(
+                p12=moments.p12, p13=moments.p13, p23=moments.p23, t123=moments.t123,
+                count=moments.count, num_blocks=num_blocks,
+            )
 
     def test_missing_tensor_component_is_numerical_failure(self):
         # pair moments of two states, triple moment with the second middle
