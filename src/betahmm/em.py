@@ -2,9 +2,10 @@
 
 Uses the scaled forward-backward recursions (per-position normalization
 constants rather than log-space messages), betas scaled so that
-alpha_t . beta_t = 1, both run by the blocked :func:`_chain_walk` in O(sqrt(L))
-rounds of numpy calls. Emissions multiply one binomial likelihood per cell
-type, treating cells as conditionally independent given the shared hidden state.
+alpha_t . beta_t = 1, both run by the blocked :func:`_chain_walk` in about
+sqrt(L) + log2(L) / 2 rounds of numpy calls. Emissions multiply one binomial
+likelihood per cell type, treating cells as conditionally independent given
+the shared hidden state.
 The module needs numpy alone: the binomial coefficients come from
 ``math.lgamma`` once per count value, and a fit computes them once.
 """
@@ -116,20 +117,39 @@ def _count_log_probs(p: np.ndarray, seq: CountSequence) -> np.ndarray:
     return out
 
 
+def _compose(a1, s1, a2, s2) -> tuple[np.ndarray, np.ndarray]:
+    """The walk through transfers (a1, s1), then (a2, s2), as one transfer.
+
+    A transfer (A, s) has shapes (n, m, m) and (n, m): row i of A is basis
+    vector i walked through some steps with its sum scaled to 1, and s[i] is
+    the log of that scale. Each row's weights on the rows of a2 are shifted by
+    their own maximum in log space, so no row underflows against another. A
+    dead row (zero, scale -inf) stays zero with scale -inf and never turns
+    into nan, which a matrix product would spread: 0 * nan is nan.
+    """
+    weights = np.log(a1) + s2[:, None, :]
+    top = weights.max(axis=2)
+    product = np.exp(weights - np.where(np.isfinite(top), top, 0.0)[..., None]) @ a2
+    row_sums = product.sum(axis=2)
+    product /= np.where(row_sums > 0.0, row_sums, 1.0)[..., None]
+    return product, s1 + top + np.log(row_sums)
+
+
 def _chain_walk(first: np.ndarray, step, length: int) -> tuple[np.ndarray, np.ndarray]:
     """Walk x_0 = first / sum, x_t = step(t, x_{t-1}) / sum; return (xs, sums).
 
     ``step(t, X)`` advances each row X[i] (shape (n, m)) into position t[i],
-    linearly, or exactly on one-hot rows. The length - 1 steps fall into K
-    blocks of B = isqrt(length - 1), walked all at once in three passes: each
-    block's transfer matrix from the basis vectors (rows renormalized per step,
-    log scales kept, so no row underflows against another); the start vector
-    carried across blocks; the recursion inside every block from its start.
-    That is about 2B + K rounds of numpy calls in O(length * m) memory. A zero
-    sum makes the rest of its block nan; callers check the sums.
+    linearly. The length - 1 steps fall into K blocks of B = isqrt(length - 1)
+    // 2, walked all at once in three passes: each block's transfer matrix
+    from the basis vectors (rows renormalized per step, log scales kept, so no
+    row underflows against another); the block starts, from a doubling scan
+    over x_0 and the transfers (:func:`_compose`); the recursion inside every
+    block from its start. That is 2B + ceil(log2 K) rounds of numpy calls in
+    O(length * m) memory. A zero sum makes the rest of its block nan, and
+    every later block starts from zero; callers check the sums.
     """
     m = first.shape[0]
-    size = max(math.isqrt(length - 1), 1)
+    size = max(math.isqrt(length - 1) // 2, 1)
     blocks = max(-(-(length - 1) // size), 1)  # at length 1, one block whose step is cut
     ones = np.ones(m)  # X @ ones: numpy reduces a short last axis several times slower
     xs = np.empty((1 + blocks * size, m))
@@ -147,15 +167,19 @@ def _chain_walk(first: np.ndarray, step, length: int) -> tuple[np.ndarray, np.nd
             row_sums = transfer @ ones
             log_scale += np.log(row_sums)
             transfer = transfer / np.where(row_sums > 0.0, row_sums, 1.0)[:, None]
-        carried = np.empty((blocks, m))
-        carried[0] = x = xs[0]
-        for k in range(blocks - 1):
-            weights = np.log(x) + log_scale[k * m : (k + 1) * m]
-            x = np.exp(weights - weights.max()) @ transfer[k * m : (k + 1) * m]
-            carried[k + 1] = x = x / x.sum()
+        # element 0 maps every basis vector to x_0; after the inclusive scan
+        # each row of element k is the start of block k
+        mats = np.concatenate([np.tile(xs[0], (1, m, 1)), transfer.reshape(-1, m, m)])
+        logs = np.concatenate([np.zeros((1, m)), log_scale.reshape(-1, m)])
+        shift = 1
+        while shift < blocks:
+            mats[shift:], logs[shift:] = _compose(
+                mats[:-shift], logs[:-shift], mats[shift:], logs[shift:]
+            )
+            shift *= 2
         xs_by_block = xs[1:].reshape(blocks, size, m)
         sums_by_block = sums[1:].reshape(blocks, size)
-        state = carried
+        state = mats[:, 0]
         for j in range(size):
             # the last block repeats the last position; those rows are cut below
             state = step(np.minimum(starts + j, length - 1), state)
@@ -193,13 +217,19 @@ def _backward(T: np.ndarray, b: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     """Scaled backward recursion, alpha_t . beta_t = 1, gamma_t = alpha_t * beta_t.
 
     The walk on ``T.T`` over the reversed emissions gives z_t ~ b_t * beta_t,
-    and beta_t ~ T.T z_{t+1} for t < L - 1, with beta_{L-1} = 1.
+    and beta_t ~ T.T z_{t+1} for t < L - 1, with beta_{L-1} = 1. A normalizer
+    alpha_t . beta_t that is not positive and finite raises: the messages
+    underflowed to disjoint supports, as a reducible T allows.
     """
     L, m = b.shape
     zs, _ = _chain_walk(b[-1], lambda t, X: b.take(L - 1 - t, axis=0) * (X @ T), L)
     betas = np.ones((L, m))
     betas[:-1] = zs[::-1][1:] @ T
-    betas /= (alphas * betas).sum(axis=1, keepdims=True)
+    norms = (alphas * betas).sum(axis=1)
+    bad = ~np.isfinite(norms) | (norms <= 0.0)
+    if np.any(bad):
+        raise NumericalError(f"backward pass underflowed at position {int(np.argmax(bad))}")
+    betas /= norms[:, None]
     return betas
 
 
@@ -251,6 +281,8 @@ def _m_step(
         np.divide(num, den, out=p_new, where=~degenerate)
     p_new[degenerate] = 0.5
     np.clip(p_new, 0.0, 1.0, out=p_new)
+    if not all(np.isfinite(x).all() for x in (pi_new, T_new, p_new)):
+        raise NumericalError("EM update has non-finite entries")
     return HmmParams(initial_dist=pi_new, transition=T_new, meth_probs=p_new.T)
 
 

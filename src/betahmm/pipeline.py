@@ -200,6 +200,27 @@ def ftd_fit_moments(
     )
 
 
+def _moment_sets(
+    table: np.ndarray, index: np.ndarray, dim: int
+) -> tuple[MomentSet, tuple[MomentSet, MomentSet] | None]:
+    """Finalized moments of every window, and of two half streams when long enough.
+
+    The accumulators, each holding a dim**3 sum, die on return.
+    """
+    cells = index.shape[1]
+    if len(index) < 16:
+        acc = MomentAccumulator(feature_dim=dim, num_blocks=cells)
+        return acc.add_indexed(table, index).finalize(), None
+    half = len(index) // 2
+    acc_a = MomentAccumulator(feature_dim=dim, num_blocks=cells)
+    acc_a.add_indexed(table, index[:half])
+    # start two positions early so the windows spanning the cut are kept:
+    # the merged accumulator then covers every overlapping triple exactly once
+    acc_b = MomentAccumulator(feature_dim=dim, num_blocks=cells)
+    acc_b.add_indexed(table, index[half - 2 :])
+    return acc_a.merge(acc_b).finalize(), (acc_a.finalize(), acc_b.finalize())
+
+
 def ftd_fit(
     seq: CountSequence, num_states: int, config: FtdConfig = FtdConfig()
 ) -> RecoveredModel:
@@ -214,21 +235,7 @@ def ftd_fit(
         raise DataError(f"insufficient length: need at least 3 positions, got {len(seq)}")
     start = time.perf_counter()
     table, index = feature_table(seq, BetaMapConfig(granularity=config.granularity))
-    dim = config.granularity * seq.num_cells
-    halves = None
-    if len(seq) >= 16:
-        half = len(seq) // 2
-        acc_a = MomentAccumulator(feature_dim=dim, num_blocks=seq.num_cells)
-        acc_a.add_indexed(table, index[:half])
-        # start two positions early so the windows spanning the cut are kept:
-        # the merged accumulator then covers every overlapping triple exactly once
-        acc_b = MomentAccumulator(feature_dim=dim, num_blocks=seq.num_cells)
-        acc_b.add_indexed(table, index[half - 2 :])
-        moments = acc_a.merge(acc_b).finalize()
-        halves = (acc_a.finalize(), acc_b.finalize())
-    else:
-        acc = MomentAccumulator(feature_dim=dim, num_blocks=seq.num_cells)
-        moments = acc.add_indexed(table, index).finalize()
+    moments, halves = _moment_sets(table, index, config.granularity * seq.num_cells)
     moments_s = time.perf_counter() - start
     model = ftd_fit_moments(
         moments, num_states, prior_weights(seq), config, split_halves=halves
@@ -253,7 +260,9 @@ def ftd_then_em(
     ``rounds=0`` the EM stage is skipped and the trace simply wraps the
     spectral parameters. Warm-start probabilities are pulled off the [0, 1]
     boundary by ``_PROB_MARGIN`` so clamped estimates cannot zero out the
-    likelihood.
+    likelihood, and ``_PROB_MARGIN`` of a uniform distribution is mixed into
+    ``pi`` and every column of ``T``: EM's multiplicative update cannot revive
+    a zero, and a reducible T lets the messages underflow to disjoint supports.
     """
     if rounds < 0:
         raise ParameterError(f"rounds must be >= 0, got {rounds}")
@@ -261,9 +270,11 @@ def ftd_then_em(
     if rounds == 0:
         return model, EmTrace(log_likelihoods=[], params=model.params, iterations=0)
     meth = np.clip(model.params.meth_probs, _PROB_MARGIN, 1.0 - _PROB_MARGIN)
+    pi = (1.0 - _PROB_MARGIN) * model.params.initial_dist + _PROB_MARGIN / num_states
+    T = (1.0 - _PROB_MARGIN) * model.params.transition + _PROB_MARGIN / num_states
     warm = HmmParams(
-        initial_dist=model.params.initial_dist,
-        transition=model.params.transition,
+        initial_dist=pi / pi.sum(),
+        transition=T / T.sum(axis=0),
         meth_probs=meth,
     )
     em_cfg = EmConfig(max_iters=rounds, rel_ll_tolerance=0.0, init=warm)

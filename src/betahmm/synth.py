@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .em import EmConfig, _chain_walk, em_fit
+from .em import EmConfig, em_fit
 from .errors import BetaHmmError, ParameterError
 from .hungarian import solve_assignment
 from .model import CountSequence, HmmParams
@@ -102,17 +102,38 @@ def generate_params(cfg: SynthConfig, seed) -> HmmParams:
 def _hidden_states(params: HmmParams, u: np.ndarray) -> np.ndarray:
     """Per position, the first state whose cumulative probability reaches u[t], capped.
 
-    One-hot rows carry the walk through ``_chain_walk`` exactly."""
-    eye = np.eye(params.num_states)
+    ``nxt[t, i]``, the state at t + 1 after state i at t, takes one
+    ``searchsorted`` per state. The steps fall into K blocks of B =
+    isqrt(length - 1); each block's map from its first state to its last is
+    composed in B rounds, the block starts are carried through those maps,
+    and every block is filled from its start in B more rounds.
+    """
+    m = params.num_states
     cum_pi = np.cumsum(params.initial_dist)
     cum_T = np.cumsum(params.transition, axis=0).T  # row i: cumulative column i
     cum_pi[-1] = cum_T[:, -1] = np.inf  # the cap at the last state
-
-    def step(t, X):
-        return eye[(cum_T[X.argmax(axis=1)] >= u[t][:, None]).argmax(axis=1)]
-
-    xs, _ = _chain_walk(eye[np.searchsorted(cum_pi, u[0])], step, len(u))
-    return xs.argmax(axis=1)
+    steps = len(u) - 1
+    nxt = np.empty((steps, m), dtype=np.intp)
+    for i in range(m):
+        nxt[:, i] = np.searchsorted(cum_T[i], u[1:])
+    size = max(math.isqrt(steps), 1)
+    blocks = max(-(-steps // size), 1)  # at length 1, one block whose step is cut
+    maps = np.broadcast_to(np.arange(m), (blocks - 1, m))
+    for j in range(size):
+        maps = np.take_along_axis(nxt[j : (blocks - 1) * size : size], maps, axis=1)
+    starts = [int(np.searchsorted(cum_pi, u[0]))]
+    for block_map in maps.tolist():
+        starts.append(block_map[starts[-1]])
+    states = np.empty(1 + blocks * size, dtype=np.intp)
+    states[0] = starts[0]
+    states_by_block = states[1:].reshape(blocks, size)
+    state = np.array(starts)
+    rows = size * np.arange(blocks)
+    for j in range(min(size, steps)):
+        # the last block repeats the last step; those positions are cut below
+        state = nxt[np.minimum(rows + j, steps - 1), state]
+        states_by_block[:, j] = state
+    return states[: len(u)]
 
 
 def sample_sequence(

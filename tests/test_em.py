@@ -89,7 +89,9 @@ class TestLogLikelihood:
         with pytest.raises(NumericalError, match="zero probability"):
             log_likelihood(params, seq)
 
-    @pytest.mark.parametrize("length,bad", [(5, 1), (100, 37)])
+    # at 5,000 positions the block-start scan takes several doubling rounds
+    # across the dead rows that follow the impossible position
+    @pytest.mark.parametrize("length,bad", [(5, 1), (100, 37), (5000, 4321)])
     def test_underflow_names_the_first_impossible_position(self, length, bad):
         params, seq = _stuck_chain(length, bad)
         message = f"forward pass underflowed at position {bad}$"
@@ -118,16 +120,18 @@ class TestBlockedWalkMatchesSequentialLoop:
         np.testing.assert_allclose(scales, scales_ref, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(betas, betas_ref, rtol=1e-12, atol=0.0)
 
-    def test_chain_held_in_the_state_the_data_disfavour(self):
+    @pytest.mark.parametrize("length", [200, 5000])
+    def test_chain_held_in_the_state_the_data_disfavour(self, length):
         # with T = I a block's transfer rows never mix: the occupied state's row
-        # falls by e^-55 a position against the other's and must not underflow
+        # falls by e^-55 a position against the other's and must not underflow,
+        # in a block's own steps or in the scan over the blocks
         params = _params([0.0, 1.0], np.eye(2), [0.1, 0.9])
-        seq = CountSequence(np.full(200, 25), np.zeros(200, dtype=np.int64))
-        expected = 200 * 25 * math.log(0.1)
+        seq = CountSequence(np.full(length, 25), np.zeros(length, dtype=np.int64))
+        expected = length * 25 * math.log(0.1)
         assert log_likelihood(params, seq) == pytest.approx(expected, rel=1e-12)
         log_b = emission_log_probs(params, seq)
         _, alphas, _, _ = _forward(params.initial_dist, params.transition, log_b)
-        assert np.array_equal(alphas, np.tile([0.0, 1.0], (200, 1)))
+        assert np.array_equal(alphas, np.tile([0.0, 1.0], (length, 1)))
 
 
 class TestEmissionLogProbs:
@@ -269,6 +273,32 @@ class TestEmFit:
         seq = sample_sequence(truth, length=500, coverage_mean=20, seed=7)
         trace = em_fit(seq, 2, EmConfig(max_iters=3, rel_ll_tolerance=0.0, init=truth))
         assert trace.params.meth_probs.shape == (2,)
+
+    @pytest.mark.parametrize(
+        "closed,T",
+        [
+            (True, np.eye(3)),
+            (True, [[1.0, 0.0, 0.0], [0.0, 0.5, 0.5], [0.0, 0.5, 0.5]]),
+            (True, [[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]]),
+            (False, [[0.5, 0.0, 0.0], [0.5, 0.5, 0.0], [0.0, 0.5, 1.0]]),
+        ],
+        ids=["identity", "closed-0-and-12", "closed-01-and-2", "absorbing-2"],
+    )
+    def test_reducible_warm_start_is_never_a_parameter_error(self, closed, T):
+        # unmethylated then methylated: with two closed classes the forward
+        # mass stays in the low one while the backward mass sits in the high
+        # one, so alpha_t . beta_t underflows to 0; one absorbing state fits
+        meth = np.zeros(400, dtype=np.int64)
+        meth[200:] = 25
+        seq = CountSequence(np.full(400, 25), meth)
+        config = EmConfig(
+            max_iters=5, rel_ll_tolerance=0.0, init=_params(np.full(3, 1 / 3), T, [0.1, 0.5, 0.9])
+        )
+        if closed:
+            with pytest.raises(NumericalError, match="backward pass underflowed"):
+                em_fit(seq, 3, config)
+        else:
+            assert np.all(np.isfinite(em_fit(seq, 3, config).log_likelihoods))
 
     def test_early_stopping_with_loose_tolerance(self, rng):
         _, seq = _random_instance(rng, 2, 40, max_cov=8)

@@ -1,3 +1,6 @@
+import gc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,7 @@ from betahmm import (
     sample_sequence,
     validate_params,
 )
+from betahmm import pipeline
 from betahmm.features import feature_table
 from betahmm.io import ModelFile, load_model, save_model
 from betahmm.moments import MomentAccumulator, MomentSet
@@ -259,6 +263,25 @@ class TestObservability:
         assert loaded["timings"] == diag["timings"]
 
 
+class TestMomentPassMemory:
+    def test_no_accumulator_outlives_the_moment_pass(self, monkeypatch):
+        def live_accumulators():
+            gc.collect()
+            return sum(isinstance(o, MomentAccumulator) for o in gc.get_objects())
+
+        during = []
+
+        def spy(*args, **kwargs):
+            during.append(live_accumulators())
+            return ftd_fit_moments(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "ftd_fit_moments", spy)
+        _, seq = _benchmark_like_sequence(2000)
+        before = live_accumulators()
+        ftd_fit(seq, 2, FtdConfig(granularity=8))
+        assert during == [before]
+
+
 class TestDecompositionDependsOnDataOnly:
     # trials whose fit moved by up to 0.7 in a probability with the
     # power-method seed or with last-bit round-off of the moments
@@ -316,6 +339,21 @@ class TestFtdThenEm:
         assert len(lls) == 3
         assert all(b >= a - 1e-8 for a, b in zip(lls, lls[1:]))
         assert validate_params(trace.params) is trace.params
+
+    def test_warm_start_from_a_transition_with_zeros(self):
+        # the sticky protocol's trial 13 at 8192, with the EM row's seeds: the
+        # spectral T has two absorbing states and one closed pair
+        cfg = SynthConfig(trials=20, seed=0, diag_weight=0.8)
+        param_seed, data_seed, _ = (int(s) for s in _row_seeds(0, 8192, 13, "em"))
+        seq = sample_sequence(generate_params(cfg, param_seed), 8192, cfg.coverage_mean, data_seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model, trace = ftd_then_em(seq, 4, rounds=3)
+        assert np.count_nonzero(model.params.transition == 0.0) > 0
+        lls = trace.log_likelihoods
+        assert len(lls) == 3
+        assert np.all(np.isfinite(lls))
+        assert all(b >= a - 1e-8 for a, b in zip(lls, lls[1:]))
 
     def test_negative_rounds(self):
         _, seq = _benchmark_like_sequence(64)

@@ -1,11 +1,17 @@
 import csv
 import hashlib
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import betahmm
 from betahmm import (
     FtdConfig,
     HmmParams,
@@ -20,6 +26,15 @@ from betahmm import (
 )
 from betahmm.synth import _hidden_states, _row_seeds
 from oracles import sequential_states, stationary_oracle
+
+
+# sweep rows of both algorithms at two lengths, as JSON on the last line
+_ROWS_PROBE = """
+import json
+from betahmm.synth import SynthConfig, _run_row
+rows = [_run_row(SynthConfig(), n, 0, a) for n in (512, 8192) for a in ("ftd", "em")]
+print(json.dumps([[r.status, r.error, r.recovered_probs] for r in rows]))
+"""
 
 
 def _tiny_config(**overrides):
@@ -125,6 +140,11 @@ class TestSampleSequence:
              "43def021833a78c9dd259558e22cf409222fc3cac39c2cd08a630e1079d62474"),
             (SynthConfig(num_states=6, num_cells=2), 3, 4099, 7,
              "81ead9d7e02905175278098a62a3d2d4eb8eb9117d63c8f48421861831950ddd"),
+            # many blocks, a short last one
+            (SynthConfig(), 5, 100_003, 11,
+             "abaa99454d0bd062c1d839bc15480be2e300a5fdf5dd68c11a6c6e8c124c5a27"),
+            (SynthConfig(num_states=6, num_cells=2), 9, 65_537, 4,
+             "a7546b9bb2520deb51d8473090cc11523c900ef89a6500164a7c025c6df26404"),
         ],
     )
     def test_output_bytes_are_pinned(self, config, param_seed, length, data_seed, digest):
@@ -260,6 +280,26 @@ class TestRunBenchmark:
             if a.status == "ok":
                 assert a.error == b.error
                 assert a.recovered_probs == b.recovered_probs
+
+    def test_rows_agree_across_blas_thread_counts(self):
+        src = str(Path(betahmm.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        children = [
+            subprocess.Popen(
+                [sys.executable, "-c", _ROWS_PROBE],
+                stdout=subprocess.PIPE,
+                text=True,
+                env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
+            )
+            for threads in ("1", "2")
+        ]
+        one, two = (json.loads(child.communicate()[0].splitlines()[-1]) for child in children)
+        assert [child.returncode for child in children] == [0, 0]
+        assert len(one) == len(two) == 4
+        for (status_1, error_1, probs_1), (status_2, error_2, probs_2) in zip(one, two):
+            assert status_1 == status_2 == "ok"
+            assert error_1 == pytest.approx(error_2, rel=0.0, abs=1e-9)
+            np.testing.assert_allclose(probs_1, probs_2, rtol=0.0, atol=1e-9)
 
     def test_failures_are_recorded_not_raised(self):
         # four states cannot be identified from two triples; the spectral fit
