@@ -2,8 +2,10 @@
 
 Uses the scaled forward-backward recursions (per-position normalization
 constants rather than log-space messages), betas scaled so that
-alpha_t . beta_t = 1, both run by the blocked :func:`_chain_walk` in about
-sqrt(L) + log2(L) / 2 rounds of numpy calls. Emissions multiply one binomial
+alpha_t . beta_t = 1. Both passes are walked in blocks of about sqrt(L) / 2
+positions and share one set of block transfers, so an EM iteration makes one
+transfer pass, two log-depth block scans and two in-block recursions: about
+1.5 sqrt(L) + log2(L) rounds of numpy calls. Emissions multiply one binomial
 likelihood per cell type, treating cells as conditionally independent given
 the shared hidden state.
 The module needs numpy alone: the binomial coefficients come from
@@ -96,7 +98,7 @@ def _log_choose(seq: CountSequence) -> np.ndarray:
         values, index = np.unique(counts, return_inverse=True)
         index = index.reshape(counts.shape)
     lg = np.array([math.lgamma(v + 1) for v in values.tolist()])[index]
-    return (lg[0] - lg[1] - lg[2]).sum(axis=1)
+    return (lg[0] - lg[1] - lg[2]) @ np.ones(seq.num_cells)
 
 
 def _count_log_probs(p: np.ndarray, seq: CountSequence) -> np.ndarray:
@@ -117,6 +119,19 @@ def _count_log_probs(p: np.ndarray, seq: CountSequence) -> np.ndarray:
     return out
 
 
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """``x.max(axis=-1)`` by one ``np.maximum`` per column.
+
+    numpy reduces a short last axis several times slower than it runs a
+    handful of whole-column calls; ``X @ ones`` stands in for the sum the
+    same way.
+    """
+    top = x[..., 0].copy()
+    for k in range(1, x.shape[-1]):
+        np.maximum(top, x[..., k], out=top)
+    return top
+
+
 def _compose(a1, s1, a2, s2) -> tuple[np.ndarray, np.ndarray]:
     """The walk through transfers (a1, s1), then (a2, s2), as one transfer.
 
@@ -128,104 +143,164 @@ def _compose(a1, s1, a2, s2) -> tuple[np.ndarray, np.ndarray]:
     into nan, which a matrix product would spread: 0 * nan is nan.
     """
     weights = np.log(a1) + s2[:, None, :]
-    top = weights.max(axis=2)
+    top = _row_max(weights)
     product = np.exp(weights - np.where(np.isfinite(top), top, 0.0)[..., None]) @ a2
-    row_sums = product.sum(axis=2)
+    row_sums = product @ np.ones(product.shape[-1])
     product /= np.where(row_sums > 0.0, row_sums, 1.0)[..., None]
     return product, s1 + top + np.log(row_sums)
 
 
-def _chain_walk(first: np.ndarray, step, length: int) -> tuple[np.ndarray, np.ndarray]:
-    """Walk x_0 = first / sum, x_t = step(t, x_{t-1}) / sum; return (xs, sums).
+def _block_grid(length: int) -> tuple[int, int]:
+    """Block size B = isqrt(length - 1) // 2 and the K blocks of the length - 1 steps.
 
-    ``step(t, X)`` advances each row X[i] (shape (n, m)) into position t[i],
-    linearly. The length - 1 steps fall into K blocks of B = isqrt(length - 1)
-    // 2, walked all at once in three passes: each block's transfer matrix
-    from the basis vectors (rows renormalized per step, log scales kept, so no
-    row underflows against another); the block starts, from a doubling scan
-    over x_0 and the transfers (:func:`_compose`); the recursion inside every
-    block from its start. That is 2B + ceil(log2 K) rounds of numpy calls in
-    O(length * m) memory. A zero sum makes the rest of its block nan, and
-    every later block starts from zero; callers check the sums.
+    Block k holds positions 1 + k B .. (k + 1) B; the last one stops at
+    length - 1 and may be short.
+    """
+    size = max(math.isqrt(length - 1) // 2, 1)
+    return size, max(-(-(length - 1) // size), 1)  # at length 1, one block whose step is cut
+
+
+def _transfers(step, length: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every block's transfer (A, s), shapes (K, m, m) and (K, m); see :func:`_compose`.
+
+    Row i of A[k] is basis vector i stepped through block k's positions,
+    renormalized at each step with its log scale kept in s[k, i], so a row
+    the block's data disfavour does not underflow against another. The short
+    last block's rows stop stepping at length - 1. B rounds of numpy calls.
+    """
+    size, blocks = _block_grid(length)
+    steps_in_last = length - 1 - size * (blocks - 1)  # 0 at length 1
+    ones = np.ones(m)
+    # rows k*m .. k*m + m - 1 hold block k's transfer matrix
+    row_starts = np.repeat(1 + size * np.arange(blocks), m)
+    transfer = np.tile(np.eye(m), (blocks, 1))
+    log_scale = np.zeros(blocks * m)
+    for j in range(size):
+        rows = blocks * m if j < steps_in_last else (blocks - 1) * m
+        moved = step(row_starts[:rows] + j, transfer[:rows])
+        row_sums = moved @ ones
+        log_scale[:rows] += np.log(row_sums)
+        np.divide(moved, np.where(row_sums > 0.0, row_sums, 1.0)[:, None], out=transfer[:rows])
+    return transfer.reshape(blocks, m, m), log_scale.reshape(blocks, m)
+
+
+def _scan(first: np.ndarray, mats: np.ndarray, logs: np.ndarray) -> np.ndarray:
+    """Row k: ``first`` (summing to 1) walked through transfers 0 .. k - 1, normalized.
+
+    A doubling scan over the element that maps every basis vector to
+    ``first`` and the n transfers (:func:`_compose`): ceil(log2(n + 1))
+    rounds of numpy calls, shape (n + 1, m).
     """
     m = first.shape[0]
-    size = max(math.isqrt(length - 1) // 2, 1)
-    blocks = max(-(-(length - 1) // size), 1)  # at length 1, one block whose step is cut
-    ones = np.ones(m)  # X @ ones: numpy reduces a short last axis several times slower
-    xs = np.empty((1 + blocks * size, m))
-    sums = np.empty(1 + blocks * size)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sums[0] = first.sum()
-        xs[0] = first / sums[0]
-        starts = 1 + size * np.arange(blocks)
-        # rows k*m .. k*m + m - 1 hold block k's transfer matrix
-        row_starts = np.repeat(starts[:-1], m)
-        transfer = np.tile(np.eye(m), (blocks - 1, 1))
-        log_scale = np.zeros((blocks - 1) * m)
-        for j in range(size):
-            transfer = step(row_starts + j, transfer)
-            row_sums = transfer @ ones
-            log_scale += np.log(row_sums)
-            transfer = transfer / np.where(row_sums > 0.0, row_sums, 1.0)[:, None]
-        # element 0 maps every basis vector to x_0; after the inclusive scan
-        # each row of element k is the start of block k
-        mats = np.concatenate([np.tile(xs[0], (1, m, 1)), transfer.reshape(-1, m, m)])
-        logs = np.concatenate([np.zeros((1, m)), log_scale.reshape(-1, m)])
-        shift = 1
-        while shift < blocks:
-            mats[shift:], logs[shift:] = _compose(
-                mats[:-shift], logs[:-shift], mats[shift:], logs[shift:]
-            )
-            shift *= 2
-        xs_by_block = xs[1:].reshape(blocks, size, m)
-        sums_by_block = sums[1:].reshape(blocks, size)
-        state = mats[:, 0]
-        for j in range(size):
-            # the last block repeats the last position; those rows are cut below
-            state = step(np.minimum(starts + j, length - 1), state)
-            total = state @ ones
-            xs_by_block[:, j] = state = state / total[:, None]
-            sums_by_block[:, j] = total
-    return xs[:length], sums[:length]
+    mats = np.concatenate([np.tile(first, (1, m, 1)), mats])
+    logs = np.concatenate([np.zeros((1, m)), logs])
+    shift = 1
+    while shift < len(mats):
+        mats[shift:], logs[shift:] = _compose(
+            mats[:-shift], logs[:-shift], mats[shift:], logs[shift:]
+        )
+        shift *= 2
+    return mats[:, 0]
 
 
-def _forward(
-    pi: np.ndarray, T: np.ndarray, log_b: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """Scaled forward recursion alpha_t ~ (T alpha_{t-1}) * b_t on :func:`_chain_walk`.
+def _walk_blocks(states: np.ndarray, step, positions: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The recursion inside every block at once, from the K rows of ``states``.
 
-    Returns (log-likelihood, alphas, scales, shifted emissions). Alphas are
-    normalized filtering distributions, scales the per-position normalizers;
-    the first normalizer that is not positive and finite raises.
+    ``step(t, X)`` advances each row X[k] into position t[k], linearly; row j
+    of ``positions`` (B, K) holds every block's j-th position, and
+    ``out[:, j]`` (a (K, B, m) view) receives the states normalized to sum 1.
+    Returns the normalizers, shape (K, B). A zero sum makes the rest of its
+    block nan; callers check.
     """
-    L = len(log_b)
-    shift = log_b.max(axis=1)
+    ones = np.ones(states.shape[1])
+    sums = np.empty(positions.shape[::-1])
+    for j, t in enumerate(positions):
+        states = step(t, states)
+        sums[:, j] = total = states @ ones
+        out[:, j] = states = states / total[:, None]
+    return sums
+
+
+def _forward(pi: np.ndarray, T: np.ndarray, log_b: np.ndarray) -> tuple:
+    """Scaled forward recursion alpha_t ~ (T alpha_{t-1}) * b_t, walked in blocks.
+
+    As a row vector alpha_t ~ alpha_{t-1} M_t with M_t = T.T diag(b_t). Every
+    block's transfer M_k (:func:`_transfers`), a doubling scan from alpha_0
+    for the block starts (:func:`_scan`) and the recursion inside every block
+    (:func:`_walk_blocks`) take about sqrt(L) + log2(L) / 2 rounds of numpy
+    calls in O(L m) memory. Returns (log-likelihood, alphas, scales, shifted
+    emissions, transfers); alphas are normalized filtering distributions,
+    scales the per-position normalizers, and the transfers (all K blocks',
+    the last one's included) are handed to :func:`_backward`. The first
+    normalizer that is not positive and finite raises.
+    """
+    L, m = log_b.shape
+    shift = _row_max(log_b)
     if not np.all(np.isfinite(shift)):
         raise NumericalError(
             "some position has zero probability under every state; likelihood is -inf"
         )
     b = np.exp(log_b - shift[:, None])
-    alphas, scales = _chain_walk(pi * b[0], lambda t, X: b.take(t, axis=0) * (X @ T.T), L)
+    size, blocks = _block_grid(L)
+    alphas = np.empty((1 + blocks * size, m))
+    scales = np.empty(1 + blocks * size)
+
+    def step(t, X):
+        return b.take(t, axis=0) * (X @ T.T)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mats, logs = transfers = _transfers(step, L, m)
+        first = pi * b[0]
+        scales[0] = first.sum()
+        alphas[0] = first / scales[0]
+        starts = _scan(alphas[0], mats[:-1], logs[:-1])
+        # the last block repeats the last position; those rows are cut below
+        positions = np.minimum(1 + size * np.arange(blocks) + np.arange(size)[:, None], L - 1)
+        sums = _walk_blocks(starts, step, positions, alphas[1:].reshape(blocks, size, m))
+        scales[1:] = sums.ravel()
+    alphas, scales = alphas[:L], scales[:L]
     bad = ~np.isfinite(scales) | (scales <= 0.0)
     if np.any(bad):
         raise NumericalError(f"forward pass underflowed at position {int(np.argmax(bad))}")
     log_like = float(np.log(scales).sum() + shift.sum())
-    return log_like, alphas, scales, b
+    return log_like, alphas, scales, b, transfers
 
 
-def _backward(T: np.ndarray, b: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+def _backward(T: np.ndarray, b: np.ndarray, alphas: np.ndarray, transfers) -> np.ndarray:
     """Scaled backward recursion, alpha_t . beta_t = 1, gamma_t = alpha_t * beta_t.
 
-    The walk on ``T.T`` over the reversed emissions gives z_t ~ b_t * beta_t,
-    and beta_t ~ T.T z_{t+1} for t < L - 1, with beta_{L-1} = 1. A normalizer
-    alpha_t . beta_t that is not positive and finite raises: the messages
-    underflowed to disjoint supports, as a reducible T allows.
+    As a row vector beta_{t-1} ~ beta_t M_t.T, so a block from lo to hi gives
+    beta_{lo-1} ~ beta_hi M_k.T with the forward's transfers: one
+    :func:`_compose` of their transposes with the identity puts M_k.T in
+    row-scaled form, a doubling scan from beta_{L-1} = 1 gives every block's
+    end, and beta_{t-1} ~ (beta_t * b_t) T runs back from every end at once;
+    the short last block's rows that run past its start are cut. No transfer
+    rounds of its own. A normalizer alpha_t . beta_t that is not positive and
+    finite raises: the messages underflowed to disjoint supports, as a
+    reducible T allows.
     """
     L, m = b.shape
-    zs, _ = _chain_walk(b[-1], lambda t, X: b.take(L - 1 - t, axis=0) * (X @ T), L)
-    betas = np.ones((L, m))
-    betas[:-1] = zs[::-1][1:] @ T
-    norms = (alphas * betas).sum(axis=1)
+    size, blocks = _block_grid(L)
+    mats, logs = transfers
+    ones = np.ones(m)
+    flat = np.empty((blocks * size, m))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # M_k = diag(e^s) A, so row j of M_k.T is column j of A weighted by e^s;
+        # ordered from the last block back to block 1
+        flipped = _compose(mats[:0:-1].transpose(0, 2, 1), 0.0, np.eye(m), logs[:0:-1])
+        ends = _scan(ones / m, *flipped)[::-1]
+        last = np.minimum(size * (1 + np.arange(blocks)), L - 1)
+        _walk_blocks(
+            ends,
+            lambda t, X: (X * b.take(t, axis=0)) @ T,
+            last - np.arange(size)[:, None],
+            flat.reshape(blocks, size, m)[:, ::-1],
+        )
+    # the last block ran back from L - 1, so its first rows repeat positions
+    # that block K - 2 covers
+    cut = (blocks - 1) * size
+    betas = np.concatenate([flat[:cut], flat[cut + blocks * size - (L - 1) :], ones[None]])
+    norms = (alphas * betas) @ ones
     bad = ~np.isfinite(norms) | (norms <= 0.0)
     if np.any(bad):
         raise NumericalError(f"backward pass underflowed at position {int(np.argmax(bad))}")
@@ -316,7 +391,7 @@ def em_fit(seq: CountSequence, num_states: int, config: EmConfig) -> EmTrace:
     stamps = [time.perf_counter()]
     for _ in range(config.max_iters):
         log_b = _count_log_probs(params.cell_probs(), seq)
-        log_like, alphas, scales, b = _forward(
+        log_like, alphas, scales, b, transfers = _forward(
             params.initial_dist, params.transition, log_b
         )
         lls.append(log_like + log_choose)
@@ -327,7 +402,7 @@ def em_fit(seq: CountSequence, num_states: int, config: EmConfig) -> EmTrace:
             and lls[-1] - lls[-2] <= config.rel_ll_tolerance * abs(lls[-2])
         ):
             break
-        betas = _backward(params.transition, b, alphas)
+        betas = _backward(params.transition, b, alphas, transfers)
         params = _m_step(seq, alphas, betas, scales, b, params.transition)
     seconds = np.diff(stamps).tolist()
     return EmTrace(log_likelihoods=lls, seconds=seconds, params=params, iterations=len(lls))

@@ -44,19 +44,26 @@ class Observation:
             )
 
 
+def _read_only_int64(values) -> np.ndarray:
+    if isinstance(values, np.ndarray) and values.dtype == np.int64:
+        if not values.flags.writeable:
+            return values
+    return np.array(values, dtype=np.int64)
+
+
 class CountSequence:
     """An immutable run of count observations with shape ``(length, num_cells)``.
 
     Counts are stored as two integer arrays so feature mapping and moment
     accumulation can run vectorised over positions. The constructor checks
-    them and stores them read-only; slices share that storage.
+    them and stores them read-only; slices share that storage. A read-only
+    int64 array is kept as given, anything else is copied.
     """
 
     __slots__ = ("_coverage", "_meth")
 
     def __init__(self, coverage, meth) -> None:
-        cov = np.array(coverage, dtype=np.int64)
-        mu = np.array(meth, dtype=np.int64)
+        cov, mu = _read_only_int64(coverage), _read_only_int64(meth)
         if cov.ndim == 1:
             cov = cov[:, None]
         if mu.ndim == 1:

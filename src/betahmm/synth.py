@@ -10,9 +10,13 @@ estimation errors and per-thread CPU times per run.
 from __future__ import annotations
 
 import csv
+import ctypes
+import glob
 import math
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -300,12 +304,64 @@ def _run_row(cfg: SynthConfig, length: int, trial: int, algorithm: str) -> Bench
         )
 
 
+# numpy's wheels bundle OpenBLAS under these names (64- and 32-bit integer builds)
+_OPENBLAS_THREAD_CALLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+def _openblas_thread_calls():
+    """The (get, set) thread-count calls of the OpenBLAS in numpy's wheel, or None.
+
+    numpy has no call for the BLAS thread count, so it is reached through
+    that library; with any other BLAS there is none.
+    """
+    root = os.path.dirname(np.__file__)
+    paths = glob.glob(os.path.join(root, "..", "numpy.libs", "*openblas*"))
+    paths += glob.glob(os.path.join(root, ".dylibs", "*openblas*"))
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_CALLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                return getattr(lib, get_name), getattr(lib, set_name)
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block with BLAS on one thread, where its thread count can be set.
+
+    A row's seconds are the CPU time of the thread that ran the fit, so BLAS
+    work on worker threads goes uncounted while the fit's own wait for them
+    is counted: with four fits at a time on two cores and two BLAS threads,
+    spectral fits at 8192 read 0.03-0.06 s against 0.02-0.025 s on one.
+    """
+    calls = _openblas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get_threads, set_threads = calls
+    before = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(before)
+
+
 def run_benchmark(cfg: SynthConfig, threads: int = 1) -> ExperimentReport:
     """Fit both algorithms over every (length, trial) cell of the sweep.
 
     Each row owns seeds derived from (master seed, length, trial, algorithm),
     so results do not depend on execution order and individual failures are
-    recorded without aborting the sweep.
+    recorded without aborting the sweep. BLAS runs on one thread throughout
+    (:func:`_one_blas_thread`), so every row's seconds count all of its work.
     """
     tasks = [
         (length, trial, algo)
@@ -313,9 +369,10 @@ def run_benchmark(cfg: SynthConfig, threads: int = 1) -> ExperimentReport:
         for trial in range(cfg.trials)
         for algo in _ALGORITHMS
     ]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda t: _run_row(cfg, *t), tasks))
-    else:
-        rows = [_run_row(cfg, *t) for t in tasks]
+    with _one_blas_thread():
+        if threads > 1:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                rows = list(pool.map(lambda t: _run_row(cfg, *t), tasks))
+        else:
+            rows = [_run_row(cfg, *t) for t in tasks]
     return ExperimentReport(config=cfg, rows=rows)

@@ -106,15 +106,15 @@ class TestBlockedWalkMatchesSequentialLoop:
 
     @pytest.mark.parametrize("num_cells", [1, 2])
     @pytest.mark.parametrize("num_states", [1, 2, 4, 6])
-    @pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 10, 17, 26, 101, 4097])
+    @pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 10, 17, 26, 101, 4097, 4100, 8193])
     def test_alphas_betas_and_likelihood(self, length, num_states, num_cells):
         gen = np.random.default_rng(1000 * length + 10 * num_states + num_cells)
         params, seq = _random_instance(gen, num_states, length, num_cells, max_cov=30)
         pi, T = params.initial_dist, params.transition
         log_b = emission_log_probs(params, seq)
         ll_ref, alphas_ref, scales_ref, betas_ref = sequential_forward_backward(pi, T, log_b)
-        log_like, alphas, scales, b = _forward(pi, T, log_b)
-        betas = _backward(T, b, alphas)
+        log_like, alphas, scales, b, transfers = _forward(pi, T, log_b)
+        betas = _backward(T, b, alphas, transfers)
         assert log_like == pytest.approx(ll_ref, rel=1e-12)
         np.testing.assert_allclose(alphas, alphas_ref, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(scales, scales_ref, rtol=1e-12, atol=0.0)
@@ -130,7 +130,7 @@ class TestBlockedWalkMatchesSequentialLoop:
         expected = length * 25 * math.log(0.1)
         assert log_likelihood(params, seq) == pytest.approx(expected, rel=1e-12)
         log_b = emission_log_probs(params, seq)
-        _, alphas, _, _ = _forward(params.initial_dist, params.transition, log_b)
+        _, alphas, *_ = _forward(params.initial_dist, params.transition, log_b)
         assert np.array_equal(alphas, np.tile([0.0, 1.0], (length, 1)))
 
 

@@ -56,6 +56,16 @@ class TestCountSequence:
         with pytest.raises(ValueError):
             seq.coverage[0, 0] = 7
 
+    def test_read_only_int64_is_kept_and_anything_else_copied(self):
+        cov = np.array([[3], [2]], dtype=np.int64)
+        meth = np.array([[1], [0]], dtype=np.int64)
+        meth.setflags(write=False)
+        seq = CountSequence(cov, meth)
+        assert seq.meth is meth
+        assert not np.shares_memory(seq.coverage, cov)
+        cov[0, 0] = 7
+        assert seq.coverage[0, 0] == 3
+
     def test_shape_mismatch(self):
         with pytest.raises(DataError, match="shapes"):
             CountSequence([[3, 4]], [[1]])

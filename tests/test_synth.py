@@ -24,6 +24,7 @@ from betahmm import (
     stationary_distribution,
     validate_params,
 )
+from betahmm import synth
 from betahmm.synth import _hidden_states, _row_seeds
 from oracles import sequential_states, stationary_oracle
 
@@ -300,6 +301,29 @@ class TestRunBenchmark:
             assert status_1 == status_2 == "ok"
             assert error_1 == pytest.approx(error_2, rel=0.0, abs=1e-9)
             np.testing.assert_allclose(probs_1, probs_2, rtol=0.0, atol=1e-9)
+
+    def test_fits_run_on_one_blas_thread_and_the_count_is_restored(self, monkeypatch):
+        # a row's seconds are its own thread's CPU time, so no BLAS worker may
+        # take part of a fit
+        calls = synth._openblas_thread_calls()
+        if calls is None:
+            pytest.skip("numpy's BLAS thread count cannot be set here")
+        get_threads, set_threads = calls
+        run_row, seen = synth._run_row, []
+
+        def counted(*args):
+            seen.append(get_threads())
+            return run_row(*args)
+
+        monkeypatch.setattr(synth, "_run_row", counted)
+        before = get_threads()
+        set_threads(2)
+        try:
+            run_benchmark(_tiny_config(), threads=2)
+            assert seen == [1, 1]
+            assert get_threads() == 2
+        finally:
+            set_threads(before)
 
     def test_failures_are_recorded_not_raised(self):
         # four states cannot be identified from two triples; the spectral fit
