@@ -22,12 +22,23 @@ for n windows, nt distinct key triples and U distinct keys. Memory is O(n)
 beyond that bound and the d^3 sums: no U x d^2 or U x U array forms, and no
 loop runs over positions or keys.
 
+Each chunk's arrays live in one scratch arena per pass (one ``add_indexed``
+call, all of its cells**3 blocks): the gathered first and last rows, the
+batched products, the middle rows and the contraction are views of it,
+written with ``out=``. The arena fits the largest chunk the pass plans, so a
+short pass maps less than the budget. With new arrays for every chunk, the
+two half passes of a two-cell fit (L = 90,000, d = 12) took 24-26k minor page
+faults, about 100 MB of freshly zeroed pages and a third of their time; with
+the arena they take about 1.3k.
+
 Dense storage is used for the moments; the feature dimension is capped so the
 order-3 array stays manageable.
 """
 
 from __future__ import annotations
 
+import math
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,11 +51,13 @@ __all__ = ["MomentSet", "MomentAccumulator", "MAX_FEATURE_DIM"]
 
 MAX_FEATURE_DIM = 256
 
-# float64-sized elements of working memory for one chunk of groups in the
-# triple pass; bounds it whatever the number of distinct keys. 2**18 (2 MB)
-# rather than 2**20: the pass's tracemalloc peak fell from 21.6 to 12.9 MB on
-# the genome-ftd sequence and from 16.5 to 6.8 MB on two-cell, and its CPU
-# time from 90 to 85 ms and from 149 to 107 ms (smaller chunks stay in cache)
+# float64-sized elements of one chunk's gathered rows and products in the
+# triple pass; bounds the chunk whatever the number of distinct keys, and so
+# the pass's arena, which adds the chunk's middle rows and the d**3
+# contraction. 2**18 (2 MB) rather than 2**20: the pass's tracemalloc peak fell
+# from 21.6 to 12.9 MB on the genome-ftd sequence and from 16.5 to 6.8 MB on
+# two-cell, and its CPU time from 90 to 85 ms and from 149 to 107 ms (smaller
+# chunks stay in cache)
 _BATCH_ELEMENTS = 1 << 18
 
 # a pair moment of k cells sums to k**2 and the triple to k**3; validation
@@ -69,8 +82,45 @@ def _triple_counts(middle: np.ndarray, first: np.ndarray, last: np.ndarray, size
     return triples[:, 0], triples[:, 1], triples[:, 2], counts
 
 
+class _Arena:
+    """Float64 scratch shared by every chunk of one pass.
+
+    It is as large as the largest chunk planned so far, and is replaced only
+    when a block plans a larger one, so a pass maps new pages only to grow. It is an
+    anonymous private mapping of its own (POSIX), not a numpy allocation:
+    freeing a 2 MB malloc block raises glibc's dynamic mmap threshold, and
+    later temporaries then stay on a heap that is not trimmed. As a numpy
+    array the arena raised the peak RSS of a two-cell ``betahmm fit`` from
+    46.7 to 47.0 MB and of the sweep's ``betahmm benchmark`` from 43.9 to
+    45.7 MB; as a mapping they read 45.0 and 43.9 MB. The price is fresh
+    pages in every pass, about 0.8 ms per 2 MB. tracemalloc does not see the
+    mapping.
+    """
+
+    def __init__(self) -> None:
+        self._buf = np.empty(0)
+
+    def take(self, size: int) -> np.ndarray:
+        """The first ``size`` elements of the buffer, enlarged if it is shorter."""
+        if self._buf.size < size:
+            self._buf = np.frombuffer(
+                mmap.mmap(-1, 8 * size, flags=mmap.MAP_PRIVATE), dtype=np.float64
+            )
+        return self._buf[:size]
+
+
+def _carve(buf: np.ndarray, *shapes: tuple) -> list:
+    """Consecutive views of ``buf``, one of each shape, from its start."""
+    views, at = [], 0
+    for shape in shapes:
+        n = math.prod(shape)
+        views.append(buf[at : at + n].reshape(shape))
+        at += n
+    return views
+
+
 def _triple_block(
-    table: np.ndarray, middle: np.ndarray, first: np.ndarray, last: np.ndarray
+    table: np.ndarray, middle: np.ndarray, first: np.ndarray, last: np.ndarray, arena: _Arena
 ) -> np.ndarray:
     """Sum over windows of F[middle] (x) F[first] (x) F[last], in that axis order.
 
@@ -78,7 +128,8 @@ def _triple_block(
     most ``cap`` triples; a piece gives ``(counts * F[first]).T @ F[last]``,
     and contracting it with ``F[v]`` adds its part of the block. Pieces are
     padded with zero-weight rows to the next power of two, so the pieces of
-    one padded size share one batched product per chunk.
+    one padded size share one batched product per chunk. Every chunk's
+    gathered rows, products and contraction are views of ``arena``.
     """
     D = table.shape[1]
     mid, fst, lst, counts = _triple_counts(middle, first, last, table.shape[0])
@@ -94,21 +145,37 @@ def _triple_block(
     size = np.minimum(cap, np.repeat(group_size, pieces) - offset)
     # a piece pads to 2**exponent rows
     exponent = np.frexp(size - 1)[1]
+    per_width = np.bincount(exponent)
+    # (exponent, pieces per chunk, pieces in its largest chunk)
+    plan = []
+    for e in np.flatnonzero(per_width).tolist():
+        step = max(1, _BATCH_ELEMENTS // ((1 << e) * 2 * D + D * D))
+        plan.append((e, step, min(step, int(per_width[e]))))
+    # a chunk holds each piece's first and last rows, product and middle row,
+    # after the contraction; the arena fits the block's largest chunk
+    buf = arena.take(D**3 + max(p * ((1 << e) * 2 * D + D * D + D) for e, _, p in plan))
     out = np.zeros((D, D * D))
-    for e in np.flatnonzero(np.bincount(exponent)).tolist():
+    for e, step, _ in plan:
         width = 1 << e
         chosen = np.flatnonzero(exponent == e)
-        step = max(1, _BATCH_ELEMENTS // (width * 2 * D + D * D))
         slot = np.arange(width)
         for lo in range(0, chosen.size, step):
             part = chosen[lo : lo + step]
+            p = part.size
+            contraction, firsts, lasts, products, middles = _carve(
+                buf, (D, D * D), (p, width, D), (p, width, D), (p, D, D), (p, D)
+            )
             valid = slot < size[part, None]
             rows = np.where(valid, start[part, None] + slot, start[part, None])
-            firsts = table[fst[rows]] * np.where(valid, counts[rows], 0.0)[..., None]
-            # one expression, so no chunk's (pieces, D, D) products outlive it
-            out += table[mid[start[part]]].T @ np.matmul(
-                firsts.transpose(0, 2, 1), table[lst[rows]]
-            ).reshape(part.size, D * D)
+            # mode="clip": with the default "raise", take buffers out= and so
+            # allocates a new array every chunk
+            np.take(table, fst[rows], axis=0, out=firsts, mode="clip")
+            firsts *= np.where(valid, counts[rows], 0.0)[..., None]
+            np.take(table, lst[rows], axis=0, out=lasts, mode="clip")
+            np.matmul(firsts.transpose(0, 2, 1), lasts, out=products)
+            np.take(table, mid[start[part]], axis=0, out=middles, mode="clip")
+            np.matmul(middles.T, products.reshape(p, D * D), out=contraction)
+            out += contraction
     return out.reshape(D, D, D)
 
 
@@ -218,7 +285,8 @@ class MomentAccumulator:
         ``table`` has one feature row per distinct key, shape (U, D), each row
         summing to 1, and ``index[t, j]`` is the row of cell j at position t,
         so each position maps to the concatenation of its cells' rows. Loops
-        run over cells and over chunks of key-triple groups only.
+        run over cells and over chunks of key-triple groups only, and every
+        chunk of the call writes into one scratch arena.
         """
         length, cells = index.shape
         if length < 3:
@@ -230,11 +298,12 @@ class MomentAccumulator:
             )
         first, middle, last = index[:-2], index[1:-1], index[2:]
         block = [slice(j * D, (j + 1) * D) for j in range(cells)]
+        arena = _Arena()
         for a in range(cells):
             for b in range(cells):
                 for c in range(cells):
                     self._t123[block[a], block[b], block[c]] += _triple_block(
-                        table, middle[:, b], first[:, a], last[:, c]
+                        table, middle[:, b], first[:, a], last[:, c], arena
                     ).transpose(1, 0, 2)
         self.count += length - 2
         return self

@@ -251,8 +251,19 @@ class TestFeatureTable:
         assert sorted(index[:, 0].tolist()) == [0, 1, 2, 3, 4]
 
 
+_DENSE = features._DENSE_KEYS
+
+
 class TestFeatureTableKeys:
-    """``feature_table``'s sort keying against the rank-coded np.unique keying."""
+    """``feature_table``'s two keyings against the rank-coded np.unique keying."""
+
+    @staticmethod
+    def _sorts(monkeypatch) -> list:
+        """Record each np.lexsort call, which only the sorted keying makes."""
+        calls = []
+        lexsort = np.lexsort
+        monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or lexsort(keys))
+        return calls
 
     @staticmethod
     def _assert_matches_reference(seq, granularity=4):
@@ -289,6 +300,34 @@ class TestFeatureTableKeys:
         cov = np.array([[top, 0], [top, top - 1], [top - 1, top], [5, top], [top, top]])
         meth = np.array([[top, 0], [0, top - 1], [top - 1, 1], [5, top], [top, top - 2]])
         self._assert_matches_reference(CountSequence(cov, meth))
+
+    @pytest.mark.parametrize(
+        "radix, length, cells, dense",
+        [
+            # (c_max + 1)**2 = 4 K**2 = K * 4K observations: at the bound, dense
+            (2 * _DENSE, 2 * _DENSE, 2, True),
+            # (K + 1)**2 = K * (K + 2) + 1: one above the bound, sorted
+            (_DENSE + 1, _DENSE + 2, 1, False),
+        ],
+    )
+    def test_both_sides_of_the_dense_bound(self, monkeypatch, radix, length, cells, dense):
+        gen = np.random.default_rng(radix)
+        cov = gen.integers(0, radix, size=(length, cells))
+        cov[-1, -1] = radix - 1
+        meth = (cov * gen.uniform(size=cov.shape)).astype(np.int64)
+        sorts = self._sorts(monkeypatch)
+        self._assert_matches_reference(CountSequence(cov, meth))
+        assert len(sorts) == (0 if dense else 1)
+
+    def test_small_counts_beside_one_near_the_int64_limit(self, monkeypatch):
+        # one huge coverage makes (c_max + 1)**2 overflow int64, so the pairs
+        # are sorted; the small pairs around it keep their order and rows
+        top = 2**63 - 1
+        cov = np.array([3, 0, 3, top - 1, 7, 1, 3, 0])
+        meth = np.array([1, 0, 3, 2**62, 7, 0, 1, 0])
+        sorts = self._sorts(monkeypatch)
+        self._assert_matches_reference(CountSequence(cov, meth))
+        assert len(sorts) == 1
 
     @pytest.mark.parametrize("cov, meth", [([7], [2]), ([[3, 5]], [[1, 5]])])
     def test_one_position(self, cov, meth):

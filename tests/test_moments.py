@@ -223,6 +223,31 @@ class TestCoordinateBatches:
         moments = MomentAccumulator(10, num_blocks=2).add_sequence(seq, cfg).finalize()
         _assert_matches_naive(moments, reference_features(seq, 5))
 
+    @pytest.mark.parametrize("sizes", [(11,), (1,), (2,), (5,), (5, 1, 11, 2)])
+    def test_pieces_of_several_widths_share_one_buffer(self, rng, monkeypatch, sizes):
+        # at D = 3 a budget of 100 caps a piece at 8 triples, so the group of
+        # 11 triples splits into pieces of widths 8 and 4, and the groups of
+        # 1, 2 and 5 pad to widths 1, 2 and 8; chunks of every width run
+        # through the pass's one buffer, larger and smaller ones in turn
+        monkeypatch.setattr(moments_module, "_BATCH_ELEMENTS", 100)
+        outer = 6  # keys 0-5 are first and last keys; key outer + k heads group k
+        keys = []
+        for k, size in enumerate(sizes):
+            for code in rng.choice(outer * outer, size=size, replace=False).tolist():
+                keys += [code // outer, outer + k, code % outer]
+        table = rng.dirichlet(np.ones(3), size=outer + len(sizes))
+        moments = MomentAccumulator(3).add_indexed(table, np.array(keys)[:, None]).finalize()
+        _assert_matches_naive(moments, table[keys])
+
+    def test_three_cells_share_one_buffer(self, rng, monkeypatch):
+        # the 27 blocks of one pass take their chunks from the buffer that
+        # the first block allocates, each block leaving stale values behind
+        monkeypatch.setattr(moments_module, "_BATCH_ELEMENTS", 100)
+        seq = _random_sequence(rng, 50, cells=3, max_cov=6)
+        cfg = BetaMapConfig(granularity=3)
+        moments = MomentAccumulator(9, num_blocks=3).add_sequence(seq, cfg).finalize()
+        _assert_matches_naive(moments, reference_features(seq, 3))
+
 
 class TestTripleCounts:
     @pytest.mark.parametrize("size", [7, 2000, 1 << 22])
@@ -280,6 +305,32 @@ class TestMemory:
         size = table.nbytes + index.nbytes
         assert keying < 6 * size, f"keying peak {keying / size:.1f}x table + index"
         assert moment_pass < 12 * size, f"pass peak {moment_pass / size:.1f}x table + index"
+
+    def test_short_pass_keeps_a_small_peak(self, monkeypatch):
+        # 512 positions of one cell at granularity 30, as in the sweep's short
+        # fits. The scratch arena fits the pass's own largest chunk, here
+        # about seventy width-1 pieces with a 30 x 30 product each (0.7 MiB
+        # with the contraction), and with it the pass holds 1.2 MiB; an arena
+        # sized to the whole budget, 2**18 elements (2 MiB) plus the 30**3
+        # contraction, would break the 1.5 MiB bound on its own. tracemalloc
+        # does not see the arena's own mapping, so its bytes are added
+        sizes = []
+        take = moments_module._Arena.take
+        monkeypatch.setattr(
+            moments_module._Arena, "take", lambda arena, size: sizes.append(size) or take(arena, size)
+        )
+        gen = np.random.default_rng(0)
+        cov = gen.poisson(25, size=512)
+        seq = CountSequence(cov, gen.binomial(cov, 0.4))
+        table, index = feature_table(seq, BetaMapConfig(granularity=30))
+        tracemalloc.start()
+        try:
+            MomentAccumulator(30).add_indexed(table, index)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        held = peak + 8 * max(sizes)
+        assert held < 1.5 * 2**20, f"peak {held / 2**20:.2f} MiB"
 
 
 class TestConstructionErrors:
