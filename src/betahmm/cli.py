@@ -22,7 +22,7 @@ from .features import prior_weights
 from .model import HmmParams
 from .pipeline import FtdConfig, ftd_fit, ftd_then_em
 from .recovery import differential_states
-from .synth import SynthConfig, generate_params, run_benchmark, sample_sequence
+from .synth import SynthConfig, _one_blas_thread, generate_params, run_benchmark, sample_sequence
 
 _PROG = "betahmm"
 
@@ -89,11 +89,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _train_cut(seq, frac: float) -> int:
-    """Length of the training head of ``seq``; the positions after it are held out."""
+def _check_train_frac(frac: float) -> None:
+    """The share of positions fitted on; checked before the table is read."""
     if not 0.0 < frac <= 1.0:
         raise ParameterError(f"train fraction must lie in (0, 1], got {frac}")
-    return int(len(seq) * frac)
 
 
 def _cmd_simulate(args) -> int:
@@ -132,10 +131,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    _check_train_frac(args.train_frac)
     seq = model_io.load_methylation_tsv(
         args.data, context_filter=args.context, merge_replicates=args.merge_replicates
     )
-    train = seq[: _train_cut(seq, args.train_frac)]
+    train = seq[: int(len(seq) * args.train_frac)]
     ftd_cfg = FtdConfig(granularity=args.granularity)
     diagnostics: dict = {}
     granularity: int | None = args.granularity
@@ -187,6 +187,10 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    _check_train_frac(args.train_frac)
+    floor = args.prob_floor
+    if not 0.0 <= floor < 0.5:
+        raise ParameterError(f"--prob-floor must lie in [0, 0.5), got {floor}")
     model = model_io.load_model(args.model)
     seq = model_io.load_methylation_tsv(
         args.data, context_filter=args.context, merge_replicates=args.merge_replicates
@@ -195,12 +199,9 @@ def _cmd_eval(args) -> int:
         raise DataError(
             f"model carries {model.num_cells} cell(s) but data carries {seq.num_cells}"
         )
-    test = seq[_train_cut(seq, args.train_frac) :]
+    test = seq[int(len(seq) * args.train_frac) :]
     if len(test) == 0:
         raise DataError("no positions left for evaluation after the train split")
-    floor = args.prob_floor
-    if not 0.0 <= floor < 0.5:
-        raise ParameterError(f"--prob-floor must lie in [0, 0.5), got {floor}")
     params = HmmParams(
         initial_dist=model.initial_dist,
         transition=model.transition,
@@ -264,7 +265,8 @@ def main(argv=None) -> int:
         print(f"{_PROG}: error: {exc}", file=sys.stderr)
         return 1
     try:
-        return _COMMANDS[args.command](args)
+        with _one_blas_thread():
+            return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(f"{_PROG}: error: {exc}", file=sys.stderr)
         return 1

@@ -337,10 +337,12 @@ def _openblas_thread_calls():
 def _one_blas_thread():
     """Run the block with BLAS on one thread, where its thread count can be set.
 
-    A row's seconds are the CPU time of the thread that ran the fit, so BLAS
-    work on worker threads goes uncounted while the fit's own wait for them
-    is counted: with four fits at a time on two cores and two BLAS threads,
-    spectral fits at 8192 read 0.03-0.06 s against 0.02-0.025 s on one.
+    Every CLI command runs inside it. The fits' matrices are small, so a
+    second BLAS thread costs far more CPU than it saves in wall time, and a
+    benchmark row's seconds are the CPU time of the thread that ran the fit,
+    which counts its wait for BLAS workers but not their work: with four
+    fits at a time on two cores and two BLAS threads, spectral fits at 8192
+    read 0.03-0.06 s against 0.02-0.025 s on one.
     """
     calls = _openblas_thread_calls()
     if calls is None:

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from betahmm import CountSequence, load_model
+from betahmm import CountSequence, DataError, load_model
+from betahmm import cli, synth
 from betahmm.cli import main
 from betahmm.io import ModelFile, file_digest, save_model, write_methylation_tsv
 
@@ -308,3 +309,54 @@ class TestExitCodes:
         ])
         assert code == 2
         assert f"--prob-floor must lie in [0, 0.5), got {float(floor)}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, flag, value, message",
+        [
+            ("fit", "--train-frac", "1.5", "train fraction must lie in (0, 1], got 1.5"),
+            ("eval", "--train-frac", "0", "train fraction must lie in (0, 1], got 0.0"),
+            ("eval", "--prob-floor", "0.5", "--prob-floor must lie in [0, 0.5), got 0.5"),
+        ],
+    )
+    def test_bad_flag_is_reported_before_the_table_is_read(
+        self, tmp_path, capsys, command, flag, value, message
+    ):
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("not\ta\tvalid\theader\n")
+        if command == "fit":
+            argv = ["fit", "--out", str(tmp_path / "m.json"), "--states", "2"]
+        else:
+            argv = ["eval", "--model", str(_planted_model(tmp_path))]
+        code = main([*argv, "--data", str(bad), flag, value])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+
+class TestBlasThreads:
+    def test_commands_run_on_one_blas_thread_and_the_count_is_restored(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        calls = synth._openblas_thread_calls()
+        if calls is None:
+            pytest.skip("numpy's BLAS thread count cannot be set here")
+        get_threads, set_threads = calls
+        seen = []
+
+        def body(args):
+            seen.append(get_threads())
+            if args.length == 0:
+                raise DataError("no positions")
+            return 0
+
+        monkeypatch.setitem(cli._COMMANDS, "simulate", body)
+        before = get_threads()
+        set_threads(2)
+        try:
+            for length, code in (("5", 0), ("0", 2)):
+                argv = ["simulate", "--length", length, "--out", str(tmp_path / "x.tsv")]
+                assert main(argv) == code
+                assert get_threads() == 2
+            assert seen == [1, 1]
+        finally:
+            set_threads(before)
+        capsys.readouterr()

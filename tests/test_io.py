@@ -630,6 +630,71 @@ class TestCleanChunks:
         _assert_same_as_reference(path)
 
 
+@pytest.fixture(params=[None, 1, 7, 64])
+def any_chunk_bytes(request, monkeypatch):
+    """Bytes per read of the table reader: its default, or far below it."""
+    if request.param is not None:
+        monkeypatch.setattr(io_module, "_CHUNK_BYTES", request.param)
+    return request.param
+
+
+class TestByteParser:
+    """Clean blocks are read from their digit bytes, with the values numpy's parser reads."""
+
+    @pytest.mark.parametrize("digits", [1, 8, 9, 18, 19])
+    def test_field_widths(self, tmp_path, any_chunk_bytes, digits):
+        small = 10 ** (digits - 1)  # the smallest and largest counts of this width
+        large = 2**63 - 1 if digits == 19 else 10 * small - 1
+        bin_start = small if digits >= 3 else 0  # a multiple of 100
+        rows = _rows(30)
+        rows[5] = f"chr1\t{bin_start}\tCG\t{small}\t{small}"
+        rows[6] = f"chr1\t{bin_start}\tCG\t{large}\t{small}"
+        rows[7] = "chr1\t0\tCG\t007\t0"
+        path = _write(tmp_path / "t.tsv", HEADER_1 + "\n".join(rows) + "\n")
+        seq = load_methylation_tsv(path)
+        assert seq.coverage[5:8, 0].tolist() == [small, large, 7]
+        _assert_same_as_reference(path)
+
+    @pytest.mark.parametrize("cov", [10**18 - 1, 10**18, 2**63 - 1])
+    def test_counts_near_the_int64_limit(self, tmp_path, any_chunk_bytes, cov):
+        rows = _rows(30)
+        rows[20] = f"chr1\t2000\tCG\t{cov}\t{cov - 1}"
+        path = _write(tmp_path / "t.tsv", HEADER_1 + "\n".join(rows) + "\n")
+        seq = load_methylation_tsv(path)
+        assert (seq.coverage[20, 0], seq.meth[20, 0]) == (cov, cov - 1)
+        _assert_same_as_reference(path)
+
+    def test_count_of_two_to_the_63_names_its_line(self, tmp_path, any_chunk_bytes):
+        rows = _rows(30)
+        rows[20] = f"chr1\t2000\tCG\t{2**63}\t1"
+        path = _write(tmp_path / "t.tsv", HEADER_1 + "\n".join(rows) + "\n")
+        with pytest.raises(DataError, match=r"t\.tsv:22: .*64-bit"):
+            load_methylation_tsv(path)
+
+    def test_trailing_space_is_the_only_fault(self, tmp_path, any_chunk_bytes):
+        rows = _rows(3000)
+        rows[1800] = "chr1\t180000\tCG\t9\t2 "
+        path = _write(tmp_path / "t.tsv", HEADER_1 + "\n".join(rows) + "\n")
+        assert load_methylation_tsv(path).meth[1800, 0] == 2
+        _assert_same_as_reference(path)
+
+    def test_clean_table_never_calls_numpy_text_parser(self, tmp_path, monkeypatch):
+        gen = np.random.default_rng(5)
+        cov = gen.integers(0, 40, size=(20_000, 2))
+        seq = CountSequence(cov, gen.binomial(cov, 0.4))
+        path = tmp_path / "t.tsv"
+        write_methylation_tsv(path, seq)
+
+        def loadtxt(*args, **kwargs):
+            raise AssertionError("np.loadtxt ran on a clean table")
+
+        monkeypatch.setattr(np, "loadtxt", loadtxt)
+        for context_filter in (None, "CG"):
+            loaded = load_methylation_tsv(path, context_filter=context_filter)
+            assert np.array_equal(loaded.coverage, seq.coverage)
+            assert np.array_equal(loaded.meth, seq.meth)
+
+
 class TestBadBytesPastTheFirstDecodeBlock:
     """A byte that is not UTF-8 far beyond the text layer's first 8 KB decode."""
 
@@ -684,6 +749,24 @@ class TestLoadMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        returned = seq.coverage.nbytes + seq.meth.nbytes
+        assert peak < 5 * returned, f"peak {peak / returned:.1f}x the returned bytes"
+
+    @pytest.mark.parametrize("ending", [b"\r\n", b"\r"])
+    def test_peak_with_crlf_and_cr_line_ends(self, tmp_path, ending):
+        # no block of these is clean, so every one is decoded into lines
+        gen = np.random.default_rng(3)
+        cov = gen.integers(0, 40, size=100_000)
+        path = tmp_path / "t.tsv"
+        write_methylation_tsv(path, CountSequence(cov, gen.binomial(cov, 0.4)))
+        path.write_bytes(path.read_bytes().replace(b"\n", ending))
+        tracemalloc.start()
+        try:
+            seq = load_methylation_tsv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(seq.coverage[:, 0], cov)
         returned = seq.coverage.nbytes + seq.meth.nbytes
         assert peak < 5 * returned, f"peak {peak / returned:.1f}x the returned bytes"
 
