@@ -191,6 +191,8 @@ def _cmd_eval(args) -> int:
     floor = args.prob_floor
     if not 0.0 <= floor < 0.5:
         raise ParameterError(f"--prob-floor must lie in [0, 0.5), got {floor}")
+    if not 0.0 <= args.diff_threshold <= 1.0:
+        raise ParameterError(f"--diff-threshold must lie in [0, 1], got {args.diff_threshold}")
     model = model_io.load_model(args.model)
     seq = model_io.load_methylation_tsv(
         args.data, context_filter=args.context, merge_replicates=args.merge_replicates

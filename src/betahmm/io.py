@@ -13,18 +13,19 @@ blocks of whole lines, about 256 KB each, so the bytes it holds at any time
 are one block's and a load's memory is bounded by the int64 columns it
 returns: the 5.5 MB, 262,144-row genome-ftd table of ``perfbench`` peaks at
 8.4 MB of tracemalloc'd memory, the counts twice (the blocks' parts and the
-arrays returned). A clean block, ASCII with no "\\r", is read straight from
-its bytes: one scan finds its tabs and line ends, and each numeric field is
-parsed from its digit bytes, one pass per decimal place over every row. Any
-other block, or a clean one with a blank line, a field count off, a sign, a
-space or a number of 19 or more digits, goes to the text path: Python's text
-layer decodes it (UTF-8; "\\r\\n" and a lone "\\r" become "\\n") and
-numpy's text parser reads its lines, which are taken one by one only when a
-line is bad. Both paths give the same values and errors, and check the rows
-with the same whole-array masks; a context filter compares the context
-field's bytes. Warm loads on a 2-core Xeon VM read a clean table at about
-200 MB/s (genome-ftd in 26 ms, against 69 ms through the text path), and
-the text path reads about 70 MB/s.
+arrays returned). A block that is not ASCII is checked once to be UTF-8.
+A block whose lines all end in "\\n", or all in "\\r\\n", is read straight
+from its bytes: one scan finds its tabs and line ends, and each numeric
+field is parsed from its digit bytes, one pass per decimal place over every
+row. A block with a blank line, a lone "\\r", a field count off, a sign, a
+space or a number of 19 or more digits goes to the fallback, which turns
+"\\r\\n" and a lone "\\r" into "\\n" as Python's text layer does and hands
+the lines to numpy's text parser, one by one only when a line is bad. Both
+give the same values and errors, and check the rows with the same
+whole-array masks; a context filter compares the context field's bytes.
+Warm loads on a 2-core Xeon VM read genome-ftd in 27 ms, about 200 MB/s,
+and a "\\r\\n" copy or one with a non-ASCII chrom in 32 ms; the fallback
+reads about 60 MB/s.
 The writer lays out every row's digits in one byte buffer.
 
 Model files are JSON with an explicit schema version. Floats go through
@@ -36,8 +37,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass, field
-from io import BytesIO, TextIOWrapper
 
 import numpy as np
 
@@ -71,20 +72,6 @@ def _check_bin_size(bin_size: int) -> None:
 _CHUNK_BYTES = 1 << 18
 
 
-def _undecodable_line(path) -> int:
-    """Number of the first line holding a byte that is not UTF-8, in a file with one.
-
-    The file is read line by line, each such byte escaped to a lone surrogate,
-    which UTF-8 cannot encode.
-    """
-    with open(path, encoding="utf-8", errors="surrogateescape", newline=None) as fh:
-        for lineno, line in enumerate(fh, 1):
-            try:
-                line.encode("utf-8")
-            except UnicodeEncodeError:
-                return lineno
-
-
 def _blocks(path):
     """The bytes of a file in blocks of whole lines, each about ``_CHUNK_BYTES``.
 
@@ -114,19 +101,20 @@ def _blocks(path):
             reads = [block[cut:]]
 
 
-def _block_lines(path, block: bytes) -> list[str]:
-    """The lines of a block as Python's text layer reads them.
+def _line_ends(data: bytes, end: int) -> int:
+    """Line ends in ``data[:end]``, each "\\n", "\\r\\n" and lone "\\r" counted once."""
+    return data.count(b"\n", 0, end) + data.count(b"\r", 0, end) - data.count(b"\r\n", 0, end)
 
-    The text layer decodes UTF-8 and turns "\\r\\n" and a lone "\\r" into
-    "\\n"; every line but the file's last ends with "\\n". A byte that is not
-    UTF-8 raises :class:`DataError` naming its line in the file.
+
+def _check_utf8(path, block: bytes, first: int) -> None:
+    """Raise :class:`DataError` naming the line of a block's first byte that is not UTF-8.
+
+    ``first`` lines of the file come before the block.
     """
     try:
-        with TextIOWrapper(BytesIO(block), encoding="utf-8", newline=None) as text:
-            return text.readlines()
+        block.decode()
     except UnicodeDecodeError as exc:
-        # the text layer does not say where the byte is
-        line = _undecodable_line(path)
+        line = first + 1 + _line_ends(block, exc.start)
         raise DataError(f"{path}:{line}: not valid UTF-8 ({exc.reason})") from exc
 
 
@@ -242,20 +230,22 @@ def _decimal(buf: np.ndarray, start: np.ndarray, end: np.ndarray, out: np.ndarra
     return True
 
 
-def _clean_counts(
+def _byte_counts(
     block: bytes, skip: int, num_cells: int, bin_size: int, context_filter: str | None,
 ) -> tuple[np.ndarray, int] | None:
-    """The validated, filtered count columns of a clean block, read from its bytes.
+    """The validated, filtered count columns of a block, read from its bytes.
 
-    ``block`` is ASCII with no "\\r" that ends in "\\n", so its lines
-    are the text layer's; its first ``skip`` lines are skipped. Its bytes
-    below 11 must be rows of ``2 + 2 * num_cells`` tabs and a "\\n", which
-    leaves out blank lines and wrong field counts, and every numeric field
-    must be 1-18 plain digits (see :func:`_decimal`), which leaves out
-    signs, spaces and wider numbers. Returns None when any of this fails or
-    a row is invalid: the text path then reads the block and names the
-    first bad line. Otherwise returns the counts, ``(rows, 2 * num_cells)``,
-    and the block's line count.
+    ``block`` is UTF-8 and ends with a line end; its first ``skip`` lines are
+    skipped. Its bytes below 11 must be rows of ``2 + 2 * num_cells`` tabs
+    and a "\\n", which leaves out blank lines and wrong field counts. Its
+    lines must all end in "\\n" or all in "\\r\\n", with no other "\\r", so
+    they are the text layer's lines; a "\\r\\n" row's last field ends at
+    its "\\r". Every numeric field must be 1-18 plain digits (see
+    :func:`_decimal`), which leaves out signs, spaces and wider numbers.
+    Returns None when any of this fails or a row is invalid:
+    :func:`_chunk_columns` then reads the block and names the first bad
+    line. Otherwise returns the counts, ``(rows, 2 * num_cells)``, and the
+    block's line count.
     """
     buf = np.frombuffer(block, dtype=np.uint8)
     tabs = 2 + 2 * num_cells
@@ -265,8 +255,15 @@ def _clean_counts(
     seps = seps.reshape(-1, tabs + 1)
     if (buf[seps] != np.array([ord("\t")] * tabs + [ord("\n")], dtype=np.uint8)).any():
         return None
+    crlf = block.endswith(b"\r\n")
+    if crlf:
+        if block.count(b"\r") != len(seps) or (buf[seps[:, tabs] - 1] != ord("\r")).any():
+            return None
+    elif b"\r" in block:
+        return None
     # field f of row r ends at seps[f, r] and starts after seps[f - 1, r]
     seps = np.ascontiguousarray(seps[skip:].T)
+    seps[tabs] -= crlf
     bin_start = np.empty(seps.shape[1], dtype=np.int64)
     counts = np.empty((2 * num_cells, seps.shape[1]), dtype=np.int64)
     if seps.shape[1] and not (
@@ -282,26 +279,29 @@ def _clean_counts(
 
 
 def _chunk_columns(
-    path, first: int, lines: list[str], num_cells: int, bin_size: int,
+    path, first: int, block: bytes, num_cells: int, bin_size: int,
     context_filter: str | None,
-) -> np.ndarray:
-    """The validated, filtered columns of one chunk of a table's lines.
+) -> tuple[np.ndarray, int]:
+    """The validated, filtered count columns of a block, and its line count.
 
-    Line ``j`` of the chunk is file line ``first + j + 1``; the file's header
-    is skipped. Line ends and tabs are found in the chunk's UTF-8 bytes, so
-    field counts and the context field need no per-line ``count`` or ``split``.
+    ``block`` is UTF-8 and ends with a line end; its line ``j`` is file line
+    ``first + j + 1``, and the file's header is skipped. "\\r\\n" and a lone
+    "\\r" become "\\n" here, as in Python's text layer. Line ends and tabs are
+    found in the block's bytes, so field counts and the context field need no
+    per-line ``count`` or ``split``.
 
-    A clean chunk, whose every line has the right tab count and parses, goes
-    to numpy's parser whole, with no per-line Python pass. Only when a line's
+    A block whose every line has the right tab count and parses goes to
+    numpy's parser whole, with no per-line Python pass. Only when a line's
     tab count is off or numpy rejects the batch are blank and whitespace-only
     lines found with ``str.strip`` and the other lines selected one by one up
     to the first bad one. A whitespace-only line can have the right tab count;
     it has no digits, so it fails the batch parse and is skipped there.
     """
-    data = "".join(lines).encode("utf-8")
-    if not data.endswith(b"\n"):
-        data += b"\n"
-    buf = np.frombuffer(data, dtype=np.uint8)
+    if b"\r" in block:
+        block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    lines = block.decode().split("\n")
+    lines.pop()  # the empty text after the last line end
+    buf = np.frombuffer(block, dtype=np.uint8)
     ends = np.flatnonzero(buf == ord("\n"))
     tab_at = np.flatnonzero(buf == ord("\t"))
     # line j holds the tabs tab_at[first_tab[j] : first_tab[j] + tabs[j]]
@@ -334,13 +334,13 @@ def _chunk_columns(
         end = int(invalid.argmax())
     if end < rows.size:
         i = int(rows[end])
-        why = _line_error(lines[i].removesuffix("\n"), num_cells, bin_size)
+        why = _line_error(lines[i], num_cells, bin_size)
         raise DataError(f"{path}:{first + i + 1}: {why}")
     if context_filter is not None:
         # a row's context lies between its second and third tabs
         tab = first_tab[rows]
         columns = columns[_has_context(buf, tab_at[tab + 1] + 1, tab_at[tab + 2], context_filter)]
-    return columns
+    return columns[:, 1:].copy(), len(lines)
 
 
 def _read_table(
@@ -355,9 +355,8 @@ def _read_table(
     before ``context_filter`` drops the rows whose context differs.
 
     The file comes in blocks of :func:`_blocks`, each validated and filtered
-    on its own, so the bytes held at any time are one block's. A clean block
-    (ASCII, no "\\r") is read from its bytes by :func:`_clean_counts`; any
-    other block, or one that it turns down, is decoded into lines and read
+    on its own, so the bytes held at any time are one block's. Each block is
+    read from its bytes by :func:`_byte_counts` or, if that turns it down,
     by :func:`_chunk_columns`. Each block keeps its counts without
     ``bin_start``, and the returned arrays are filled from them once. The
     errors are those of reading the file whole: a byte that is not UTF-8
@@ -367,33 +366,25 @@ def _read_table(
     _check_bin_size(bin_size)
     parts = []
     error = None
-    first = 0
+    first = 0  # lines before the block
     for block in _blocks(path):
-        clean = block.isascii() and b"\r" not in block
-        if clean and not block.endswith(b"\n"):
+        if not block.isascii():
+            _check_utf8(path, block, first)
+        if not block.endswith((b"\n", b"\r")):
             block += b"\n"  # the file's last line
-        lines = None if clean else _block_lines(path, block)
         if error is None:
             try:
                 if first == 0:
-                    header = lines[0] if lines else block[: block.index(b"\n")].decode()
-                    num_cells = _parse_header(header.removesuffix("\n"))
-                read = None
-                if clean:
-                    read = _clean_counts(
-                        block, int(first == 0), num_cells, bin_size, context_filter
-                    )
-                if read is None:
-                    lines = lines or _block_lines(path, block)
-                    columns = _chunk_columns(
-                        path, first, lines, num_cells, bin_size, context_filter
-                    )
-                    read = columns[:, 1:].copy(), len(lines)
-                counts, line_count = read
+                    num_cells = _parse_header(re.match(rb"[^\r\n]*", block)[0].decode())
+                counts, lines = _byte_counts(
+                    block, int(first == 0), num_cells, bin_size, context_filter
+                ) or _chunk_columns(path, first, block, num_cells, bin_size, context_filter)
                 parts.append(counts)
-                first += line_count
+                first += lines
+                continue
             except DataError as exc:
                 error = exc
+        first += _line_ends(block, len(block))  # to number a later byte that is not UTF-8
     if error is not None:
         raise error
     if first == 0:
@@ -480,6 +471,9 @@ def write_methylation_tsv(
 ) -> None:
     """Write a sequence as a UTF-8 count table with synthetic genomic coordinates."""
     _check_bin_size(bin_size)
+    for name, text in (("chrom", chrom), ("context", context)):
+        if any(c in text for c in "\t\n\r"):
+            raise ParameterError(f"{name} must hold no tab or line end, got {text!r}")
     k = seq.num_cells
     header = list(TSV_COLUMNS) + [
         col for j in range(1, k + 1) for col in (f"cov_{j}", f"meth_{j}")

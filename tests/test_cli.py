@@ -316,6 +316,8 @@ class TestExitCodes:
             ("fit", "--train-frac", "1.5", "train fraction must lie in (0, 1], got 1.5"),
             ("eval", "--train-frac", "0", "train fraction must lie in (0, 1], got 0.0"),
             ("eval", "--prob-floor", "0.5", "--prob-floor must lie in [0, 0.5), got 0.5"),
+            ("eval", "--diff-threshold", "7", "--diff-threshold must lie in [0, 1], got 7.0"),
+            ("eval", "--diff-threshold", "nan", "--diff-threshold must lie in [0, 1], got nan"),
         ],
     )
     def test_bad_flag_is_reported_before_the_table_is_read(

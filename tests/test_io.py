@@ -28,6 +28,10 @@ def _write(path, text):
     return path
 
 
+def _crlf(text):
+    return text.replace("\n", "\r\n")
+
+
 HEADER_1 = "chrom\tbin_start\tcontext\tcov_1\tmeth_1\n"
 HEADER_2 = "chrom\tbin_start\tcontext\tcov_1\tmeth_1\tcov_2\tmeth_2\n"
 
@@ -606,7 +610,7 @@ class TestCleanChunks:
 
         monkeypatch.setattr(io_module, "_parses", per_line)
         monkeypatch.setattr(io_module, "_line_error", per_line)
-        monkeypatch.setattr(np, "fromiter", per_line)  # the blank-line mask
+        monkeypatch.setattr(np, "fromiter", per_line)  # _chunk_columns' blank-line mask
         loaded = load_methylation_tsv(path)
         assert np.array_equal(loaded.coverage, seq.coverage)
         assert np.array_equal(loaded.meth, seq.meth)
@@ -639,7 +643,7 @@ def any_chunk_bytes(request, monkeypatch):
 
 
 class TestByteParser:
-    """Clean blocks are read from their digit bytes, with the values numpy's parser reads."""
+    """Blocks are read from their digit bytes, with the values numpy's parser reads."""
 
     @pytest.mark.parametrize("digits", [1, 8, 9, 18, 19])
     def test_field_widths(self, tmp_path, any_chunk_bytes, digits):
@@ -678,12 +682,57 @@ class TestByteParser:
         assert load_methylation_tsv(path).meth[1800, 0] == 2
         _assert_same_as_reference(path)
 
-    def test_clean_table_never_calls_numpy_text_parser(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # a "\r" not right before its "\n" ends a line, and " " is a blank line
+            HEADER_1 + "\n".join(_rows(30)).replace("\t0\n", "\t0\r \n", 1) + "\n",
+            _crlf(HEADER_1 + "\n".join(_rows(30)) + "\n").replace("\t0\r\n", "\t0\r \n", 1),
+            # a lone "\r" in a chrom ends a line there
+            _crlf(HEADER_1 + "chr1\t0\tCG\t5\t2\nch\rr1\t100\tCG\t5\t2\n"),
+            # as many "\r" as lines, but a blank line ends in one and a row in "\n" alone
+            _crlf(HEADER_1) + "\rchr1\t0\tCG\t15\t12\nchr1\t100\tCG\t5\t2\r\n",
+            # "\n" and "\r\n" rows in one block
+            HEADER_1 + "".join(
+                row + ("\r\n" if t % 3 else "\n") for t, row in enumerate(_rows(30))
+            ),
+            # no line end after the last line of a "\r\n" table
+            _crlf(HEADER_2 + "chr1\t0\tCG\t5\t2\t4\t4\nchrÜ\t100\tCHH\t3\t0\t1\t0"),
+        ],
+        ids=["lf-cr-space", "crlf-cr-space", "cr-in-chrom", "cr-count-matches", "mixed", "crlf-no-end"],
+    )
+    def test_line_ends_the_byte_parser_turns_down(self, tmp_path, any_chunk_bytes, text):
+        path = tmp_path / "t.tsv"
+        path.write_bytes(text.encode())
+        _assert_same_as_reference(path, context_filter="CG")
+
+    def test_crlf_bad_row_then_a_non_utf8_byte_in_a_later_block(self, tmp_path, monkeypatch):
+        # the byte's line number counts every line of the block with the bad row
+        monkeypatch.setattr(io_module, "_CHUNK_BYTES", 1024)
+        rows = _rows(400)
+        rows[3] = "chr1\t300\tCG\t2\t3"
+        rows[300] = "chr\xe91\t30000\tCG\t9\t0"
+        data = _crlf(HEADER_1 + "\n".join(rows) + "\n").encode().replace(b"\xc3\xa9", b"\xe9")
+        assert data.index(b"\xe9") > 2 * 1024
+        path = tmp_path / "t.tsv"
+        path.write_bytes(data)
+        with pytest.raises(
+            DataError, match=r"t\.tsv:302: not valid UTF-8 \(invalid continuation byte\)$"
+        ):
+            load_methylation_tsv(path)
+        path.write_bytes(data.replace(b"\xe9", b"e"))
+        with pytest.raises(DataError, match=r"t\.tsv:5: cell 1 has meth 3 outside \[0, 2\]$"):
+            load_methylation_tsv(path)
+
+    @pytest.mark.parametrize("ending", [b"\n", b"\r\n"])
+    @pytest.mark.parametrize("chrom", ["sim", "chrÜ"])
+    def test_clean_table_never_calls_numpy_text_parser(self, tmp_path, monkeypatch, ending, chrom):
         gen = np.random.default_rng(5)
         cov = gen.integers(0, 40, size=(20_000, 2))
         seq = CountSequence(cov, gen.binomial(cov, 0.4))
         path = tmp_path / "t.tsv"
-        write_methylation_tsv(path, seq)
+        write_methylation_tsv(path, seq, chrom=chrom)
+        path.write_bytes(path.read_bytes().replace(b"\n", ending))
 
         def loadtxt(*args, **kwargs):
             raise AssertionError("np.loadtxt ran on a clean table")
@@ -696,7 +745,7 @@ class TestByteParser:
 
 
 class TestBadBytesPastTheFirstDecodeBlock:
-    """A byte that is not UTF-8 far beyond the text layer's first 8 KB decode."""
+    """A byte that is not UTF-8 far into a table, past its first 8 KB and 64 KB."""
 
     @staticmethod
     def _table(ending, tail):
@@ -754,7 +803,7 @@ class TestLoadMemory:
 
     @pytest.mark.parametrize("ending", [b"\r\n", b"\r"])
     def test_peak_with_crlf_and_cr_line_ends(self, tmp_path, ending):
-        # no block of these is clean, so every one is decoded into lines
+        # the byte parser reads the \r\n table; every block of the \r one goes to the fallback
         gen = np.random.default_rng(3)
         cov = gen.integers(0, 40, size=100_000)
         path = tmp_path / "t.tsv"
@@ -789,3 +838,15 @@ class TestWriterMatchesRowWriter:
         write_methylation_tsv(new, seq)
         reference_write_tsv(ref, seq)
         assert new.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("chrom", "chr\t1"), ("chrom", "chr\r1"), ("chrom", "chr\n1"),
+         ("context", "C\tG"), ("context", "CG\r")],
+    )
+    def test_field_the_reader_cannot_read_back(self, tmp_path, field, value):
+        seq = CountSequence(np.array([5, 3]), np.array([2, 0]))
+        path = tmp_path / "t.tsv"
+        with pytest.raises(ParameterError, match=f"{field} must hold no tab or line end"):
+            write_methylation_tsv(path, seq, **{field: value})
+        assert not path.exists()
