@@ -131,12 +131,19 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    # every flag is checked before the table is read; the EM flags are
+    # recorded in every model's provenance, so they are checked for every --algo
     _check_train_frac(args.train_frac)
+    if args.states < 1:
+        raise ParameterError(f"--states must be >= 1, got {args.states}")
+    if args.em_rounds < 0:
+        raise ParameterError(f"--em-rounds must be >= 0, got {args.em_rounds}")
+    ftd_cfg = FtdConfig(granularity=args.granularity)
+    em_cfg = EmConfig(max_iters=args.em_iters, rel_ll_tolerance=args.em_tol, seed=args.seed)
     seq = model_io.load_methylation_tsv(
         args.data, context_filter=args.context, merge_replicates=args.merge_replicates
     )
     train = seq[: int(len(seq) * args.train_frac)]
-    ftd_cfg = FtdConfig(granularity=args.granularity)
     diagnostics: dict = {}
     granularity: int | None = args.granularity
     if args.algo == "ftd":
@@ -145,9 +152,6 @@ def _cmd_fit(args) -> int:
         weights = model.prior_weights
         diagnostics = model.diagnostics
     elif args.algo == "em":
-        em_cfg = EmConfig(
-            max_iters=args.em_iters, rel_ll_tolerance=args.em_tol, seed=args.seed
-        )
         trace = em_fit(train, args.states, em_cfg)
         params = trace.params
         weights = prior_weights(train)

@@ -45,9 +45,10 @@ class EmConfig:
     def __post_init__(self) -> None:
         if self.max_iters < 1:
             raise ParameterError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.rel_ll_tolerance < 0.0:
+        # a finite bound, so a model's provenance stays strict JSON
+        if not 0.0 <= self.rel_ll_tolerance < math.inf:
             raise ParameterError(
-                f"rel_ll_tolerance must be >= 0, got {self.rel_ll_tolerance}"
+                f"rel_ll_tolerance must lie in [0, inf), got {self.rel_ll_tolerance}"
             )
 
 

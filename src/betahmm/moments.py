@@ -1,44 +1,32 @@
 """Co-occurrence moments of consecutive feature triples.
 
-For a feature-mapped sequence, every overlapping window (t, t+1, t+2)
-contributes the pairwise outer products of its three feature vectors and one
-order-3 outer product. The accumulator keeps the plain running sum of the
-order-3 products, from which the pairwise sums follow; accumulators built on
-disjoint shards merge by adding their sums.
+A sequence arrives as a feature table F, one row per distinct (coverage,
+count) key, and each position's row of every cell (``features.feature_table``);
+position t's feature vector f_t is its cells' rows side by side. Every
+overlapping window (t, t+1, t+2) contributes its three vectors.
 
-The pass works from distinct (coverage, count) keys, not from positions. A
-sequence arrives as a feature table F with one row per distinct key, and each
-position's row index (``features.feature_table``). Only the triple sums are
-kept: each cell's feature row sums to 1, so the pair moments are marginals of
-the triple. The windows are counted per distinct (middle, first, last) key
-triple, and the triples of one middle key v form a group:
-``G_v = (counts * F[first]).T @ F[last]`` sums the outer products of the first
-and last feature vectors over the windows whose middle key is v, and the
-tensor is ``sum_v F[v] (x) G_v``. Groups are cut into pieces and padded to
-power-of-two sizes, so the pieces of one size go through one batched
-``np.matmul``, in chunks whose working arrays stay within a fixed number of
-elements (one piece of one triple at least). Work is O(n + nt d^2 + U d^3)
-for n windows, nt distinct key triples and U distinct keys. Memory is O(n)
-beyond that bound and the d^3 sums: no U x d^2 or U x U array forms, and no
-loop runs over positions or keys.
+Two passes read the windows through their keys with ``np.bincount``: a
+bincount of one key column, weighted by values gathered from the other
+positions of each window, sums those values per key, and a product with the
+table's rows finishes the sum. Neither forms an array larger than n or U x D
+for n windows, U distinct keys and feature dimension D, and neither loops over
+positions or keys.
 
-Each chunk's arrays live in one scratch arena per pass (one ``add_indexed``
-call, all of its cells**3 blocks): the gathered first and last rows, the
-batched products, the middle rows and the contraction are views of it,
-written with ``out=``. The arena fits the largest chunk the pass plans, so a
-short pass maps less than the budget. With new arrays for every chunk, the
-two half passes of a two-cell fit (L = 90,000, d = 12) took 24-26k minor page
-faults, about 100 MB of freshly zeroed pages and a third of their time; with
-the arena they take about 1.3k.
+- ``pair_sums`` gives the three D x D pair sums, with one bincount per
+  feature column, cell pair and lag.
+- ``window_sum`` gives the sum of (x.T f_t) (x) (y.T f_{t+1}) (x) (z.T f_{t+2})
+  for any three factor matrices, with one bincount per column pair of the two
+  narrower factors. The spectral fit calls it with whitened factors of a few
+  columns, so it never forms the D x D x D triple.
 
-Dense storage is used for the moments; the feature dimension is capped so the
-order-3 array stays manageable.
+``MomentAccumulator`` keeps that dense triple, summed by ``window_sum`` with
+identity factors, for finalized moment sets and shard merges; its pair moments
+are marginals of the triple. Its feature dimension is capped so the order-3
+array stays manageable.
 """
 
 from __future__ import annotations
 
-import math
-import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,136 +35,105 @@ from .errors import DataError, ParameterError
 from .features import BetaMapConfig, feature_table
 from .model import CountSequence
 
-__all__ = ["MomentSet", "MomentAccumulator", "MAX_FEATURE_DIM"]
+__all__ = ["MomentSet", "MomentAccumulator", "MAX_FEATURE_DIM", "pair_sums", "window_sum"]
 
 MAX_FEATURE_DIM = 256
 
-# float64-sized elements of one chunk's gathered rows and products in the
-# triple pass; bounds the chunk whatever the number of distinct keys, and so
-# the pass's arena, which adds the chunk's middle rows and the d**3
-# contraction. 2**18 (2 MB) rather than 2**20: the pass's tracemalloc peak fell
-# from 21.6 to 12.9 MB on the genome-ftd sequence and from 16.5 to 6.8 MB on
-# two-cell, and its CPU time from 90 to 85 ms and from 149 to 107 ms (smaller
-# chunks stay in cache)
-_BATCH_ELEMENTS = 1 << 18
+# windows per step of window_sum; its scratch is three float64 columns of
+# this length (768 KB)
+_STEP = 1 << 15
 
 # a pair moment of k cells sums to k**2 and the triple to k**3; validation
 # allows this tolerance times max(1, total)
 _SUM_TOL = 1e-9
 
 
-def _triple_counts(middle: np.ndarray, first: np.ndarray, last: np.ndarray, size: int):
-    """Distinct (middle, first, last) key triples in sorted order, and their window counts.
+def pair_sums(table: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Window sums of f_t (x) f_{t+1}, f_t (x) f_{t+2} and f_{t+1} (x) f_{t+2}.
 
-    Keys lie in [0, size), in any integer dtype. One int64 code per window
-    serves while size**3 fits in int64; beyond that the triples are sorted
-    as rows.
+    ``index[t, j]`` is the table row of cell j at position t; the n - 2
+    windows of n positions are summed. The block of cells (a, b) at lag k is
+    ``table.T @ Z.T``, where row j of Z bincounts cell a's keys weighted by
+    column j of cell b's rows k positions later. The first and third sums
+    share the lag-1 sum over the inner windows and add one end pair each.
     """
-    if size < 1 << 21:
-        code = (middle.astype(np.int64, copy=False) * size + first) * size + last
-        codes, counts = np.unique(code, return_counts=True)
-        return codes // (size * size), codes // size % size, codes % size, counts
-    triples, counts = np.unique(
-        np.stack([middle, first, last], axis=1), axis=0, return_counts=True
-    )
-    return triples[:, 0], triples[:, 1], triples[:, 2], counts
+    length, cells = index.shape
+    size, D = table.shape
+    columns = np.ascontiguousarray(table.T)
+    weights = np.empty(length)
+
+    def lagged(lag: int, lo: int, hi: int) -> np.ndarray:
+        out = np.empty((cells * D, cells * D))
+        z = np.empty((D, size))
+        w = weights[: hi - lo]
+        for a in range(cells):
+            keys = index[lo:hi, a]
+            for b in range(cells):
+                later = index[lo + lag : hi + lag, b]
+                for j, column in enumerate(columns):
+                    np.take(column, later, out=w, mode="clip")
+                    z[j] = np.bincount(keys, w, minlength=size)
+                out[a * D : (a + 1) * D, b * D : (b + 1) * D] = columns @ z.T
+        return out
+
+    def outer(s: int, t: int) -> np.ndarray:
+        return np.outer(table[index[s]].ravel(), table[index[t]].ravel())
+
+    inner = lagged(1, 1, length - 2)
+    return inner + outer(0, 1), lagged(2, 0, length - 2), inner + outer(length - 2, length - 1)
 
 
-class _Arena:
-    """Float64 scratch shared by every chunk of one pass.
-
-    It is as large as the largest chunk planned so far, and is replaced only
-    when a block plans a larger one, so a pass maps new pages only to grow. It is an
-    anonymous private mapping of its own (POSIX), not a numpy allocation:
-    freeing a 2 MB malloc block raises glibc's dynamic mmap threshold, and
-    later temporaries then stay on a heap that is not trimmed. As a numpy
-    array the arena raised the peak RSS of a two-cell ``betahmm fit`` from
-    46.7 to 47.0 MB and of the sweep's ``betahmm benchmark`` from 43.9 to
-    45.7 MB; as a mapping they read 45.0 and 43.9 MB. The price is fresh
-    pages in every pass, about 0.8 ms per 2 MB. tracemalloc does not see the
-    mapping.
-    """
-
-    def __init__(self) -> None:
-        self._buf = np.empty(0)
-
-    def take(self, size: int) -> np.ndarray:
-        """The first ``size`` elements of the buffer, enlarged if it is shorter."""
-        if self._buf.size < size:
-            self._buf = np.frombuffer(
-                mmap.mmap(-1, 8 * size, flags=mmap.MAP_PRIVATE), dtype=np.float64
-            )
-        return self._buf[:size]
-
-
-def _carve(buf: np.ndarray, *shapes: tuple) -> list:
-    """Consecutive views of ``buf``, one of each shape, from its start."""
-    views, at = [], 0
-    for shape in shapes:
-        n = math.prod(shape)
-        views.append(buf[at : at + n].reshape(shape))
-        at += n
-    return views
-
-
-def _triple_block(
-    table: np.ndarray, middle: np.ndarray, first: np.ndarray, last: np.ndarray, arena: _Arena
+def window_sum(
+    table: np.ndarray, index: np.ndarray, x: np.ndarray, y: np.ndarray, z: np.ndarray
 ) -> np.ndarray:
-    """Sum over windows of F[middle] (x) F[first] (x) F[last], in that axis order.
+    """Sum over windows of (x.T f_t) (x) (y.T f_{t+1}) (x) (z.T f_{t+2}).
 
-    Each group of key triples with one middle key v is cut into pieces of at
-    most ``cap`` triples; a piece gives ``(counts * F[first]).T @ F[last]``,
-    and contracting it with ``F[v]`` adds its part of the block. Pieces are
-    padded with zero-weight rows to the next power of two, so the pieces of
-    one padded size share one batched product per chunk. Every chunk's
-    gathered rows, products and contraction are views of ``arena``.
+    ``x``, ``y`` and ``z`` have one row per feature coordinate; the result has
+    one axis per factor, of its column count. Each factor is first folded into
+    every cell's table rows. The keys at the widest factor's position are then
+    bincounted once per column pair of the other two, weighted by the product
+    of their gathered projections, and the bincount times the widest factor's
+    projection gives one fibre of the result.
     """
-    D = table.shape[1]
-    mid, fst, lst, counts = _triple_counts(middle, first, last, table.shape[0])
-    # the largest power of two whose piece fits the budget, 1 at least
-    room = (_BATCH_ELEMENTS - D * D) // (2 * D)
-    cap = 1 << (room.bit_length() - 1) if room >= 1 else 1
-    group_start = np.flatnonzero(np.r_[True, mid[1:] != mid[:-1]])
-    group_size = np.diff(np.r_[group_start, mid.size])
-    pieces = -(-group_size // cap)
-    # piece j of a group starts j * cap triples into it
-    offset = cap * (np.arange(pieces.sum()) - np.repeat(np.cumsum(pieces) - pieces, pieces))
-    start = np.repeat(group_start, pieces) + offset
-    size = np.minimum(cap, np.repeat(group_size, pieces) - offset)
-    # a piece pads to 2**exponent rows
-    exponent = np.frexp(size - 1)[1]
-    per_width = np.bincount(exponent)
-    # (exponent, pieces per chunk, pieces in its largest chunk)
-    plan = []
-    for e in np.flatnonzero(per_width).tolist():
-        step = max(1, _BATCH_ELEMENTS // ((1 << e) * 2 * D + D * D))
-        plan.append((e, step, min(step, int(per_width[e]))))
-    # a chunk holds each piece's first and last rows, product and middle row,
-    # after the contraction; the arena fits the block's largest chunk
-    buf = arena.take(D**3 + max(p * ((1 << e) * 2 * D + D * D + D) for e, _, p in plan))
-    out = np.zeros((D, D * D))
-    for e, step, _ in plan:
-        width = 1 << e
-        chosen = np.flatnonzero(exponent == e)
-        slot = np.arange(width)
-        for lo in range(0, chosen.size, step):
-            part = chosen[lo : lo + step]
-            p = part.size
-            contraction, firsts, lasts, products, middles = _carve(
-                buf, (D, D * D), (p, width, D), (p, width, D), (p, D, D), (p, D)
-            )
-            valid = slot < size[part, None]
-            rows = np.where(valid, start[part, None] + slot, start[part, None])
-            # mode="clip": with the default "raise", take buffers out= and so
-            # allocates a new array every chunk
-            np.take(table, fst[rows], axis=0, out=firsts, mode="clip")
-            firsts *= np.where(valid, counts[rows], 0.0)[..., None]
-            np.take(table, lst[rows], axis=0, out=lasts, mode="clip")
-            np.matmul(firsts.transpose(0, 2, 1), lasts, out=products)
-            np.take(table, mid[start[part]], axis=0, out=middles, mode="clip")
-            np.matmul(middles.T, products.reshape(p, D * D), out=contraction)
-            out += contraction
-    return out.reshape(D, D, D)
+    windows = index.shape[0] - 2
+    cells = index.shape[1]
+    size, D = table.shape
+    factors = (x, y, z)
+    for f in factors:
+        if f.shape[0] != D * cells:
+            raise ParameterError(f"factor has {f.shape[0]} rows, features have {D * cells}")
+    # proj[k][j] is cell j's table rows projected on factor k, one row per column
+    proj = [
+        np.stack([(table @ f[j * D : (j + 1) * D]).T for j in range(cells)]) for f in factors
+    ]
+    wide = max(range(3), key=lambda k: factors[k].shape[1])
+    p, q = (k for k in range(3) if k != wide)
+    out = np.zeros((factors[p].shape[1], factors[q].shape[1], factors[wide].shape[1]))
+    # the windows go in steps whose gathered columns share one block of
+    # scratch: fresh n-length temporaries in every call cost as much again in
+    # page faults, and a step's columns stay in cache
+    scratch = np.empty((3, min(windows, _STEP)))
+    for lo in range(0, windows, _STEP):
+        keys = [index[k + lo : k + min(windows, lo + _STEP)] for k in range(3)]
+        first, weights, part = scratch[:, : len(keys[0])]
+
+        def gather(k: int, i: int, dest: np.ndarray) -> np.ndarray:
+            """Column i of factor k's projections, summed over cells, at each window."""
+            np.take(proj[k][0, i], keys[k][:, 0], out=dest, mode="clip")
+            for j in range(1, cells):
+                dest += np.take(proj[k][j, i], keys[k][:, j], out=part, mode="clip")
+            return dest
+
+        for i in range(out.shape[0]):
+            gather(p, i, first)
+            for j in range(out.shape[1]):
+                np.multiply(first, gather(q, j, weights), out=weights)
+                for c in range(cells):
+                    out[i, j] += proj[wide][c] @ np.bincount(
+                        keys[wide][:, c], weights, minlength=size
+                    )
+    # axes are (p, q, wide) with p < q; move the widest factor's axis home
+    return np.moveaxis(out, 2, wide)
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,7 +208,8 @@ class MomentAccumulator:
     """Running sums of triple outer products; pair moments are their marginals.
 
     Every input goes through one pass, ``add_indexed``, which takes a
-    sequence as feature-table rows; ``add_sequence`` maps a count sequence
+    sequence as feature-table rows and sums its dense triple with
+    ``window_sum``; ``add_sequence`` maps a count sequence
     through ``features.feature_table`` first. ``merge`` adds the sums of
     accumulators built on disjoint shards. ``finalize`` divides by the triple
     count and returns a validated :class:`MomentSet`.
@@ -284,9 +242,8 @@ class MomentAccumulator:
 
         ``table`` has one feature row per distinct key, shape (U, D), each row
         summing to 1, and ``index[t, j]`` is the row of cell j at position t,
-        so each position maps to the concatenation of its cells' rows. Loops
-        run over cells and over chunks of key-triple groups only, and every
-        chunk of the call writes into one scratch arena.
+        so each position maps to the concatenation of its cells' rows. The
+        triple is ``window_sum`` with identity factors.
         """
         length, cells = index.shape
         if length < 3:
@@ -296,15 +253,8 @@ class MomentAccumulator:
             raise ParameterError(
                 f"sequence maps to dimension {D * cells}, accumulator expects {self.feature_dim}"
             )
-        first, middle, last = index[:-2], index[1:-1], index[2:]
-        block = [slice(j * D, (j + 1) * D) for j in range(cells)]
-        arena = _Arena()
-        for a in range(cells):
-            for b in range(cells):
-                for c in range(cells):
-                    self._t123[block[a], block[b], block[c]] += _triple_block(
-                        table, middle[:, b], first[:, a], last[:, c], arena
-                    ).transpose(1, 0, 2)
+        eye = np.eye(self.feature_dim)
+        self._t123 += window_sum(table, index, eye, eye, eye)
         self.count += length - 2
         return self
 

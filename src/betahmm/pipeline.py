@@ -1,9 +1,17 @@
 """End-to-end feature tensor decomposition (FTD) fits.
 
-One call maps a count sequence through histogram features, accumulates
-consecutive-triple moments, decomposes them spectrally, and converts the
-per-state feature means into binomial HMM parameters. A warm-start variant
-hands the result to a few EM refinement rounds.
+One call maps a count sequence through histogram features, sums its pair
+moments, decomposes the triple moment spectrally, and converts the per-state
+feature means into binomial HMM parameters. A warm-start variant hands the
+result to a few EM refinement rounds.
+
+The rank decision and the whitening map W come from the pair moments alone.
+The triple enters only through contractions with D x r factors: the m x m x m
+whitened tensor and a D x m readout of the feature means. ``ftd_fit`` takes
+them straight from the keyed sequence (``moments.window_sum``), so no D x D x D
+array forms and the triple costs O(n m**2) for n windows and m states;
+``ftd_fit_moments`` takes them from a finalized moment set's dense triple.
+Every step after the contractions is shared.
 """
 
 from __future__ import annotations
@@ -14,13 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .em import EmConfig, EmTrace, em_fit
-from .errors import DataError, ParameterError
+from .errors import DataError, NumericalError, ParameterError
 from .features import BetaMapConfig, feature_table, prior_weights
 from .model import CountSequence, HmmParams
-from .moments import MomentAccumulator, MomentSet
+from .moments import MomentSet, pair_sums, window_sum
 from .recovery import chain_from_joint, estimate_joint_lsq, recover_meth_probs
 from .spectral import (
     _pinv,
+    _symmetric_part,
     joint_diagonalization,
     pair_spectrum,
     recover_feature_means,
@@ -40,8 +49,9 @@ class FtdConfig:
     fewer than ``num_states`` directions survive, the decomposition runs at the
     reduced rank and the missing states are filled with copies of the heaviest
     recovered components (a merged-state estimate). The noise of each
-    direction comes from the disagreement of the two half-stream moment sets.
-    Without them it is ``noise_level`` times the norm of the third-view
+    direction comes from the disagreement of the pair moments of two half
+    streams, which ``ftd_fit`` sums separately and ``ftd_fit_moments`` takes
+    as ``split_halves``. Without them it is ``noise_level`` times the norm of the third-view
     operator, where ``noise_level`` is ``moment_ridge`` or, if that is None, a
     closed-form stand-in; only such fits report ``noise_level``, and with
     halves ``moment_ridge`` has no effect.
@@ -63,9 +73,11 @@ class RecoveredModel:
 
     ``per_cell_probs`` always has shape (num_cells, num_states);
     ``params.meth_probs`` is its single row for single-cell data.
-    ``diagnostics`` records clamping masses, the joint fit's objective,
-    active-set steps and KKT residual, rank margins (each pair value over its
-    floor), whitening spectrum, tensor residuals and pre-clamp probabilities;
+    ``diagnostics`` records the window count (``triples``), clamping masses,
+    the joint fit's objective, active-set steps and KKT residual, rank
+    margins (each pair value over its floor), whitening spectrum, the
+    whitened tensor's asymmetry (its relative distance from its symmetric
+    part, which it decomposes), tensor residuals and pre-clamp probabilities;
     ``diagnostics["timings"]`` holds the seconds of each stage, and
     ``ftd_fit`` adds ``diagnostics["distinct_keys"]``, the distinct
     (coverage, count) pairs of each cell.
@@ -88,41 +100,50 @@ _PAIR_NOISE_CONST = 16.0
 _PROB_MARGIN = 1e-6
 
 
-def ftd_fit_moments(
-    moments: MomentSet,
-    num_states: int,
-    prior_weights_per_cell,
-    config: FtdConfig = FtdConfig(),
-    split_halves: tuple[MomentSet, MomentSet] | None = None,
-) -> RecoveredModel:
-    """Spectral fit from already-finalized moments.
+def _check_states(num_states: int) -> None:
+    if num_states < 1:
+        raise ParameterError(f"num_states must be >= 1, got {num_states}")
 
-    ``symmetrize_moments`` recentres the triple moment and takes its symmetric
-    part; the symmetric tensor is whitened, decomposed by
-    ``joint_diagonalization``, and read back into per-state feature means
-    through ``recover_feature_means``. ``diagnostics["tensor_asymmetry"]``
-    measures the tensor before symmetrization.
 
-    ``prior_weights_per_cell`` must carry one mean of 1 / (coverage + 2) per
-    cell block of the moment set. The moment granularity is inferred from the
-    feature dimension and block count. ``split_halves`` optionally carries the
-    same moments accumulated over two disjoint halves of the stream; their
-    disagreement calibrates the noise floor of each pair direction, which
-    selects the rank.
+def _readout(contract, s1: np.ndarray, s3: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``g(u_l, u_l, .)`` for every column u_l of ``u``, a D x m array.
+
+    g is the symmetric part of ``raw(x, y, z) = contract(s1.T x, y, s3.T z)``,
+    so ``g(u, u, .) = (raw(u, u, .) + raw(u, ., u) + raw(., u, u)) / 3``: three
+    contractions per column, each with one D-column factor.
+    """
+    eye = np.eye(u.shape[0])
+    columns = []
+    for v in u.T:
+        v = v[:, None]
+        a, c = s1.T @ v, s3.T @ v
+        columns.append(
+            contract(a, v, s3.T)[0, 0] + contract(a, eye, c)[0, :, 0] + contract(s1.T, v, c)[:, 0, 0]
+        )
+    return np.stack(columns, axis=1) / 3.0
+
+
+def _fit(pairs, halves, contract, count, num_blocks, num_states, weights, config) -> RecoveredModel:
+    """The spectral fit from pair means and contractions of the triple mean.
+
+    ``pairs`` holds the means (p12, p13, p23), ``halves`` the same for the two
+    half streams or None, and ``contract(x, y, z)`` is the triple mean
+    contracted with x, y and z on its three axes.
     """
     start = time.perf_counter()
-    dim = moments.dim
-    granularity = dim // moments.num_blocks
-    _, s3, g, asymmetry = symmetrize_moments(moments, num_states)
-    spectrum = pair_spectrum(s3, moments.p32)
+    p12, p13, p23 = pairs
+    dim = p12.shape[0]
+    granularity = dim // num_blocks
+    s1, s3 = symmetrize_moments(p12, p13, p23, num_states)
+    spectrum = pair_spectrum(s3, p23.T)
     _, vals, vecs = spectrum
     top_vals = vals[:num_states]
     top_vecs = vecs[:, :num_states]
-    if split_halves is not None:
+    if halves is not None:
         half_pairs = []
-        for half in split_halves:
-            s3h = half.p21 @ _pinv(half.p31, rank=num_states)
-            half_pairs.append(s3h @ half.p32)
+        for h12, h13, h23 in halves:
+            s3h = h12.T @ _pinv(h13.T, rank=num_states)
+            half_pairs.append(s3h @ h23.T)
         delta = 0.5 * (half_pairs[0] - half_pairs[1])
         delta = 0.5 * (delta + delta.T)
         # per-direction noise: the split-half disagreement of each curvature,
@@ -135,8 +156,8 @@ def ftd_fit_moments(
         if level is None:
             level = (
                 _PAIR_NOISE_CONST
-                * float(np.linalg.norm(moments.p13))
-                / float(np.sqrt(dim * float(moments.count)))
+                * float(np.linalg.norm(p13))
+                / float(np.sqrt(dim * float(count)))
             )
         pair_floor = np.full(num_states, float(np.linalg.norm(s3, ord=2)) * level)
         noise = {"noise_level": level}
@@ -144,9 +165,16 @@ def ftd_fit_moments(
     # keep the leading run of resolvable directions
     rank = int(np.argmin(resolvable)) if not resolvable.all() else num_states
     rank = max(1, rank)
-    whitening, h = whiten(g, spectrum, rank)
+    whitening = whiten(spectrum, rank)
+    w = whitening.w
+    raw = contract(s1.T @ w, w, s3.T @ w)
+    norm = float(np.linalg.norm(raw))
+    if norm == 0.0:
+        raise NumericalError("whitened tensor is identically zero")
+    h = _symmetric_part(raw)
     result = joint_diagonalization(h)
-    means_r = recover_feature_means(result, whitening, g, num_blocks=moments.num_blocks)
+    readout = _readout(contract, s1, s3, w @ result.eigenvectors)
+    means_r = recover_feature_means(result, readout, num_blocks=num_blocks)
     spectral_done = time.perf_counter()
     # unresolvable states are estimated at the recovered merged positions,
     # heaviest components (smallest whitened eigenvalue) duplicated first
@@ -154,8 +182,8 @@ def ftd_fit_moments(
     extras = [int(dup_order[i % rank]) for i in range(num_states - rank)]
     mapping = np.concatenate([np.arange(rank), np.asarray(extras, dtype=np.int64)])
     means = means_r[:, mapping]
-    probs, raw_probs = recover_meth_probs(means, prior_weights_per_cell, granularity)
-    joint = estimate_joint_lsq(moments.p21, means_r)
+    probs, raw_probs = recover_meth_probs(means, weights, granularity)
+    joint = estimate_joint_lsq(p12.T, means_r)
     # split each merged state's joint mass evenly among its copies; the
     # expanded matrix keeps non-negativity and total mass exactly
     multiplicity = np.bincount(mapping, minlength=rank)[mapping]
@@ -168,12 +196,12 @@ def ftd_fit_moments(
         "recovery_s": time.perf_counter() - spectral_done,
     }
     diagnostics = {
-        "triples": moments.count,
+        "triples": count,
         **noise,
         "pair_floor": pair_floor.tolist(),
         "effective_rank": int(rank),
         "duplicated_components": extras,
-        "tensor_asymmetry": asymmetry,
+        "tensor_asymmetry": float(np.linalg.norm(raw - h)) / norm,
         "pair_values": top_vals.tolist(),
         # None rather than inf at a zero floor: the model JSON must not hold Infinity
         "rank_margins": [
@@ -194,31 +222,49 @@ def ftd_fit_moments(
     return RecoveredModel(
         params=params,
         per_cell_probs=probs,
-        prior_weights=np.atleast_1d(np.asarray(prior_weights_per_cell, dtype=np.float64)),
+        prior_weights=np.atleast_1d(np.asarray(weights, dtype=np.float64)),
         feature_means=means,
         diagnostics=diagnostics,
     )
 
 
-def _moment_sets(
-    table: np.ndarray, index: np.ndarray, dim: int
-) -> tuple[MomentSet, tuple[MomentSet, MomentSet] | None]:
-    """Finalized moments of every window, and of two half streams when long enough.
+def ftd_fit_moments(
+    moments: MomentSet,
+    num_states: int,
+    prior_weights_per_cell,
+    config: FtdConfig = FtdConfig(),
+    split_halves: tuple[MomentSet, MomentSet] | None = None,
+) -> RecoveredModel:
+    """Spectral fit from already-finalized moments.
 
-    The accumulators, each holding a dim**3 sum, die on return.
+    ``symmetrize_moments`` turns the pair moments into the operators s1 and
+    s3 that recenter the triple on the middle position, and ``whiten`` turns
+    the recentred pair matrix into the whitening map W. The triple moment
+    ``t123`` is contracted with s1.T W, W and s3.T W in one ``einsum``; the
+    symmetric part of that m x m x m tensor is decomposed by
+    ``joint_diagonalization`` and read back into per-state feature means
+    through ``recover_feature_means``. ``diagnostics["tensor_asymmetry"]``
+    measures the whitened tensor before symmetrization.
+
+    ``prior_weights_per_cell`` must carry one mean of 1 / (coverage + 2) per
+    cell block of the moment set. The moment granularity is inferred from the
+    feature dimension and block count. ``split_halves`` optionally carries the
+    same moments accumulated over two disjoint halves of the stream; their
+    disagreement calibrates the noise floor of each pair direction, which
+    selects the rank.
     """
-    cells = index.shape[1]
-    if len(index) < 16:
-        acc = MomentAccumulator(feature_dim=dim, num_blocks=cells)
-        return acc.add_indexed(table, index).finalize(), None
-    half = len(index) // 2
-    acc_a = MomentAccumulator(feature_dim=dim, num_blocks=cells)
-    acc_a.add_indexed(table, index[:half])
-    # start two positions early so the windows spanning the cut are kept:
-    # the merged accumulator then covers every overlapping triple exactly once
-    acc_b = MomentAccumulator(feature_dim=dim, num_blocks=cells)
-    acc_b.add_indexed(table, index[half - 2 :])
-    return acc_a.merge(acc_b).finalize(), (acc_a.finalize(), acc_b.finalize())
+    _check_states(num_states)
+    halves = None
+    if split_halves is not None:
+        halves = [(half.p12, half.p13, half.p23) for half in split_halves]
+
+    def contract(x, y, z):
+        return np.einsum("abc,ai,bj,ck->ijk", moments.t123, x, y, z, optimize=True)
+
+    return _fit(
+        (moments.p12, moments.p13, moments.p23), halves, contract, moments.count,
+        moments.num_blocks, num_states, prior_weights_per_cell, config,
+    )
 
 
 def ftd_fit(
@@ -227,18 +273,36 @@ def ftd_fit(
     """Full spectral fit of a count sequence.
 
     The (coverage, count) keys and their feature table are computed once for
-    the whole sequence. Long enough sequences are accumulated as two
-    half-stream shards whose summed moments cover every window once; the
+    the whole sequence. Long enough sequences have their pair moments summed
+    as two half-stream shards that together cover every window once; the
     halves also provide the split-half noise estimate that selects the rank.
+    The triple moment is contracted straight from the keys
+    (``moments.window_sum``), as ``ftd_fit_moments`` contracts a dense one.
     """
+    _check_states(num_states)
     if len(seq) < 3:
         raise DataError(f"insufficient length: need at least 3 positions, got {len(seq)}")
     start = time.perf_counter()
     table, index = feature_table(seq, BetaMapConfig(granularity=config.granularity))
-    moments, halves = _moment_sets(table, index, config.granularity * seq.num_cells)
+    # contiguous key columns, which bincount and take read without a copy
+    index = np.asfortranarray(index)
+    count = len(seq) - 2
+    if len(seq) < 16:
+        pairs, halves = [s / count for s in pair_sums(table, index)], None
+    else:
+        half = len(seq) // 2
+        # the second half starts two positions early, so the windows spanning
+        # the cut are kept and the halves cover every window exactly once
+        sums = pair_sums(table, index[:half]), pair_sums(table, index[half - 2 :])
+        pairs = [(a + b) / count for a, b in zip(*sums)]
+        halves = [[s / n for s in part] for part, n in zip(sums, (half - 2, len(seq) - half))]
     moments_s = time.perf_counter() - start
-    model = ftd_fit_moments(
-        moments, num_states, prior_weights(seq), config, split_halves=halves
+
+    def contract(x, y, z):
+        return window_sum(table, index, x, y, z) / count
+
+    model = _fit(
+        pairs, halves, contract, count, seq.num_cells, num_states, prior_weights(seq), config
     )
     model.diagnostics["distinct_keys"] = [
         int(np.count_nonzero(np.bincount(index[:, j], minlength=len(table))))

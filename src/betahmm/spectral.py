@@ -3,15 +3,19 @@
 The pipeline mirrors the classic multi-view strategy: pairwise moments build
 two change-of-view operators that recenter the first and third positions on
 the middle hidden state, giving a symmetric order-3 tensor; a whitening map
-derived from the symmetrized pair matrix orthogonalizes its components.
+derived from the symmetrized pair matrix orthogonalizes its components. Every
+step here works on pair moments or on whitened arrays: the caller contracts
+the triple with the operators and the whitening map (``pipeline``), so the
+D x D x D tensor need never form.
 
 ``joint_diagonalization`` decomposes the whitened tensor: orthogonal Jacobi
 rotations jointly diagonalize the tensor's slices (Cardoso and Souloumiac,
 SIAM J. Matrix Anal. Appl. 1996; Kuleshov, Chaganty and Liang, AISTATS 2015),
 which involves no random start, so its output is a continuous function of the
 tensor. The per-state feature means are read back from the eigenpairs through
-the symmetric tensor. The random-restart ``tensor_power_method`` with
-deflation is kept only as a reference decomposition.
+a D x m contraction of the symmetric tensor. The random-restart
+``tensor_power_method`` with deflation is kept only as a reference
+decomposition.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .moments import MomentSet
 
 __all__ = [
     "WhiteningData",
@@ -105,36 +108,27 @@ def _symmetric_part(t: np.ndarray) -> np.ndarray:
 
 
 def symmetrize_moments(
-    moments: MomentSet, num_states: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Recenter the triple moment on the middle position.
+    p12: np.ndarray, p13: np.ndarray, p23: np.ndarray, num_states: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Operators that recenter the triple moment on the middle position.
 
-    Returns ``(s1, s3, g, asymmetry)`` where ``s1 = p23 @ pinv(p13)`` maps
-    first-position features to middle-view coordinates, ``s3 = p21 @ pinv(p31)``
-    does the same for the third position, and ``g`` is the symmetric part of
-    the transformed tensor. The transformed tensor is symmetric for population
-    moments, so its asymmetry is pure sampling noise; ``asymmetry`` is its
-    relative Frobenius distance from ``g``. Both pseudoinverses are truncated
-    to ``num_states`` directions.
+    Returns ``(s1, s3)`` where ``s1 = p23 @ pinv(p13)`` maps first-position
+    features to middle-view coordinates and ``s3 = p21 @ pinv(p31)`` does the
+    same for the third position. The triple contracted with them,
+    ``raw(x, y, z) = t123(s1.T x, y, s3.T z)``, is symmetric for population
+    moments; its symmetric part is the tensor that is whitened and decomposed.
+    Both pseudoinverses are truncated to ``num_states`` directions.
     """
-    if num_states < 1:
-        raise ParameterError(f"num_states must be >= 1, got {num_states}")
     # p31 is the transpose of p13, so one rank check covers both
-    rank = _effective_rank(moments.p13)
+    rank = _effective_rank(p13)
     if rank < num_states:
         raise NumericalError(
             f"rank condition violated: effective rank of p13 is {rank}, "
             f"need at least {num_states}"
         )
-    s1 = moments.p23 @ _pinv(moments.p13, rank=num_states)
-    s3 = moments.p21 @ _pinv(moments.p31, rank=num_states)
-    raw = np.einsum("ia,ajc,lc->ijl", s1, moments.t123, s3, optimize=True)
-    norm = float(np.linalg.norm(raw))
-    if norm == 0.0:
-        raise NumericalError("transformed tensor is identically zero")
-    g = _symmetric_part(raw)
-    asymmetry = float(np.linalg.norm(raw - g)) / norm
-    return s1, s3, g, asymmetry
+    s1 = p23 @ _pinv(p13, rank=num_states)
+    s3 = p12.T @ _pinv(p13.T, rank=num_states)
+    return s1, s3
 
 
 def pair_spectrum(
@@ -154,15 +148,12 @@ def pair_spectrum(
 
 
 def whiten(
-    g: np.ndarray,
-    spectrum: tuple[np.ndarray, np.ndarray, np.ndarray],
-    num_states: int,
-) -> tuple[WhiteningData, np.ndarray]:
-    """Build the whitening map from a ``pair_spectrum`` and contract ``g`` with it.
+    spectrum: tuple[np.ndarray, np.ndarray, np.ndarray], num_states: int
+) -> WhiteningData:
+    """Build the whitening map from a ``pair_spectrum``.
 
     The top ``num_states`` eigendirections of the pair matrix are scaled to
-    unit curvature. Returns the whitening data and the ``num_states`` cubed
-    whitened tensor.
+    unit curvature.
     """
     m = num_states
     pair_sym, vals, vecs = spectrum
@@ -180,10 +171,7 @@ def whiten(
     flip = vecs[np.abs(vecs).argmax(axis=0), np.arange(m)] < 0
     vecs[:, flip] *= -1.0
     w = vecs / np.sqrt(vals)[None, :]
-    h = np.tensordot(g, w, axes=([0], [0]))
-    h = np.tensordot(h, w, axes=([0], [0]))
-    h = np.tensordot(h, w, axes=([0], [0]))
-    return WhiteningData(w=w, singular_values=vals, pair_matrix=pair_sym), h
+    return WhiteningData(w=w, singular_values=vals, pair_matrix=pair_sym)
 
 
 def _contract_once(t: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -355,44 +343,35 @@ def joint_diagonalization(h: np.ndarray) -> DecompositionResult:
 
 
 def recover_feature_means(
-    result: DecompositionResult,
-    whitening: WhiteningData,
-    tensor: np.ndarray,
-    num_blocks: int = 1,
+    result: DecompositionResult, readout: np.ndarray, num_blocks: int = 1
 ) -> np.ndarray:
-    """Per-state feature means from whitened eigenpairs.
+    """Per-state feature means from the readout of whitened eigenpairs.
 
-    ``tensor`` is the symmetric tensor that was whitened. Column l is
-    ``tensor(w v_l, w v_l, .)``: for population moments
-    ``w.T @ mu_j = v_j / sqrt(pi_j)``, so this equals ``mu_l`` exactly and uses
-    the same moments that fixed ``v_l``. The column is sign-fixed so it sums to
-    a non-negative total, clamped at zero, and renormalized so every cell
-    block sums to 1. Clamped mass and sign flips are recorded on ``result``.
+    Column l of ``readout`` is ``g(u_l, u_l, .)``, with g the symmetric tensor
+    that was whitened by w and ``u_l = w v_l`` for eigenvector v_l: for
+    population moments ``w.T @ mu_j = v_j / sqrt(pi_j)``, so this equals
+    ``mu_l`` exactly and uses the same moments that fixed ``v_l``. The column
+    is sign-fixed so it sums to a non-negative total, clamped at zero, and
+    renormalized so every cell block sums to 1. Clamped mass and sign flips
+    are recorded on ``result``.
     """
-    w = whitening.w
-    dim, m = w.shape
-    if result.eigenvectors.shape[0] != m:
+    raw = np.array(readout, dtype=np.float64)
+    dim, m = raw.shape
+    if result.eigenvectors.shape[1] != m:
         raise ParameterError(
-            f"eigenvector dimension {result.eigenvectors.shape[0]} does not match "
-            f"whitening rank {m}"
+            f"readout has {m} columns but there are {result.eigenvectors.shape[1]} eigenvectors"
         )
     if dim % num_blocks != 0:
         raise ParameterError(f"num_blocks {num_blocks} does not divide dimension {dim}")
-    if tensor.shape != (dim, dim, dim):
-        raise ParameterError(
-            f"tensor shape {tensor.shape} does not match whitening dimension {dim}"
-        )
-    u = w @ result.eigenvectors
-    raw = np.einsum("ijk,il,jl->kl", tensor, u, u)
     flips = 0
-    for col in range(raw.shape[1]):
+    for col in range(m):
         if raw[:, col].sum() < 0.0:
             raw[:, col] *= -1.0
             flips += 1
     clamp_mass = float(-raw[raw < 0.0].sum())
     np.maximum(raw, 0.0, out=raw)
     block = dim // num_blocks
-    shaped = raw.reshape(num_blocks, block, raw.shape[1])
+    shaped = raw.reshape(num_blocks, block, m)
     sums = shaped.sum(axis=1)
     if np.any(sums <= 0.0):
         # a fully clamped block carries no information; fall back to uniform
@@ -400,7 +379,7 @@ def recover_feature_means(
             shaped[b, :, col] = 1.0 / block
             sums[b, col] = 1.0
     shaped /= sums[:, None, :]
-    means = shaped.reshape(dim, raw.shape[1])
+    means = shaped.reshape(dim, m)
     result.feature_means = means
     result.clamp_mass = clamp_mass
     result.sign_flips = flips

@@ -276,6 +276,17 @@ def simplex_lsq_by_enumeration(p21, C):
     return best_h, best_obj
 
 
+def dense_symmetric_triple(moments, s1, s3):
+    """The recentred triple as a dense D x D x D array: (g, asymmetry).
+
+    g is the symmetric part of raw = t123(s1.T ., ., s3.T .), and asymmetry
+    is the relative Frobenius distance of raw from g.
+    """
+    raw = np.einsum("ia,ajc,lc->ijl", s1, moments.t123, s3, optimize=True)
+    g = sum(raw.transpose(axes) for axes in itertools.permutations(range(3))) / 6.0
+    return g, float(np.linalg.norm(raw - g) / np.linalg.norm(raw))
+
+
 def naive_moment_means(f1, f2, f3):
     """Plain-summation moment means over explicit feature triples."""
     n = len(f1)

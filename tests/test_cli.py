@@ -314,6 +314,12 @@ class TestExitCodes:
         "command, flag, value, message",
         [
             ("fit", "--train-frac", "1.5", "train fraction must lie in (0, 1], got 1.5"),
+            ("fit", "--states", "0", "--states must be >= 1, got 0"),
+            ("fit", "--granularity", "0", "granularity must be >= 1, got 0"),
+            ("fit", "--em-rounds", "-1", "--em-rounds must be >= 0, got -1"),
+            ("fit", "--em-iters", "0", "max_iters must be >= 1, got 0"),
+            ("fit", "--em-tol", "nan", "rel_ll_tolerance must lie in [0, inf), got nan"),
+            ("fit", "--em-tol", "inf", "rel_ll_tolerance must lie in [0, inf), got inf"),
             ("eval", "--train-frac", "0", "train fraction must lie in (0, 1], got 0.0"),
             ("eval", "--prob-floor", "0.5", "--prob-floor must lie in [0, 0.5), got 0.5"),
             ("eval", "--diff-threshold", "7", "--diff-threshold must lie in [0, 1], got 7.0"),

@@ -341,3 +341,10 @@ class TestEmFit:
             EmConfig(max_iters=0)
         with pytest.raises(ParameterError, match="rel_ll_tolerance"):
             EmConfig(rel_ll_tolerance=-0.1)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_tolerance_must_be_finite(self, tol):
+        # a NaN or infinite tolerance would reach a model's provenance as a
+        # token that strict JSON does not allow
+        with pytest.raises(ParameterError, match=r"rel_ll_tolerance must lie in \[0, inf\)"):
+            EmConfig(rel_ll_tolerance=tol)

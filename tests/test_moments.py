@@ -1,4 +1,3 @@
-import collections
 import dataclasses
 import tracemalloc
 
@@ -15,9 +14,8 @@ from betahmm import (
     MomentSet,
     ParameterError,
 )
-from betahmm import moments as moments_module
 from betahmm.features import feature_table
-from betahmm.moments import MAX_FEATURE_DIM
+from betahmm.moments import MAX_FEATURE_DIM, pair_sums, window_sum
 
 from oracles import naive_moment_means, reference_features
 
@@ -210,62 +208,53 @@ class TestMerge:
             MomentAccumulator(4, num_blocks=1).merge(MomentAccumulator(4, num_blocks=2))
 
 
-class TestCoordinateBatches:
-    @pytest.mark.parametrize("budget", [1, 1000, 1 << 18, 1 << 20])
-    def test_batch_size_does_not_change_the_moments(self, rng, monkeypatch, budget):
-        # the budget bounds the elements of one batched product: budget 1
-        # runs every key triple as a piece and a batch of its own, 1000 caps
-        # a batch at 28 pieces of width 1 down to 9 of width 8, and the
-        # default 2**18, like 2**20, runs every piece of one width at once
-        seq = _random_sequence(rng, 60, cells=2, max_cov=8)
-        cfg = BetaMapConfig(granularity=5)
-        monkeypatch.setattr(moments_module, "_BATCH_ELEMENTS", budget)
-        moments = MomentAccumulator(10, num_blocks=2).add_sequence(seq, cfg).finalize()
-        _assert_matches_naive(moments, reference_features(seq, 5))
+class TestPasses:
+    @pytest.mark.parametrize("widths", [(2, 3, 5), (5, 2, 3), (3, 5, 2), (1, 1, 4), (4, 4, 4)])
+    def test_window_sum_matches_a_contracted_naive_triple(self, rng, widths):
+        # the widest factor's keys are bincounted, in each of the three places
+        cfg = BetaMapConfig(granularity=2)
+        seq = _random_sequence(rng, 40, cells=2)
+        table, index = feature_table(seq, cfg)
+        x, y, z = (rng.standard_normal((4, r)) for r in widths)
+        feats = reference_features(seq, 2)
+        t123 = naive_moment_means(feats[:-2], feats[1:-1], feats[2:])[3] * (len(seq) - 2)
+        np.testing.assert_allclose(
+            window_sum(table, index, x, y, z),
+            np.einsum("abc,ai,bj,ck->ijk", t123, x, y, z),
+            rtol=0, atol=1e-10,
+        )
 
-    @pytest.mark.parametrize("sizes", [(11,), (1,), (2,), (5,), (5, 1, 11, 2)])
-    def test_pieces_of_several_widths_share_one_buffer(self, rng, monkeypatch, sizes):
-        # at D = 3 a budget of 100 caps a piece at 8 triples, so the group of
-        # 11 triples splits into pieces of widths 8 and 4, and the groups of
-        # 1, 2 and 5 pad to widths 1, 2 and 8; chunks of every width run
-        # through the pass's one buffer, larger and smaller ones in turn
-        monkeypatch.setattr(moments_module, "_BATCH_ELEMENTS", 100)
-        outer = 6  # keys 0-5 are first and last keys; key outer + k heads group k
-        keys = []
-        for k, size in enumerate(sizes):
-            for code in rng.choice(outer * outer, size=size, replace=False).tolist():
-                keys += [code // outer, outer + k, code % outer]
-        table = rng.dirichlet(np.ones(3), size=outer + len(sizes))
-        moments = MomentAccumulator(3).add_indexed(table, np.array(keys)[:, None]).finalize()
-        _assert_matches_naive(moments, table[keys])
+    @pytest.mark.parametrize("cells, length", [(1, 3), (1, 4), (1, 50), (2, 37), (3, 20)])
+    def test_pair_sums_match_naive_sums(self, rng, cells, length):
+        seq = _random_sequence(rng, length, cells=cells)
+        table, index = feature_table(seq, BetaMapConfig(granularity=3))
+        feats = reference_features(seq, 3)
+        naive = naive_moment_means(feats[:-2], feats[1:-1], feats[2:])[:3]
+        for name, got, expected in zip(("s12", "s13", "s23"), pair_sums(table, index), naive):
+            np.testing.assert_allclose(got, expected * (length - 2), rtol=0, atol=1e-12, err_msg=name)
 
-    def test_three_cells_share_one_buffer(self, rng, monkeypatch):
-        # the 27 blocks of one pass take their chunks from the buffer that
-        # the first block allocates, each block leaving stale values behind
-        monkeypatch.setattr(moments_module, "_BATCH_ELEMENTS", 100)
-        seq = _random_sequence(rng, 50, cells=3, max_cov=6)
-        cfg = BetaMapConfig(granularity=3)
-        moments = MomentAccumulator(9, num_blocks=3).add_sequence(seq, cfg).finalize()
-        _assert_matches_naive(moments, reference_features(seq, 3))
+    def test_factor_rows_must_match_the_features(self, rng):
+        table, index = feature_table(_random_sequence(rng, 10), BetaMapConfig(granularity=3))
+        with pytest.raises(ParameterError, match="rows"):
+            window_sum(table, index, np.eye(3), np.eye(3), np.eye(4))
 
 
-class TestTripleCounts:
-    @pytest.mark.parametrize("size", [7, 2000, 1 << 22])
-    def test_matches_a_counter(self, rng, size):
-        # int32 keys: a cubed key code of 2000 keys overflows int32, and from
-        # 2**21 keys on it would overflow int64
-        keys = rng.integers(size - 5, size, size=(3, 200)).astype(np.int32)
-        mid, first, last, counts = moments_module._triple_counts(*keys, size)
-        expected = collections.Counter(zip(*keys.tolist()))
-        assert list(zip(mid.tolist(), first.tolist(), last.tolist())) == sorted(expected)
-        assert counts.tolist() == [expected[key] for key in sorted(expected)]
+def _fit_pass(table, index, rank=4):
+    """The moment steps of ``ftd_fit``: the halves' pair sums, a whitened triple, a readout."""
+    half = len(index) // 2
+    pair_sums(table, index[:half])
+    pair_sums(table, index[half - 2 :])
+    dim = table.shape[1] * index.shape[1]
+    w = np.random.default_rng(0).standard_normal((dim, rank))
+    window_sum(table, index, w, w, w)
+    window_sum(table, index, w[:, :1], np.eye(dim), w[:, :1])
 
 
 class TestMemory:
     def test_peak_stays_below_a_distinct_key_square(self):
         # 20000 positions with coverage up to 400 give over 10k distinct keys;
         # one U x U array (over 800 MB) or U x d^2 array (over 70 MB) would
-        # break the bound
+        # break the bound in the fit's pass
         gen = np.random.default_rng(7)
         cov = gen.integers(0, 401, size=20_000)
         meth = (cov * gen.uniform(size=cov.size)).astype(np.int64)
@@ -273,21 +262,19 @@ class TestMemory:
         cfg = BetaMapConfig(granularity=30)
         table, index = feature_table(seq, cfg)
         assert len(table) >= 10_000
-        acc = MomentAccumulator(30)
         tracemalloc.start()
         try:
-            acc.add_indexed(table, index)
+            _fit_pass(table, index)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert acc.count == len(seq) - 2
         assert peak < 24 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
     def test_keying_and_pass_peaks_are_a_few_times_the_feature_table(self):
         # 100k positions of one cell at granularity 30, as in a genome-length
-        # fit. Measured as multiples of table + index bytes: keying 3.5x and
-        # the pass 8.3x; 10.5x and 18.4x with two np.unique passes and a
-        # 2**20-element batch
+        # fit. Measured as multiples of table + index bytes: keying 1.9x and
+        # the fit's pass 3.8x, against 6.4x (and an arena tracemalloc did not
+        # see) for the dense-triple pass that it replaced
         gen = np.random.default_rng(0)
         cov = gen.integers(0, 40, size=100_000)
         seq = CountSequence(cov, gen.binomial(cov, 0.4))
@@ -298,39 +285,13 @@ class TestMemory:
             table, index = feature_table(seq, cfg)
             _, keying = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
-            MomentAccumulator(30).add_indexed(table, index)
+            _fit_pass(table, index)
             _, moment_pass = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         size = table.nbytes + index.nbytes
         assert keying < 6 * size, f"keying peak {keying / size:.1f}x table + index"
         assert moment_pass < 12 * size, f"pass peak {moment_pass / size:.1f}x table + index"
-
-    def test_short_pass_keeps_a_small_peak(self, monkeypatch):
-        # 512 positions of one cell at granularity 30, as in the sweep's short
-        # fits. The scratch arena fits the pass's own largest chunk, here
-        # about seventy width-1 pieces with a 30 x 30 product each (0.7 MiB
-        # with the contraction), and with it the pass holds 1.2 MiB; an arena
-        # sized to the whole budget, 2**18 elements (2 MiB) plus the 30**3
-        # contraction, would break the 1.5 MiB bound on its own. tracemalloc
-        # does not see the arena's own mapping, so its bytes are added
-        sizes = []
-        take = moments_module._Arena.take
-        monkeypatch.setattr(
-            moments_module._Arena, "take", lambda arena, size: sizes.append(size) or take(arena, size)
-        )
-        gen = np.random.default_rng(0)
-        cov = gen.poisson(25, size=512)
-        seq = CountSequence(cov, gen.binomial(cov, 0.4))
-        table, index = feature_table(seq, BetaMapConfig(granularity=30))
-        tracemalloc.start()
-        try:
-            MomentAccumulator(30).add_indexed(table, index)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        held = peak + 8 * max(sizes)
-        assert held < 1.5 * 2**20, f"peak {held / 2**20:.2f} MiB"
 
 
 class TestConstructionErrors:

@@ -23,9 +23,10 @@ from betahmm import (
 from betahmm import pipeline
 from betahmm.features import feature_table
 from betahmm.io import ModelFile, load_model, save_model
-from betahmm.moments import MomentAccumulator, MomentSet
+from betahmm.moments import MomentAccumulator, MomentSet, window_sum
+from betahmm.spectral import _symmetric_part, pair_spectrum, symmetrize_moments, whiten
 from betahmm.synth import _row_seeds
-from oracles import chain_joints, exact_feature_map, population_moments
+from oracles import chain_joints, dense_symmetric_triple, exact_feature_map, population_moments
 
 
 def _exact_two_state():
@@ -83,6 +84,14 @@ class TestConfigValidation:
             FtdConfig(granularity=0)
         with pytest.raises(ParameterError):
             FtdConfig(moment_ridge=-1.0)
+
+    def test_state_count_is_checked_first(self):
+        # a two-position sequence would raise DataError; the state count comes first
+        with pytest.raises(ParameterError, match="num_states must be >= 1, got 0"):
+            ftd_fit(CountSequence([1, 2], [0, 1]), 0)
+        _, _, _, moments, weight = _exact_two_state()
+        with pytest.raises(ParameterError, match="num_states must be >= 1, got 0"):
+            ftd_fit_moments(moments, 0, [weight])
 
 
 class TestExactMoments:
@@ -273,9 +282,9 @@ class TestMomentPassMemory:
 
         def spy(*args, **kwargs):
             during.append(live_accumulators())
-            return ftd_fit_moments(*args, **kwargs)
+            return symmetrize_moments(*args, **kwargs)
 
-        monkeypatch.setattr(pipeline, "ftd_fit_moments", spy)
+        monkeypatch.setattr(pipeline, "symmetrize_moments", spy)
         _, seq = _benchmark_like_sequence(2000)
         before = live_accumulators()
         ftd_fit(seq, 2, FtdConfig(granularity=8))
@@ -293,7 +302,9 @@ class TestDecompositionDependsOnDataOnly:
         moments, halves = _split_moments(seq, cfg.granularity)
         weights = prior_weights(seq)
         base = ftd_fit_moments(moments, 4, weights, cfg, split_halves=halves)
-        assert np.array_equal(base.per_cell_probs, ftd_fit(seq, 4, cfg).per_cell_probs)
+        np.testing.assert_allclose(
+            base.per_cell_probs, ftd_fit(seq, 4, cfg).per_cell_probs, rtol=0, atol=1e-10
+        )
         assert base.diagnostics["effective_rank"] == 4
         rng = np.random.default_rng(0)
         for _ in range(3):
@@ -317,6 +328,59 @@ class TestDecompositionDependsOnDataOnly:
         assert diag["tensor_asymmetry"] > 0.0
         assert diag["feature_clamp_mass"] >= 0.0
         assert 0 <= diag["sign_flips"] <= 4
+
+
+class TestKeyedPassMatchesDenseMoments:
+    # ftd_fit contracts the triple straight from the keys, ftd_fit_moments
+    # from a dense moment set: the fits differ only in round-off
+
+    @pytest.mark.parametrize("trial", [9, 10])
+    def test_one_cell(self, trial):
+        seq = _official_sequence(trial)
+        self._assert_same_fit(seq, 4, FtdConfig())
+
+    def test_two_cells(self):
+        params = generate_params(SynthConfig(num_states=3, num_cells=2), seed=8)
+        seq = sample_sequence(params, 4000, 20.0, seed=9)
+        self._assert_same_fit(seq, 3, FtdConfig(granularity=8))
+
+    @staticmethod
+    def _assert_same_fit(seq, num_states, cfg):
+        moments, halves = _split_moments(seq, cfg.granularity)
+        dense = ftd_fit_moments(moments, num_states, prior_weights(seq), cfg, split_halves=halves)
+        keyed = ftd_fit(seq, num_states, cfg)
+        assert keyed.diagnostics["effective_rank"] == dense.diagnostics["effective_rank"]
+        for name in ("per_cell_probs", "feature_means"):
+            np.testing.assert_allclose(
+                getattr(keyed, name), getattr(dense, name), rtol=0, atol=1e-10, err_msg=name
+            )
+        np.testing.assert_allclose(
+            keyed.params.transition, dense.params.transition, rtol=0, atol=1e-10
+        )
+
+    @pytest.mark.parametrize("cells", [1, 2])
+    def test_contractions_match_a_dense_symmetric_triple(self, cells):
+        params = generate_params(SynthConfig(num_states=3, num_cells=cells), seed=3)
+        seq = sample_sequence(params, 3000, 20.0, seed=4)
+        table, index = feature_table(seq, BetaMapConfig(granularity=6))
+        acc = MomentAccumulator(6 * cells, num_blocks=cells).add_indexed(table, index)
+        moments = acc.finalize()
+        s1, s3 = symmetrize_moments(moments.p12, moments.p13, moments.p23, 3)
+        w = whiten(pair_spectrum(s3, moments.p32), 3).w
+        g, _ = dense_symmetric_triple(moments, s1, s3)
+
+        def contract(x, y, z):
+            return window_sum(table, index, x, y, z) / moments.count
+
+        h = _symmetric_part(contract(s1.T @ w, w, s3.T @ w))
+        dense_h = np.einsum("abc,ai,bj,ck->ijk", g, w, w, w)
+        np.testing.assert_allclose(h, dense_h, rtol=0, atol=1e-12 * np.abs(dense_h).max())
+        u = w @ np.linalg.qr(np.random.default_rng(0).standard_normal((3, 3)))[0]
+        dense_readout = np.einsum("abk,al,bl->kl", g, u, u)
+        np.testing.assert_allclose(
+            pipeline._readout(contract, s1, s3, u), dense_readout,
+            rtol=0, atol=1e-12 * np.abs(dense_readout).max(),
+        )
 
 
 class TestFtdThenEm:

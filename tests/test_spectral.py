@@ -5,7 +5,6 @@ from betahmm import NumericalError, ParameterError
 from betahmm.moments import MomentAccumulator, MomentSet
 from betahmm.spectral import (
     DecompositionResult,
-    WhiteningData,
     _pinv,
     _symmetric_part,
     joint_diagonalization,
@@ -15,7 +14,7 @@ from betahmm.spectral import (
     tensor_power_method,
     whiten,
 )
-from oracles import exact_feature_map, population_moments
+from oracles import dense_symmetric_triple, exact_feature_map, population_moments
 
 
 def _column_wise(T):
@@ -56,77 +55,65 @@ class TestSymmetrize:
 
     def test_scaled_identity_pair_inverts_exactly(self):
         ms = self._manual_moments()
-        s1, s3, g, _ = symmetrize_moments(ms, num_states=2)
+        s1, s3 = symmetrize_moments(ms.p12, ms.p13, ms.p23, num_states=2)
         np.testing.assert_allclose(s1, 2.0 * ms.p23, atol=1e-12)
         np.testing.assert_allclose(s3, 2.0 * ms.p21, atol=1e-12)
-        assert g.shape == (2, 2, 2)
 
     def test_population_tensor_is_symmetric(self):
         pi = np.array([0.5, 0.3, 0.2])
         T = _column_wise([[0.6, 0.2, 0.2], [0.2, 0.7, 0.2], [0.2, 0.1, 0.6]])
         ms = population_moments(pi, T, np.eye(3))
-        _, _, g, asymmetry = symmetrize_moments(ms, num_states=3)
+        s1, s3 = symmetrize_moments(ms.p12, ms.p13, ms.p23, num_states=3)
+        _, asymmetry = dense_symmetric_triple(ms, s1, s3)
         assert asymmetry <= 1e-10
-        np.testing.assert_allclose(g, g.transpose(1, 0, 2), atol=1e-10)
-        np.testing.assert_allclose(g, g.transpose(2, 1, 0), atol=1e-10)
 
     def test_rank_deficient_pair_is_rejected(self):
         # five windows whose three feature vectors are all e1
         acc = MomentAccumulator(3).add_indexed(np.eye(3)[:1], np.zeros((7, 1), dtype=np.int64))
+        ms = acc.finalize()
         with pytest.raises(NumericalError, match="rank condition violated"):
-            symmetrize_moments(acc.finalize(), num_states=2)
-
-    def test_bad_arguments(self):
-        ms = self._manual_moments()
-        with pytest.raises(ParameterError):
-            symmetrize_moments(ms, num_states=0)
+            symmetrize_moments(ms.p12, ms.p13, ms.p23, num_states=2)
 
 
 class TestWhiten:
     def test_diagonal_pair_gives_inverse_root_scaling(self):
-        g = np.zeros((2, 2, 2))
-        g[0, 0, 0] = 8.0
         s3 = np.eye(2)
         p32 = np.diag([4.0, 1.0])
-        data, h = whiten(g, pair_spectrum(s3, p32), num_states=2)
+        data = whiten(pair_spectrum(s3, p32), num_states=2)
         np.testing.assert_allclose(data.w, np.diag([0.5, 1.0]), atol=1e-12)
         np.testing.assert_allclose(data.singular_values, [4.0, 1.0], atol=1e-12)
-        assert h[0, 0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_whitening_contract(self):
         pi = np.array([0.4, 0.35, 0.25])
         T = _column_wise([[0.5, 0.3, 0.2], [0.3, 0.5, 0.2], [0.2, 0.2, 0.6]])
         ms = population_moments(pi, T, np.eye(3))
-        _, s3, g, _ = symmetrize_moments(ms, num_states=3)
-        data, h = whiten(g, pair_spectrum(s3, ms.p32), num_states=3)
+        _, s3 = symmetrize_moments(ms.p12, ms.p13, ms.p23, num_states=3)
+        data = whiten(pair_spectrum(s3, ms.p32), num_states=3)
         gram = data.w.T @ data.pair_matrix @ data.w
         np.testing.assert_allclose(gram, np.eye(3), atol=1e-6)
-        assert h.shape == (3, 3, 3)
 
     def test_given_eigenpairs_give_the_same_bits(self):
         pi = np.array([0.4, 0.35, 0.25])
         T = _column_wise([[0.5, 0.3, 0.2], [0.3, 0.5, 0.2], [0.2, 0.2, 0.6]])
         ms = population_moments(pi, T, np.eye(3))
-        _, s3, g, _ = symmetrize_moments(ms, num_states=3)
+        _, s3 = symmetrize_moments(ms.p12, ms.p13, ms.p23, num_states=3)
         spectrum = pair_spectrum(s3, ms.p32)
         pair_sym, vals, vecs = spectrum
         kept = vecs.copy()
-        full, _ = whiten(g, spectrum, num_states=3)
-        reduced, h = whiten(g, spectrum, num_states=2)
+        full = whiten(spectrum, num_states=3)
+        reduced = whiten(spectrum, num_states=2)
         # whitening reads the eigenpairs it is given and leaves them intact
         assert np.array_equal(spectrum[2], kept)
         assert np.all(np.diff(vals) <= 0.0)
         assert np.array_equal(np.abs(full.w), np.abs(vecs) / np.sqrt(vals)[None, :])
         assert np.array_equal(reduced.w, full.w[:, :2])
         assert reduced.pair_matrix is pair_sym
-        assert h.shape == (2, 2, 2)
 
     def test_rank_deficient_pair_raises(self):
-        g = np.ones((2, 2, 2))
         s3 = np.eye(2)
         p32 = np.outer([1.0, 0.0], [1.0, 0.0])
         with pytest.raises(NumericalError, match="whitening failed"):
-            whiten(g, pair_spectrum(s3, p32), num_states=2)
+            whiten(pair_spectrum(s3, p32), num_states=2)
 
 
 class TestTensorPowerMethod:
@@ -262,21 +249,13 @@ class TestJointDiagonalization:
             joint_diagonalization(np.zeros((2, 3, 2)))
 
 
-def _readout_tensor(column):
-    """A tensor whose readout along a vector u is |u|^2 * column."""
-    return np.einsum("ij,k->ijk", np.eye(len(column)), np.asarray(column, dtype=float))
-
-
 class TestRecoverFeatureMeans:
-    def test_identity_whitening_roundtrip(self):
+    def test_readout_column_is_normalized(self):
         result = DecompositionResult(
             eigenvalues=np.array([1.0]),
             eigenvectors=np.array([[0.25], [0.75]]),
         )
-        whitening = WhiteningData(
-            w=np.eye(2), singular_values=np.ones(2), pair_matrix=np.eye(2)
-        )
-        means = recover_feature_means(result, whitening, _readout_tensor([0.25, 0.75]))
+        means = recover_feature_means(result, np.array([[0.5], [1.5]]))
         np.testing.assert_allclose(means[:, 0], [0.25, 0.75], atol=1e-12)
         assert result.clamp_mass == 0.0
         assert result.sign_flips == 0
@@ -286,12 +265,7 @@ class TestRecoverFeatureMeans:
             eigenvalues=np.array([1.0]),
             eigenvectors=np.array([[-0.25], [-0.75]]),
         )
-        whitening = WhiteningData(
-            w=np.eye(2), singular_values=np.ones(2), pair_matrix=np.eye(2)
-        )
-        means = recover_feature_means(
-            result, whitening, _readout_tensor([-0.25, -0.75])
-        )
+        means = recover_feature_means(result, np.array([[-0.25], [-0.75]]))
         np.testing.assert_allclose(means[:, 0], [0.25, 0.75], atol=1e-12)
         assert result.sign_flips == 1
 
@@ -300,68 +274,55 @@ class TestRecoverFeatureMeans:
             eigenvalues=np.array([1.0]),
             eigenvectors=np.array([[1.0], [1.0], [-1.0], [-1.0]]),
         )
-        whitening = WhiteningData(
-            w=np.eye(4), singular_values=np.ones(4), pair_matrix=np.eye(4)
-        )
-        # |u|^2 = 4, so the raw column is [1, 1, -1, -1]
-        tensor = _readout_tensor([0.25, 0.25, -0.25, -0.25])
-        means = recover_feature_means(result, whitening, tensor, num_blocks=2)
+        readout = np.array([[1.0], [1.0], [-1.0], [-1.0]])
+        means = recover_feature_means(result, readout, num_blocks=2)
         np.testing.assert_allclose(means[:, 0], [0.5, 0.5, 0.5, 0.5], atol=1e-12)
         assert result.clamp_mass == pytest.approx(2.0)
+
+    def test_readout_is_left_intact(self):
+        result = DecompositionResult(eigenvalues=np.array([1.0]), eigenvectors=np.ones((2, 1)))
+        readout = np.array([[-0.5], [2.0]])
+        recover_feature_means(result, readout)
+        assert readout.tolist() == [[-0.5], [2.0]]
 
     def test_tensor_readout_is_exact_on_population_moments(self):
         pi = np.array([0.5, 0.3, 0.2])
         T = _column_wise([[0.6, 0.2, 0.2], [0.2, 0.7, 0.2], [0.2, 0.1, 0.6]])
         C = exact_feature_map([0.15, 0.5, 0.85], [(12, 1.0)], granularity=6)
         ms = population_moments(pi, T, C)
-        _, s3, g, _ = symmetrize_moments(ms, num_states=3)
-        whitening, h = whiten(g, pair_spectrum(s3, ms.p32), num_states=3)
-        result = joint_diagonalization(h)
-        means = recover_feature_means(result, whitening, tensor=g)
+        result, _, _ = _fit_feature_means(ms, num_states=3)
         # lambda_l = 1 / sqrt(w_l), w = T @ pi the middle-state distribution
         # [0.4, 0.35, 0.25], orders the states by ascending weight
         mid = T @ pi
         np.testing.assert_allclose(result.eigenvalues, 1.0 / np.sqrt(mid[[2, 1, 0]]))
-        np.testing.assert_allclose(means, C[:, [2, 1, 0]], atol=1e-9)
+        np.testing.assert_allclose(result.feature_means, C[:, [2, 1, 0]], atol=1e-9)
         assert result.clamp_mass <= 1e-9
 
-    def test_tensor_shape_must_match(self):
+    def test_readout_columns_must_match_the_eigenvectors(self):
         result = DecompositionResult(
             eigenvalues=np.array([1.0]), eigenvectors=np.ones((2, 1))
         )
-        whitening = WhiteningData(
-            w=np.eye(2), singular_values=np.ones(2), pair_matrix=np.eye(2)
-        )
-        with pytest.raises(ParameterError, match="tensor shape"):
-            recover_feature_means(result, whitening, tensor=np.zeros((3, 3, 3)))
-
-    def test_dimension_mismatch(self):
-        result = DecompositionResult(
-            eigenvalues=np.array([1.0]), eigenvectors=np.ones((3, 1))
-        )
-        whitening = WhiteningData(
-            w=np.eye(2), singular_values=np.ones(2), pair_matrix=np.eye(2)
-        )
-        with pytest.raises(ParameterError, match="whitening rank"):
-            recover_feature_means(result, whitening, np.zeros((2, 2, 2)))
+        with pytest.raises(ParameterError, match="columns"):
+            recover_feature_means(result, np.zeros((3, 2)))
 
     def test_blocks_must_divide(self):
         result = DecompositionResult(
             eigenvalues=np.array([1.0]), eigenvectors=np.ones((3, 1))
         )
-        whitening = WhiteningData(
-            w=np.eye(3), singular_values=np.ones(3), pair_matrix=np.eye(3)
-        )
         with pytest.raises(ParameterError, match="num_blocks"):
-            recover_feature_means(result, whitening, np.zeros((3, 3, 3)), num_blocks=2)
+            recover_feature_means(result, np.zeros((3, 1)), num_blocks=2)
 
 
 def _fit_feature_means(ms, num_states):
-    """The fit's spectral chain from moments to feature means."""
-    _, s3, g, asymmetry = symmetrize_moments(ms, num_states)
-    whitening, h = whiten(g, pair_spectrum(s3, ms.p32), num_states)
-    result = joint_diagonalization(h)
-    recover_feature_means(result, whitening, tensor=g, num_blocks=ms.num_blocks)
+    """The fit's spectral chain from moments to feature means, on the dense triple."""
+    s1, s3 = symmetrize_moments(ms.p12, ms.p13, ms.p23, num_states)
+    whitening = whiten(pair_spectrum(s3, ms.p32), num_states)
+    g, asymmetry = dense_symmetric_triple(ms, s1, s3)
+    w = whitening.w
+    result = joint_diagonalization(np.einsum("abc,ai,bj,ck->ijk", g, w, w, w))
+    u = w @ result.eigenvectors
+    readout = np.einsum("abk,al,bl->kl", g, u, u)
+    recover_feature_means(result, readout, num_blocks=ms.num_blocks)
     return result, whitening, asymmetry
 
 
