@@ -9,20 +9,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import asdict
 
 import numpy as np
 
-from . import io as model_io
-from .em import EmConfig, em_fit, log_likelihood
+from ._blas import _one_blas_thread
 from .errors import DataError, NumericalError, ParameterError
-from .features import prior_weights
-from .model import HmmParams
-from .pipeline import FtdConfig, ftd_fit, ftd_then_em
-from .recovery import differential_states
-from .synth import SynthConfig, _one_blas_thread, generate_params, run_benchmark, sample_sequence
+
+# each command imports the modules it runs inside its _cmd_ function: a module
+# costs its load, and its compile too where no bytecode cache is written
 
 _PROG = "betahmm"
 
@@ -96,6 +94,10 @@ def _check_train_frac(frac: float) -> None:
 
 
 def _cmd_simulate(args) -> int:
+    from . import io as model_io
+    from .features import prior_weights
+    from .synth import SynthConfig, generate_params, sample_sequence
+
     cfg = SynthConfig(
         num_states=args.states,
         num_cells=args.cells,
@@ -131,15 +133,22 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    from . import io as model_io
+    from .pipeline import FtdConfig
+
     # every flag is checked before the table is read; the EM flags are
-    # recorded in every model's provenance, so they are checked for every --algo
+    # recorded in every model's provenance, so they are checked for every
+    # --algo, with EmConfig's messages, and an ftd fit need not load em
     _check_train_frac(args.train_frac)
     if args.states < 1:
         raise ParameterError(f"--states must be >= 1, got {args.states}")
     if args.em_rounds < 0:
         raise ParameterError(f"--em-rounds must be >= 0, got {args.em_rounds}")
     ftd_cfg = FtdConfig(granularity=args.granularity)
-    em_cfg = EmConfig(max_iters=args.em_iters, rel_ll_tolerance=args.em_tol, seed=args.seed)
+    if args.em_iters < 1:
+        raise ParameterError(f"max_iters must be >= 1, got {args.em_iters}")
+    if not 0.0 <= args.em_tol < math.inf:
+        raise ParameterError(f"rel_ll_tolerance must lie in [0, inf), got {args.em_tol}")
     seq = model_io.load_methylation_tsv(
         args.data, context_filter=args.context, merge_replicates=args.merge_replicates
     )
@@ -147,17 +156,25 @@ def _cmd_fit(args) -> int:
     diagnostics: dict = {}
     granularity: int | None = args.granularity
     if args.algo == "ftd":
+        from .pipeline import ftd_fit
+
         model = ftd_fit(train, args.states, ftd_cfg)
         params = model.params
         weights = model.prior_weights
         diagnostics = model.diagnostics
     elif args.algo == "em":
+        from .em import EmConfig, em_fit
+        from .features import prior_weights
+
+        em_cfg = EmConfig(max_iters=args.em_iters, rel_ll_tolerance=args.em_tol, seed=args.seed)
         trace = em_fit(train, args.states, em_cfg)
         params = trace.params
         weights = prior_weights(train)
         diagnostics = {"log_likelihoods": trace.log_likelihoods, "em_seconds": trace.seconds}
         granularity = None
     else:
+        from .pipeline import ftd_then_em
+
         model, trace = ftd_then_em(train, args.states, ftd_cfg, rounds=args.em_rounds)
         params = trace.params
         weights = model.prior_weights
@@ -191,6 +208,10 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    from . import io as model_io
+    from .em import log_likelihood
+    from .model import HmmParams
+
     _check_train_frac(args.train_frac)
     floor = args.prob_floor
     if not 0.0 <= floor < 0.5:
@@ -220,6 +241,8 @@ def _cmd_eval(args) -> int:
         "per_position": ll / len(test),
     }
     if model.num_cells == 2:
+        from .recovery import differential_states
+
         result["diff_threshold"] = args.diff_threshold
         result["differential_states"] = differential_states(
             model.meth_probs, args.diff_threshold
@@ -230,6 +253,9 @@ def _cmd_eval(args) -> int:
 
 def _cmd_benchmark(args) -> int:
     import os
+
+    from .pipeline import FtdConfig
+    from .synth import SynthConfig, run_benchmark
 
     cfg = SynthConfig(
         num_states=args.states,

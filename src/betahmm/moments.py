@@ -18,6 +18,9 @@ positions or keys.
   for any three factor matrices, with one bincount per column pair of the two
   narrower factors. The spectral fit calls it with whitened factors of a few
   columns, so it never forms the D x D x D triple.
+- ``_window_fibres`` gives, for each column of three factors, the three sums
+  that leave one position's feature vector free: the spectral fit's readout
+  of its feature means.
 
 ``MomentAccumulator`` keeps that dense triple, summed by ``window_sum`` with
 identity factors, for finalized moment sets and shard merges; its pair moments
@@ -83,6 +86,22 @@ def pair_sums(table: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndar
     return inner + outer(0, 1), lagged(2, 0, length - 2), inner + outer(length - 2, length - 1)
 
 
+def _project(table: np.ndarray, factor: np.ndarray, cells: int) -> np.ndarray:
+    """Each cell's table rows projected on a factor, shape (cells, columns, U)."""
+    D = table.shape[1]
+    if factor.shape[0] != D * cells:
+        raise ParameterError(f"factor has {factor.shape[0]} rows, features have {D * cells}")
+    return np.stack([(table @ factor[j * D : (j + 1) * D]).T for j in range(cells)])
+
+
+def _gather(proj: np.ndarray, keys: np.ndarray, dest: np.ndarray, part: np.ndarray) -> np.ndarray:
+    """One column of projections, summed over cells, at each window: ``proj`` is (cells, U)."""
+    np.take(proj[0], keys[:, 0], out=dest, mode="clip")
+    for j in range(1, len(proj)):
+        dest += np.take(proj[j], keys[:, j], out=part, mode="clip")
+    return dest
+
+
 def window_sum(
     table: np.ndarray, index: np.ndarray, x: np.ndarray, y: np.ndarray, z: np.ndarray
 ) -> np.ndarray:
@@ -97,15 +116,9 @@ def window_sum(
     """
     windows = index.shape[0] - 2
     cells = index.shape[1]
-    size, D = table.shape
+    size = table.shape[0]
     factors = (x, y, z)
-    for f in factors:
-        if f.shape[0] != D * cells:
-            raise ParameterError(f"factor has {f.shape[0]} rows, features have {D * cells}")
-    # proj[k][j] is cell j's table rows projected on factor k, one row per column
-    proj = [
-        np.stack([(table @ f[j * D : (j + 1) * D]).T for j in range(cells)]) for f in factors
-    ]
+    proj = [_project(table, f, cells) for f in factors]
     wide = max(range(3), key=lambda k: factors[k].shape[1])
     p, q = (k for k in range(3) if k != wide)
     out = np.zeros((factors[p].shape[1], factors[q].shape[1], factors[wide].shape[1]))
@@ -116,24 +129,51 @@ def window_sum(
     for lo in range(0, windows, _STEP):
         keys = [index[k + lo : k + min(windows, lo + _STEP)] for k in range(3)]
         first, weights, part = scratch[:, : len(keys[0])]
-
-        def gather(k: int, i: int, dest: np.ndarray) -> np.ndarray:
-            """Column i of factor k's projections, summed over cells, at each window."""
-            np.take(proj[k][0, i], keys[k][:, 0], out=dest, mode="clip")
-            for j in range(1, cells):
-                dest += np.take(proj[k][j, i], keys[k][:, j], out=part, mode="clip")
-            return dest
-
         for i in range(out.shape[0]):
-            gather(p, i, first)
+            _gather(proj[p][:, i], keys[p], first, part)
             for j in range(out.shape[1]):
-                np.multiply(first, gather(q, j, weights), out=weights)
+                np.multiply(first, _gather(proj[q][:, j], keys[q], weights, part), out=weights)
                 for c in range(cells):
                     out[i, j] += proj[wide][c] @ np.bincount(
                         keys[wide][:, c], weights, minlength=size
                     )
     # axes are (p, q, wide) with p < q; move the widest factor's axis home
     return np.moveaxis(out, 2, wide)
+
+
+def _window_fibres(
+    table: np.ndarray, index: np.ndarray, x: np.ndarray, y: np.ndarray, z: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Window sums with one position left free, per column l of ``x``, ``y`` and ``z``.
+
+    Column l of the three results, each shaped like ``x``, sums
+    f_t (y_l.T f_{t+1}) (z_l.T f_{t+2}), (x_l.T f_t) f_{t+1} (z_l.T f_{t+2})
+    and (x_l.T f_t) (y_l.T f_{t+1}) f_{t+2}: ``window_sum`` of the columns
+    with an identity at the free position. The three gathered projections of
+    column l serve all three sums, and the keys at the free position are
+    bincounted, weighted by the product of the other two.
+    """
+    windows = index.shape[0] - 2
+    cells = index.shape[1]
+    size, D = table.shape
+    proj = [_project(table, f, cells) for f in (x, y, z)]
+    out = np.zeros((3, cells, D, x.shape[1]))
+    # the three gathered columns and their products, as in window_sum
+    scratch = np.empty((4, min(windows, _STEP)))
+    for lo in range(0, windows, _STEP):
+        keys = [index[k + lo : k + min(windows, lo + _STEP)] for k in range(3)]
+        *gathered, weights = scratch[:, : len(keys[0])]
+        for col in range(x.shape[1]):
+            for k in range(3):
+                _gather(proj[k][:, col], keys[k], gathered[k], weights)
+            for free in range(3):
+                a, b = (k for k in range(3) if k != free)
+                np.multiply(gathered[a], gathered[b], out=weights)
+                for c in range(cells):
+                    out[free, c, :, col] += table.T @ np.bincount(
+                        keys[free][:, c], weights, minlength=size
+                    )
+    return tuple(part.reshape(cells * D, -1) for part in out)
 
 
 @dataclass(frozen=True, eq=False)

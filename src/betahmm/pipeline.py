@@ -8,24 +8,25 @@ result to a few EM refinement rounds.
 The rank decision and the whitening map W come from the pair moments alone.
 The triple enters only through contractions with D x r factors: the m x m x m
 whitened tensor and a D x m readout of the feature means. ``ftd_fit`` takes
-them straight from the keyed sequence (``moments.window_sum``), so no D x D x D
-array forms and the triple costs O(n m**2) for n windows and m states;
-``ftd_fit_moments`` takes them from a finalized moment set's dense triple.
-Every step after the contractions is shared.
+them straight from the keyed sequence (``moments.window_sum`` and
+``moments._window_fibres``), so no D x D x D array forms and the triple costs
+O(n m**2) for n windows and m states; ``ftd_fit_moments`` takes them from a
+finalized moment set's dense triple. Every step after the contractions is
+shared.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .em import EmConfig, EmTrace, em_fit
 from .errors import DataError, NumericalError, ParameterError
 from .features import BetaMapConfig, feature_table, prior_weights
 from .model import CountSequence, HmmParams
-from .moments import MomentSet, pair_sums, window_sum
+from .moments import MomentSet, _window_fibres, pair_sums, window_sum
 from .recovery import chain_from_joint, estimate_joint_lsq, recover_meth_probs
 from .spectral import (
     _pinv,
@@ -36,6 +37,9 @@ from .spectral import (
     symmetrize_moments,
     whiten,
 )
+
+if TYPE_CHECKING:
+    from .em import EmTrace
 
 __all__ = ["FtdConfig", "RecoveredModel", "ftd_fit", "ftd_fit_moments", "ftd_then_em"]
 
@@ -105,30 +109,28 @@ def _check_states(num_states: int) -> None:
         raise ParameterError(f"num_states must be >= 1, got {num_states}")
 
 
-def _readout(contract, s1: np.ndarray, s3: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _readout(fibres, s1: np.ndarray, s3: np.ndarray, u: np.ndarray) -> np.ndarray:
     """``g(u_l, u_l, .)`` for every column u_l of ``u``, a D x m array.
 
-    g is the symmetric part of ``raw(x, y, z) = contract(s1.T x, y, s3.T z)``,
-    so ``g(u, u, .) = (raw(u, u, .) + raw(u, ., u) + raw(., u, u)) / 3``: three
-    contractions per column, each with one D-column factor.
+    g is the symmetric part of ``raw(x, y, z) = T(s1.T x, y, s3.T z)`` for the
+    triple mean T, so
+    ``g(u, u, .) = (raw(u, u, .) + raw(u, ., u) + raw(., u, u)) / 3``, and
+    each term is T with two axes contracted: ``fibres(x, y, z)`` gives
+    T(., y_l, z_l), T(x_l, ., z_l) and T(x_l, y_l, .) for every column l.
     """
-    eye = np.eye(u.shape[0])
-    columns = []
-    for v in u.T:
-        v = v[:, None]
-        a, c = s1.T @ v, s3.T @ v
-        columns.append(
-            contract(a, v, s3.T)[0, 0] + contract(a, eye, c)[0, :, 0] + contract(s1.T, v, c)[:, 0, 0]
-        )
-    return np.stack(columns, axis=1) / 3.0
+    free_t, free_mid, free_end = fibres(s1.T @ u, u, s3.T @ u)
+    return (s1 @ free_t + free_mid + s3 @ free_end) / 3.0
 
 
-def _fit(pairs, halves, contract, count, num_blocks, num_states, weights, config) -> RecoveredModel:
+def _fit(
+    pairs, halves, contract, fibres, count, num_blocks, num_states, weights, config
+) -> RecoveredModel:
     """The spectral fit from pair means and contractions of the triple mean.
 
     ``pairs`` holds the means (p12, p13, p23), ``halves`` the same for the two
-    half streams or None, and ``contract(x, y, z)`` is the triple mean
-    contracted with x, y and z on its three axes.
+    half streams or None, ``contract(x, y, z)`` is the triple mean contracted
+    with x, y and z on its three axes, and ``fibres`` contracts it on two axes
+    at a time (see :func:`_readout`).
     """
     start = time.perf_counter()
     p12, p13, p23 = pairs
@@ -173,7 +175,7 @@ def _fit(pairs, halves, contract, count, num_blocks, num_states, weights, config
         raise NumericalError("whitened tensor is identically zero")
     h = _symmetric_part(raw)
     result = joint_diagonalization(h)
-    readout = _readout(contract, s1, s3, w @ result.eigenvectors)
+    readout = _readout(fibres, s1, s3, w @ result.eigenvectors)
     means_r = recover_feature_means(result, readout, num_blocks=num_blocks)
     spectral_done = time.perf_counter()
     # unresolvable states are estimated at the recovered merged positions,
@@ -261,8 +263,15 @@ def ftd_fit_moments(
     def contract(x, y, z):
         return np.einsum("abc,ai,bj,ck->ijk", moments.t123, x, y, z, optimize=True)
 
+    def fibres(x, y, z):
+        return (
+            np.einsum("abc,bl,cl->al", moments.t123, y, z, optimize=True),
+            np.einsum("abc,al,cl->bl", moments.t123, x, z, optimize=True),
+            np.einsum("abc,al,bl->cl", moments.t123, x, y, optimize=True),
+        )
+
     return _fit(
-        (moments.p12, moments.p13, moments.p23), halves, contract, moments.count,
+        (moments.p12, moments.p13, moments.p23), halves, contract, fibres, moments.count,
         moments.num_blocks, num_states, prior_weights_per_cell, config,
     )
 
@@ -284,8 +293,6 @@ def ftd_fit(
         raise DataError(f"insufficient length: need at least 3 positions, got {len(seq)}")
     start = time.perf_counter()
     table, index = feature_table(seq, BetaMapConfig(granularity=config.granularity))
-    # contiguous key columns, which bincount and take read without a copy
-    index = np.asfortranarray(index)
     count = len(seq) - 2
     if len(seq) < 16:
         pairs, halves = [s / count for s in pair_sums(table, index)], None
@@ -301,8 +308,12 @@ def ftd_fit(
     def contract(x, y, z):
         return window_sum(table, index, x, y, z) / count
 
+    def fibres(x, y, z):
+        return tuple(s / count for s in _window_fibres(table, index, x, y, z))
+
     model = _fit(
-        pairs, halves, contract, count, seq.num_cells, num_states, prior_weights(seq), config
+        pairs, halves, contract, fibres, count, seq.num_cells, num_states, prior_weights(seq),
+        config,
     )
     model.diagnostics["distinct_keys"] = [
         int(np.count_nonzero(np.bincount(index[:, j], minlength=len(table))))
@@ -328,6 +339,8 @@ def ftd_then_em(
     ``pi`` and every column of ``T``: EM's multiplicative update cannot revive
     a zero, and a reducible T lets the messages underflow to disjoint supports.
     """
+    from .em import EmConfig, EmTrace, em_fit
+
     if rounds < 0:
         raise ParameterError(f"rounds must be >= 0, got {rounds}")
     model = ftd_fit(seq, num_states, config)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from betahmm import CountSequence, DataError, load_model
-from betahmm import cli, synth
+from betahmm import _blas, cli
 from betahmm.cli import main
 from betahmm.io import ModelFile, file_digest, save_model, write_methylation_tsv
 
@@ -344,7 +344,7 @@ class TestBlasThreads:
     def test_commands_run_on_one_blas_thread_and_the_count_is_restored(
         self, tmp_path, monkeypatch, capsys
     ):
-        calls = synth._openblas_thread_calls()
+        calls = _blas._openblas_thread_calls()
         if calls is None:
             pytest.skip("numpy's BLAS thread count cannot be set here")
         get_threads, set_threads = calls

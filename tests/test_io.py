@@ -682,6 +682,24 @@ class TestByteParser:
         assert load_methylation_tsv(path).meth[1800, 0] == 2
         _assert_same_as_reference(path)
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_empty_lines_stay_in_the_byte_parser(self, tmp_path, monkeypatch, any_chunk_bytes,
+                                                 newline):
+        # empty lines first, last, alone and in runs, so blocks start with one
+        lines = ["", *_rows(40), "", ""]
+        lines[10:10] = ["", "", ""]
+        lines[30:30] = [""]
+        path = tmp_path / "t.tsv"
+        path.write_bytes((HEADER_1 + "\n".join(lines) + "\n").replace("\n", newline).encode())
+        expected = _outcome(reference_load_tsv, path, context_filter="CG")
+
+        def fallback(*args, **kwargs):
+            raise AssertionError("a block with empty lines went to the fallback")
+
+        monkeypatch.setattr(io_module, "_chunk_columns", fallback)
+        assert _outcome(load_methylation_tsv, path, context_filter="CG") == expected
+        assert len(expected[1]) == 40
+
     @pytest.mark.parametrize(
         "text",
         [

@@ -14,8 +14,9 @@ from betahmm import (
     MomentSet,
     ParameterError,
 )
+from betahmm import moments as moments_module
 from betahmm.features import feature_table
-from betahmm.moments import MAX_FEATURE_DIM, pair_sums, window_sum
+from betahmm.moments import MAX_FEATURE_DIM, _window_fibres, pair_sums, window_sum
 
 from oracles import naive_moment_means, reference_features
 
@@ -224,6 +225,23 @@ class TestPasses:
             rtol=0, atol=1e-10,
         )
 
+    @pytest.mark.parametrize("cells, step", [(1, None), (2, None), (2, 7)])
+    def test_window_fibres_match_a_contracted_naive_triple(self, rng, monkeypatch, cells, step):
+        if step is not None:
+            monkeypatch.setattr(moments_module, "_STEP", step)
+        seq = _random_sequence(rng, 40, cells=cells)
+        table, index = feature_table(seq, BetaMapConfig(granularity=2))
+        x, y, z = (rng.standard_normal((2 * cells, 3)) for _ in range(3))
+        feats = reference_features(seq, 2)
+        t123 = naive_moment_means(feats[:-2], feats[1:-1], feats[2:])[3] * (len(seq) - 2)
+        expected = (
+            np.einsum("abc,bl,cl->al", t123, y, z),
+            np.einsum("abc,al,cl->bl", t123, x, z),
+            np.einsum("abc,al,bl->cl", t123, x, y),
+        )
+        for got, want in zip(_window_fibres(table, index, x, y, z), expected, strict=True):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
     @pytest.mark.parametrize("cells, length", [(1, 3), (1, 4), (1, 50), (2, 37), (3, 20)])
     def test_pair_sums_match_naive_sums(self, rng, cells, length):
         seq = _random_sequence(rng, length, cells=cells)
@@ -247,7 +265,7 @@ def _fit_pass(table, index, rank=4):
     dim = table.shape[1] * index.shape[1]
     w = np.random.default_rng(0).standard_normal((dim, rank))
     window_sum(table, index, w, w, w)
-    window_sum(table, index, w[:, :1], np.eye(dim), w[:, :1])
+    _window_fibres(table, index, w, w, w)
 
 
 class TestMemory:

@@ -1,5 +1,6 @@
-"""The package's public names, and which commands load scipy."""
+"""The package's public names, and which modules each command loads."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ from betahmm import features
 
 _SRC = str(Path(betahmm.__file__).resolve().parent.parent)
 
-# runs one CLI command (none: imports only) and reports the scipy modules
+# runs one CLI command (none: `import betahmm` only) and reports the modules
 # loaded; with "block" first, every scipy import raises ImportError
 _PROBE = """
 import json, sys
@@ -20,14 +21,14 @@ if args[:1] == ["block"]:
     sys.modules["scipy"] = None
     args = args[1:]
 import betahmm
-from betahmm.cli import main
+if args:
+    from betahmm.cli import main
 code = main(args) if args else 0
-loaded = sorted(m for m, mod in sys.modules.items() if m.split(".")[0] == "scipy" and mod)
-print(json.dumps({"code": code, "scipy": loaded}))
+print(json.dumps({"code": code, "loaded": sorted(m for m, mod in sys.modules.items() if mod)}))
 """
 
 
-def _scipy_after(*argv):
+def _loaded_after(*argv):
     path = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", _PROBE, *map(str, argv)],
@@ -35,7 +36,15 @@ def _scipy_after(*argv):
     )
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["code"] == 0, proc.stderr
-    return result["scipy"]
+    return set(result["loaded"])
+
+
+def _scipy_after(*argv):
+    return sorted(m for m in _loaded_after(*argv) if m.split(".")[0] == "scipy")
+
+
+def _submodule(name):
+    return next(module for module, names in betahmm._SOURCES.items() if name in names)
 
 
 def test_every_public_name_resolves():
@@ -51,6 +60,52 @@ def test_star_import():
     namespace = {}
     exec("from betahmm import *", namespace)
     assert set(betahmm.__all__) <= namespace.keys()
+
+
+def test_every_public_name_is_its_submodules_object():
+    for name in betahmm.__all__:
+        module = importlib.import_module(f"betahmm.{_submodule(name)}")
+        assert getattr(betahmm, name) is getattr(module, name), name
+
+
+def test_public_names_read_through_to_a_patched_submodule(monkeypatch):
+    # perfbench's span tracer patches submodule attributes and later restores them
+    original = features.prior_weights
+    assert betahmm.prior_weights is original
+
+    def patched(seq):
+        return original(seq)
+
+    monkeypatch.setattr(features, "prior_weights", patched)
+    assert betahmm.prior_weights is patched
+    monkeypatch.undo()
+    assert betahmm.prior_weights is original
+    assert "prior_weights" not in vars(betahmm)
+
+
+def test_unknown_name_is_an_attribute_error():
+    assert not hasattr(betahmm, "no_such_name")
+
+
+def test_import_loads_no_submodule():
+    assert sorted(m for m in _loaded_after() if m.startswith("betahmm.")) == []
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    data, model = tmp_path / "counts.tsv", tmp_path / "model.json"
+    _loaded_after("simulate", "--length", "400", "--states", "2", "--out", data)
+    fit = _loaded_after("fit", "--data", data, "--states", "2", "--granularity", "8",
+                        "--algo", "ftd", "--out", model)
+    assert "betahmm.pipeline" in fit
+    assert fit.isdisjoint({"betahmm.synth", "betahmm.hungarian", "betahmm.em"})
+    evaluate = _loaded_after("eval", "--model", model, "--data", data)
+    assert "betahmm.em" in evaluate
+    unused = {
+        *(f"betahmm.{m}" for m in ("pipeline", "moments", "spectral", "features", "recovery",
+                                   "synth", "hungarian")),
+        "concurrent.futures", "csv", "hashlib",
+    }
+    assert evaluate.isdisjoint(unused), sorted(evaluate & unused)
 
 
 def test_import_loads_no_scipy():

@@ -23,7 +23,7 @@ from betahmm import (
 from betahmm import pipeline
 from betahmm.features import feature_table
 from betahmm.io import ModelFile, load_model, save_model
-from betahmm.moments import MomentAccumulator, MomentSet, window_sum
+from betahmm.moments import MomentAccumulator, MomentSet, _window_fibres, window_sum
 from betahmm.spectral import _symmetric_part, pair_spectrum, symmetrize_moments, whiten
 from betahmm.synth import _row_seeds
 from oracles import chain_joints, dense_symmetric_triple, exact_feature_map, population_moments
@@ -369,16 +369,16 @@ class TestKeyedPassMatchesDenseMoments:
         w = whiten(pair_spectrum(s3, moments.p32), 3).w
         g, _ = dense_symmetric_triple(moments, s1, s3)
 
-        def contract(x, y, z):
-            return window_sum(table, index, x, y, z) / moments.count
+        def fibres(x, y, z):
+            return [s / moments.count for s in _window_fibres(table, index, x, y, z)]
 
-        h = _symmetric_part(contract(s1.T @ w, w, s3.T @ w))
+        h = _symmetric_part(window_sum(table, index, s1.T @ w, w, s3.T @ w) / moments.count)
         dense_h = np.einsum("abc,ai,bj,ck->ijk", g, w, w, w)
         np.testing.assert_allclose(h, dense_h, rtol=0, atol=1e-12 * np.abs(dense_h).max())
         u = w @ np.linalg.qr(np.random.default_rng(0).standard_normal((3, 3)))[0]
         dense_readout = np.einsum("abk,al,bl->kl", g, u, u)
         np.testing.assert_allclose(
-            pipeline._readout(contract, s1, s3, u), dense_readout,
+            pipeline._readout(fibres, s1, s3, u), dense_readout,
             rtol=0, atol=1e-12 * np.abs(dense_readout).max(),
         )
 

@@ -24,7 +24,7 @@ from betahmm import (
     stationary_distribution,
     validate_params,
 )
-from betahmm import synth
+from betahmm import _blas, synth
 from betahmm.synth import _hidden_states, _row_seeds
 from oracles import sequential_states, stationary_oracle
 
@@ -305,7 +305,7 @@ class TestRunBenchmark:
     def test_fits_run_on_one_blas_thread_and_the_count_is_restored(self, monkeypatch):
         # a row's seconds are its own thread's CPU time, so no BLAS worker may
         # take part of a fit
-        calls = synth._openblas_thread_calls()
+        calls = _blas._openblas_thread_calls()
         if calls is None:
             pytest.skip("numpy's BLAS thread count cannot be set here")
         get_threads, set_threads = calls
