@@ -20,8 +20,8 @@ _SOURCES = {
     "em": ("EmConfig", "EmTrace", "em_fit", "log_likelihood", "random_init"),
     "errors": ("BetaHmmError", "DataError", "NumericalError", "ParameterError"),
     "features": (
-        "BetaMapConfig", "beta_map", "cache_stats", "clear_cache", "empirical_prior_weight",
-        "prior_weights",
+        "BetaMapConfig", "FtdConfig", "beta_map", "cache_stats", "clear_cache",
+        "empirical_prior_weight", "prior_weights",
     ),
     "hungarian": ("solve_assignment",),
     "io": (
@@ -30,7 +30,7 @@ _SOURCES = {
     ),
     "model": ("CountSequence", "HmmParams", "Observation", "validate_params"),
     "moments": ("MomentAccumulator", "MomentSet"),
-    "pipeline": ("FtdConfig", "RecoveredModel", "ftd_fit", "ftd_fit_moments", "ftd_then_em"),
+    "pipeline": ("RecoveredModel", "ftd_fit", "ftd_fit_moments", "ftd_then_em"),
     "recovery": (
         "StateJoint", "chain_from_joint", "chain_via_pinv", "differential_states",
         "estimate_joint_lsq", "recover_meth_probs",

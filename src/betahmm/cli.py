@@ -134,7 +134,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_fit(args) -> int:
     from . import io as model_io
-    from .pipeline import FtdConfig
+    from .features import FtdConfig
 
     # every flag is checked before the table is read; the EM flags are
     # recorded in every model's provenance, so they are checked for every
@@ -180,9 +180,11 @@ def _cmd_fit(args) -> int:
         weights = model.prior_weights
         diagnostics = {**model.diagnostics, "log_likelihoods": trace.log_likelihoods,
                        "em_seconds": trace.seconds}
+    num_cells, positions = seq.num_cells, len(train)
+    del seq, train  # the counts are freed before the digest reads the file
     out = model_io.ModelFile(
         num_states=args.states,
-        num_cells=seq.num_cells,
+        num_cells=num_cells,
         granularity=granularity,
         initial_dist=params.initial_dist,
         transition=params.transition,
@@ -203,14 +205,14 @@ def _cmd_fit(args) -> int:
         },
     )
     model_io.save_model(out, args.out)
-    print(f"fit {args.algo} with {args.states} states on {len(train)} positions -> {args.out}")
+    print(f"fit {args.algo} with {args.states} states on {positions} positions -> {args.out}")
     return 0
 
 
 def _cmd_eval(args) -> int:
     from . import io as model_io
     from .em import log_likelihood
-    from .model import HmmParams
+    from .model import CountSequence, HmmParams
 
     _check_train_frac(args.train_frac)
     floor = args.prob_floor
@@ -226,9 +228,15 @@ def _cmd_eval(args) -> int:
         raise DataError(
             f"model carries {model.num_cells} cell(s) but data carries {seq.num_cells}"
         )
-    test = seq[int(len(seq) * args.train_frac) :]
-    if len(test) == 0:
+    cut = int(len(seq) * args.train_frac)
+    if cut == len(seq):
         raise DataError("no positions left for evaluation after the train split")
+    # a copy of the test rows only, so the training rows are freed before scoring
+    cov, meth = seq.coverage[cut:].copy(), seq.meth[cut:].copy()
+    del seq
+    cov.setflags(write=False)  # read-only int64: the sequence keeps it as it is
+    meth.setflags(write=False)
+    test = CountSequence(cov, meth)
     params = HmmParams(
         initial_dist=model.initial_dist,
         transition=model.transition,
@@ -254,7 +262,7 @@ def _cmd_eval(args) -> int:
 def _cmd_benchmark(args) -> int:
     import os
 
-    from .pipeline import FtdConfig
+    from .features import FtdConfig
     from .synth import SynthConfig, run_benchmark
 
     cfg = SynthConfig(

@@ -32,6 +32,7 @@ from .model import CountSequence, Observation
 
 __all__ = [
     "BetaMapConfig",
+    "FtdConfig",
     "beta_map",
     "feature_table",
     "empirical_prior_weight",
@@ -50,6 +51,36 @@ class BetaMapConfig:
     def __post_init__(self) -> None:
         if int(self.granularity) != self.granularity or self.granularity < 1:
             raise ParameterError(f"granularity must be a positive integer, got {self.granularity}")
+
+
+# the spectral fit's controls live here, beside the map's, and pipeline
+# re-exports them: a command that only checks or records them (an em fit,
+# sampling a table) loads none of the spectral modules
+@dataclass(frozen=True)
+class FtdConfig:
+    """Controls for the spectral fit.
+
+    ``granularity`` is the number of histogram bins per cell. Pair directions
+    whose curvature falls below the sampling noise are not inverted: when
+    fewer than ``num_states`` directions survive, the decomposition runs at the
+    reduced rank and the missing states are filled with copies of the heaviest
+    recovered components (a merged-state estimate). The noise of each
+    direction comes from the disagreement of the pair moments of two half
+    streams, which ``pipeline.ftd_fit`` sums separately and
+    ``pipeline.ftd_fit_moments`` takes as ``split_halves``. Without them it is
+    ``noise_level`` times the norm of the third-view operator, where ``noise_level`` is ``moment_ridge`` or, if that is None, a
+    closed-form stand-in; only such fits report ``noise_level``, and with
+    halves ``moment_ridge`` has no effect.
+    """
+
+    granularity: int = 30
+    moment_ridge: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.granularity < 1:
+            raise ParameterError(f"granularity must be >= 1, got {self.granularity}")
+        if self.moment_ridge is not None and self.moment_ridge < 0.0:
+            raise ParameterError(f"moment_ridge must be >= 0, got {self.moment_ridge}")
 
 
 class _FeatureCache:
@@ -183,13 +214,24 @@ def beta_map(obs, cfg: BetaMapConfig) -> np.ndarray:
     return row
 
 
-# Pairs are keyed densely, by a bincount over (c_max + 1)**2 codes, while that
-# many codes are at most this many times the observations: the bincount and
-# the running rank then cost O(n) time and memory. On genome-ftd's 235,929
-# training observations (c_max 52) a warm-cache feature_table took 2.7 ms
-# this way against 28 ms with the sort. Wider coverages, up to 2**63 - 1,
-# are sorted.
+# Pairs are keyed densely, through a table of (c_max + 1)**2 codes, while that
+# many codes are at most this many times the observations: the keying then
+# costs O(n) time and memory. On genome-ftd's 235,929 training observations
+# (c_max 52) a warm-cache feature_table took 2.7 ms this way against 28 ms with
+# the sort. Wider coverages, up to 2**63 - 1, are sorted.
 _DENSE_KEYS = 4
+
+# positions (or windows) per step of every stepped pass: the dense keying, the
+# prior weights' sums and the moment passes, so none holds a temporary as long
+# as the sequence. A moment step's keys are one intp block of this many rows
+# per cell (256 KB a cell), and window_sum's scratch three float64 columns of
+# this length (768 KB)
+_STEP = 1 << 15
+
+
+def _index_dtype(size: int) -> np.dtype:
+    """The smallest unsigned integer type that holds every row number below ``size``."""
+    return np.min_scalar_type(max(size - 1, 0))
 
 
 def feature_table(seq: CountSequence, cfg: BetaMapConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -198,30 +240,45 @@ def feature_table(seq: CountSequence, cfg: BetaMapConfig) -> tuple[np.ndarray, n
     Returns ``(table, index)``. ``table`` has shape (U, granularity): one row
     per distinct pair over all cells, in increasing (coverage, count) order.
     ``index`` has shape (length, num_cells), in column order, and
-    ``index[t, j]`` is the table row of cell j at position t. The pairs are
+    ``index[t, j]`` is the table row of cell j at position t. Its dtype is the
+    smallest unsigned integer type that holds U - 1 (uint16 for a genome's
+    thousand or so pairs), so it takes 2 bytes per position and cell where
+    int64 took 8; ``np.take`` and ``np.bincount`` copy such an index to intp
+    on every call, so a long pass converts it a step at a time. The pairs are
     keyed one of two ways, chosen by the largest coverage c_max against the
-    number n of observations (positions times cells). While (c_max + 1)**2 <= ``_DENSE_KEYS`` * n,
-    ``np.bincount`` over the codes c * (c_max + 1) + mu marks the pairs that
-    occur, in code order, which is (coverage, count) order. Otherwise one
-    stable sort on (coverage, count) and the boundaries of its runs key them,
-    so counts up to 2**63 - 1 need no re-coding. Both give the same table and
-    index. Rows are read through the module cache; only missing rows are
-    computed.
+    number n of observations (positions times cells). While (c_max + 1)**2 <=
+    ``_DENSE_KEYS`` * n, the codes c * (c_max + 1) + mu of ``_STEP`` positions
+    at a time mark the pairs that occur, in code order, which is (coverage,
+    count) order, and a second walk looks up each code's rank, so no code
+    array is as long as the sequence. Otherwise one stable sort on (coverage,
+    count) and the boundaries of its runs key them, so counts up to
+    2**63 - 1 need no re-coding. Both give the same table and index. Rows are
+    read through the module cache; only missing rows are computed.
     """
     D = cfg.granularity
     # keyed cell by cell (the transposes are views), so each cell's keys form
-    # one contiguous column of the index, which bincount and take read without
-    # a copy
+    # one contiguous column of the index
     cov, meth = seq.coverage.T, seq.meth.T
+    cells, length = cov.shape
     radix = int(cov.max(initial=0)) + 1
     if radix * radix <= _DENSE_KEYS * cov.size:
-        code = np.multiply(cov, radix, order="C")
-        code += meth
-        code = code.ravel()
-        seen = np.bincount(code) > 0
+
+        def codes():
+            for lo in range(0, length, _STEP):
+                code = np.multiply(cov[:, lo : lo + _STEP], radix)
+                code += meth[:, lo : lo + _STEP]
+                yield lo, code
+
+        seen = np.zeros(radix * radix, dtype=bool)
+        for _, code in codes():
+            seen[code] = True
         keys = np.flatnonzero(seen)
         cov_u, meth_u = np.divmod(keys, radix)
-        index = (np.cumsum(seen, dtype=np.intp) - 1)[code]
+        rank = np.zeros(seen.size, dtype=_index_dtype(keys.size))
+        rank[keys] = np.arange(keys.size)
+        index = np.empty(cov.shape, dtype=rank.dtype)
+        for lo, code in codes():
+            index[:, lo : lo + _STEP] = rank[code]
     else:
         # one lexsort replaced two np.unique passes with inverses (ranks of
         # the 2L count values, then of the L pair codes): on the genome-ftd
@@ -234,8 +291,9 @@ def feature_table(seq: CountSequence, cfg: BetaMapConfig) -> tuple[np.ndarray, n
         new[1:] = (cov_s[1:] != cov_s[:-1]) | (meth_s[1:] != meth_s[:-1])
         cov_u, meth_u = cov_s[new], meth_s[new]
         del cov_s, meth_s  # freed before the index forms: 12.9 MB peak without this
-        index = np.empty(order.size, dtype=np.intp)
+        index = np.empty(order.size, dtype=_index_dtype(cov_u.size))
         index[order] = np.cumsum(new) - 1
+        index = index.reshape(cells, length)
     cache_keys = [(c, mu, D) for c, mu in zip(cov_u.tolist(), meth_u.tolist())]
     cached = _CACHE.get(cache_keys)
     table = np.empty((cov_u.size, D))
@@ -248,7 +306,7 @@ def feature_table(seq: CountSequence, cfg: BetaMapConfig) -> tuple[np.ndarray, n
     if missing:
         table[missing] = _beta_bin_masses(cov_u[missing], meth_u[missing], D)
         _CACHE.put([cache_keys[u] for u in missing], table[missing])
-    return table, index.reshape(seq.coverage.shape, order="F")
+    return table, index.T
 
 
 def empirical_prior_weight(seq: CountSequence, cell: int = 0) -> float:
@@ -257,13 +315,21 @@ def empirical_prior_weight(seq: CountSequence, cell: int = 0) -> float:
     This is the average weight that the smoothed fraction estimate
     (mu + 1) / (c + 2) puts on each prior pseudo-count; it lives in (0, 1/2]
     and enters the affine correction that turns feature-mean histograms back
-    into success probabilities.
+    into success probabilities. It is summed ``_STEP`` positions at a time in
+    one reused buffer, so no float temporary is as long as the sequence.
     """
     if len(seq) == 0:
         raise DataError("cannot average over an empty sequence")
     if not 0 <= cell < seq.num_cells:
         raise ParameterError(f"cell index {cell} outside [0, {seq.num_cells})")
-    return float(np.mean(1.0 / (seq.coverage[:, cell] + 2.0)))
+    cov = seq.coverage[:, cell]
+    buf = np.empty(min(len(cov), _STEP))
+    total = 0.0
+    for lo in range(0, len(cov), _STEP):
+        part = buf[: len(cov) - lo]
+        np.add(cov[lo : lo + _STEP], 2.0, out=part)
+        total += float(np.reciprocal(part, out=part).sum())
+    return total / len(cov)
 
 
 def prior_weights(seq: CountSequence) -> np.ndarray:

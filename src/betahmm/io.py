@@ -10,10 +10,12 @@ context filter keeps only rows whose context matches (e.g. "CG").
 
 Tables are read and written by column. The reader takes the file's bytes in
 blocks of whole lines, about 256 KB each, so the bytes it holds at any time
-are one block's and a load's memory is bounded by the int64 columns it
-returns: the 5.5 MB, 262,144-row genome-ftd table of ``perfbench`` peaks at
-8.4 MB of tracemalloc'd memory, the counts twice (the blocks' parts and the
-arrays returned). A block that is not ASCII is checked once to be UTF-8.
+are one block's, and each block keeps its counts in the smallest unsigned
+type that holds them until the int64 columns are filled. So a load holds the
+counts about once: the 5.5 MB, 262,144-row genome-ftd table of ``perfbench``
+returns 4.2 MB of columns and peaks at 4.7 MB of tracemalloc'd memory (8.4 MB
+when the blocks kept int64 counts). A block that is not ASCII is checked once
+to be UTF-8.
 A block whose lines all end in "\\n", or all in "\\r\\n", is read straight
 from its bytes: one scan finds its tabs and line ends, and each numeric
 field is parsed from its digit bytes, one pass per decimal place over every
@@ -355,7 +357,7 @@ def _chunk_columns(
         # a row's context lies between its second and third tabs
         tab = first_tab[rows]
         columns = columns[_has_context(buf, tab_at[tab + 1] + 1, tab_at[tab + 2], context_filter)]
-    return columns[:, 1:].copy(), len(lines)
+    return columns[:, 1:], len(lines)
 
 
 def _read_table(
@@ -373,7 +375,9 @@ def _read_table(
     on its own, so the bytes held at any time are one block's. Each block is
     read from its bytes by :func:`_byte_counts` or, if that turns it down,
     by :func:`_chunk_columns`. Each block keeps its counts without
-    ``bin_start``, and the returned arrays are filled from them once. The
+    ``bin_start``, in the smallest unsigned type that holds the block's
+    largest count (uint8 for coverages below 256), and the returned int64
+    arrays are filled from them once, so the counts are held about once. The
     errors are those of reading the file whole: a byte that is not UTF-8
     anywhere in the file outranks a bad header or row, which are raised only
     once the rest of the file has decoded.
@@ -394,7 +398,9 @@ def _read_table(
                 counts, lines = _byte_counts(
                     block, int(first == 0), num_cells, bin_size, context_filter
                 ) or _chunk_columns(path, first, block, num_cells, bin_size, context_filter)
-                parts.append(counts)
+                # counts are validated non-negative, so the smallest unsigned
+                # type that holds the block's largest keeps them all
+                parts.append(counts.astype(np.min_scalar_type(int(counts.max(initial=0)))))
                 first += lines
                 continue
             except DataError as exc:
@@ -594,11 +600,13 @@ def load_model(path) -> ModelFile:
 
 
 def file_digest(path) -> str:
-    """Hex sha256 of a file's bytes, for provenance records."""
+    """Hex sha256 of a file's bytes, for provenance records, read into one reused buffer."""
     import hashlib  # here: only fit records a digest, and eval need not load it
 
     digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
+    buf = bytearray(_CHUNK_BYTES)
+    view = memoryview(buf)
+    with open(path, "rb", buffering=0) as fh:
+        while size := fh.readinto(buf):
+            digest.update(view[:size])
     return digest.hexdigest()

@@ -5,15 +5,18 @@ count) key, and each position's row of every cell (``features.feature_table``);
 position t's feature vector f_t is its cells' rows side by side. Every
 overlapping window (t, t+1, t+2) contributes its three vectors.
 
-Two passes read the windows through their keys with ``np.bincount``: a
+Every pass reads the windows through their keys with ``np.bincount``: a
 bincount of one key column, weighted by values gathered from the other
 positions of each window, sums those values per key, and a product with the
-table's rows finishes the sum. Neither forms an array larger than n or U x D
-for n windows, U distinct keys and feature dimension D, and neither loops over
-positions or keys.
+table's rows finishes the sum. The passes walk the windows in steps of
+``_STEP``, and convert each step's keys to intp once (``_steps``): the index
+is narrow (uint16 for a genome's keys), and ``np.take`` and ``np.bincount``
+would copy it to intp on every call. So no pass forms an array as long as
+the sequence, or larger than a step or a few U x D for U distinct keys and
+feature dimension D, and none loops over positions or keys.
 
 - ``pair_sums`` gives the three D x D pair sums, with one bincount per
-  feature column, cell pair and lag.
+  feature column, cell pair, lag and step.
 - ``window_sum`` gives the sum of (x.T f_t) (x) (y.T f_{t+1}) (x) (z.T f_{t+2})
   for any three factor matrices, with one bincount per column pair of the two
   narrower factors. The spectral fit calls it with whitened factors of a few
@@ -35,20 +38,32 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, ParameterError
-from .features import BetaMapConfig, feature_table
+from .features import _STEP, BetaMapConfig, feature_table
 from .model import CountSequence
 
 __all__ = ["MomentSet", "MomentAccumulator", "MAX_FEATURE_DIM", "pair_sums", "window_sum"]
 
 MAX_FEATURE_DIM = 256
 
-# windows per step of window_sum; its scratch is three float64 columns of
-# this length (768 KB)
-_STEP = 1 << 15
-
 # a pair moment of k cells sums to k**2 and the triple to k**3; validation
 # allows this tolerance times max(1, total)
 _SUM_TOL = 1e-9
+
+
+def _steps(index: np.ndarray, windows: int):
+    """The windows in steps of ``_STEP``: ``(lo, keys)``, the step's key rows as intp.
+
+    A step of m windows from window ``lo`` reads ``m + 2`` rows of ``index``
+    from row ``lo``, so ``keys[k : k + m]`` are the keys at each window's
+    position k. ``np.take`` and ``np.bincount`` copy an index that is not
+    intp on every call, so each step's rows are converted once, into one
+    block reused by every step, whose columns are contiguous.
+    """
+    block = np.empty((min(windows, _STEP) + 2, index.shape[1]), dtype=np.intp, order="F")
+    for lo in range(0, windows, _STEP):
+        keys = block[: min(windows - lo, _STEP) + 2]
+        keys[...] = index[lo : lo + len(keys)]
+        yield lo, keys
 
 
 def pair_sums(table: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -57,33 +72,39 @@ def pair_sums(table: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndar
     ``index[t, j]`` is the table row of cell j at position t; the n - 2
     windows of n positions are summed. The block of cells (a, b) at lag k is
     ``table.T @ Z.T``, where row j of Z bincounts cell a's keys weighted by
-    column j of cell b's rows k positions later. The first and third sums
-    share the lag-1 sum over the inner windows and add one end pair each.
+    column j of cell b's rows k positions later, summed over the steps of
+    :func:`_steps`; Z holds one step and block at a time, so the scratch is
+    U x D whatever the cell count. The first and third sums share the lag-1
+    sum over the inner windows and add one end pair each.
     """
     length, cells = index.shape
+    windows = length - 2
     size, D = table.shape
     columns = np.ascontiguousarray(table.T)
-    weights = np.empty(length)
-
-    def lagged(lag: int, lo: int, hi: int) -> np.ndarray:
-        out = np.empty((cells * D, cells * D))
-        z = np.empty((D, size))
-        w = weights[: hi - lo]
-        for a in range(cells):
-            keys = index[lo:hi, a]
-            for b in range(cells):
-                later = index[lo + lag : hi + lag, b]
-                for j, column in enumerate(columns):
-                    np.take(column, later, out=w, mode="clip")
-                    z[j] = np.bincount(keys, w, minlength=size)
-                out[a * D : (a + 1) * D, b * D : (b + 1) * D] = columns @ z.T
-        return out
+    sums = np.zeros((2, cells * D, cells * D))  # the lag-1 sum over the inner windows, lag 2
+    z = np.empty((D, size))
+    weights = np.empty(min(windows, _STEP))
+    for lo, keys in _steps(index, windows):
+        for lag in (1, 2):
+            # the lag-1 sum takes the inner windows, from position 1
+            start = int(lag == 1 and lo == 0)
+            first = keys[start : len(keys) - 2]
+            later = keys[start + lag : len(keys) - 2 + lag]
+            w = weights[: len(first)]
+            for a in range(cells):
+                keys_a = first[:, a]
+                for b in range(cells):
+                    keys_b = later[:, b]
+                    for j, column in enumerate(columns):
+                        np.take(column, keys_b, out=w, mode="clip")
+                        z[j] = np.bincount(keys_a, w, minlength=size)
+                    sums[lag - 1, a * D : (a + 1) * D, b * D : (b + 1) * D] += columns @ z.T
+    inner, lag2 = sums
 
     def outer(s: int, t: int) -> np.ndarray:
         return np.outer(table[index[s]].ravel(), table[index[t]].ravel())
 
-    inner = lagged(1, 1, length - 2)
-    return inner + outer(0, 1), lagged(2, 0, length - 2), inner + outer(length - 2, length - 1)
+    return inner + outer(0, 1), lag2, inner + outer(length - 2, length - 1)
 
 
 def _project(table: np.ndarray, factor: np.ndarray, cells: int) -> np.ndarray:
@@ -126,8 +147,8 @@ def window_sum(
     # scratch: fresh n-length temporaries in every call cost as much again in
     # page faults, and a step's columns stay in cache
     scratch = np.empty((3, min(windows, _STEP)))
-    for lo in range(0, windows, _STEP):
-        keys = [index[k + lo : k + min(windows, lo + _STEP)] for k in range(3)]
+    for _, step in _steps(index, windows):
+        keys = [step[k : k + len(step) - 2] for k in range(3)]
         first, weights, part = scratch[:, : len(keys[0])]
         for i in range(out.shape[0]):
             _gather(proj[p][:, i], keys[p], first, part)
@@ -160,8 +181,8 @@ def _window_fibres(
     out = np.zeros((3, cells, D, x.shape[1]))
     # the three gathered columns and their products, as in window_sum
     scratch = np.empty((4, min(windows, _STEP)))
-    for lo in range(0, windows, _STEP):
-        keys = [index[k + lo : k + min(windows, lo + _STEP)] for k in range(3)]
+    for _, step in _steps(index, windows):
+        keys = [step[k : k + len(step) - 2] for k in range(3)]
         *gathered, weights = scratch[:, : len(keys[0])]
         for col in range(x.shape[1]):
             for k in range(3):

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DataError, NumericalError, ParameterError
-from .features import BetaMapConfig, feature_table, prior_weights
+from .features import BetaMapConfig, FtdConfig, feature_table, prior_weights
 from .model import CountSequence, HmmParams
 from .moments import MomentSet, _window_fibres, pair_sums, window_sum
 from .recovery import chain_from_joint, estimate_joint_lsq, recover_meth_probs
@@ -42,33 +42,6 @@ if TYPE_CHECKING:
     from .em import EmTrace
 
 __all__ = ["FtdConfig", "RecoveredModel", "ftd_fit", "ftd_fit_moments", "ftd_then_em"]
-
-
-@dataclass(frozen=True)
-class FtdConfig:
-    """Controls for the spectral fit.
-
-    ``granularity`` is the number of histogram bins per cell. Pair directions
-    whose curvature falls below the sampling noise are not inverted: when
-    fewer than ``num_states`` directions survive, the decomposition runs at the
-    reduced rank and the missing states are filled with copies of the heaviest
-    recovered components (a merged-state estimate). The noise of each
-    direction comes from the disagreement of the pair moments of two half
-    streams, which ``ftd_fit`` sums separately and ``ftd_fit_moments`` takes
-    as ``split_halves``. Without them it is ``noise_level`` times the norm of the third-view
-    operator, where ``noise_level`` is ``moment_ridge`` or, if that is None, a
-    closed-form stand-in; only such fits report ``noise_level``, and with
-    halves ``moment_ridge`` has no effect.
-    """
-
-    granularity: int = 30
-    moment_ridge: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.granularity < 1:
-            raise ParameterError(f"granularity must be >= 1, got {self.granularity}")
-        if self.moment_ridge is not None and self.moment_ridge < 0.0:
-            raise ParameterError(f"moment_ridge must be >= 0, got {self.moment_ridge}")
 
 
 @dataclass(eq=False)
@@ -276,6 +249,13 @@ def ftd_fit_moments(
     )
 
 
+def _distinct(keys: np.ndarray, size: int) -> int:
+    """How many of ``size`` keys occur; marking them copies no narrow key to intp."""
+    seen = np.zeros(size, dtype=bool)
+    seen[keys] = True
+    return int(np.count_nonzero(seen))
+
+
 def ftd_fit(
     seq: CountSequence, num_states: int, config: FtdConfig = FtdConfig()
 ) -> RecoveredModel:
@@ -316,8 +296,7 @@ def ftd_fit(
         config,
     )
     model.diagnostics["distinct_keys"] = [
-        int(np.count_nonzero(np.bincount(index[:, j], minlength=len(table))))
-        for j in range(seq.num_cells)
+        _distinct(index[:, j], len(table)) for j in range(seq.num_cells)
     ]
     model.diagnostics["timings"] = {"moments_s": moments_s, **model.diagnostics["timings"]}
     return model

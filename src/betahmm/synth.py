@@ -9,20 +9,20 @@ estimation errors and per-thread CPU times per run.
 
 from __future__ import annotations
 
-import csv
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._blas import _one_blas_thread
-from .em import EmConfig, em_fit
 from .errors import BetaHmmError, ParameterError
-from .hungarian import solve_assignment
+from .features import FtdConfig
 from .model import CountSequence, HmmParams
-from .pipeline import FtdConfig, ftd_fit
+
+# the fits, hungarian, csv and concurrent.futures are imported by the functions
+# that use them, so sampling a table (simulate, a benchmark's set-up) loads
+# none of them
 
 __all__ = [
     "SynthConfig",
@@ -176,6 +176,8 @@ def estimation_error(p_true: np.ndarray, p_est: np.ndarray) -> tuple[float, np.n
         raise ParameterError(
             f"probability vectors must have equal length, got {p_true.shape} and {p_est.shape}"
         )
+    from .hungarian import solve_assignment
+
     cost = np.abs(p_true[:, None] - p_est[None, :])
     sigma, total = solve_assignment(cost)
     return total, sigma
@@ -236,6 +238,8 @@ class ExperimentReport:
         return out
 
     def write_csv(self, path) -> None:
+        import csv
+
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["length", "trial", "algorithm", "error", "seconds", "status"])
@@ -245,6 +249,8 @@ class ExperimentReport:
                 )
 
     def write_summary_csv(self, path) -> None:
+        import csv
+
         rows = self.summarize()
         with open(path, "w", newline="") as fh:
             # summarize() fixes the columns: every row has the same keys
@@ -262,6 +268,9 @@ def _row_seeds(master_seed: int, length: int, trial: int, algorithm: str) -> np.
 
 
 def _run_row(cfg: SynthConfig, length: int, trial: int, algorithm: str) -> BenchmarkRow:
+    from .em import EmConfig, em_fit
+    from .pipeline import ftd_fit
+
     param_seed, data_seed, fit_seed = (int(s) for s in _row_seeds(cfg.seed, length, trial, algorithm))
     params = generate_params(cfg, param_seed)
     seq = sample_sequence(params, length, cfg.coverage_mean, data_seed)
@@ -309,6 +318,8 @@ def run_benchmark(cfg: SynthConfig, threads: int = 1) -> ExperimentReport:
     recorded without aborting the sweep. BLAS runs on one thread throughout
     (:func:`_one_blas_thread`), so every row's seconds count all of its work.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     tasks = [
         (length, trial, algo)
         for length in cfg.lengths

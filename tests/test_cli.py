@@ -1,9 +1,10 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from betahmm import CountSequence, DataError, load_model
+from betahmm import CountSequence, DataError, FtdConfig, load_model
 from betahmm import _blas, cli
 from betahmm.cli import main
 from betahmm.io import ModelFile, file_digest, save_model, write_methylation_tsv
@@ -105,6 +106,8 @@ class TestFitAndEval:
         model = load_model(model_path)
         assert model.granularity is None
         assert model.provenance["algorithm"] == "em"
+        # recorded without loading the spectral fit, as FtdConfig records it
+        assert model.provenance["config"] == asdict(FtdConfig(granularity=8))
         lls = model.diagnostics["log_likelihoods"]
         assert len(lls) == 5
         assert all(b >= a - 1e-8 for a, b in zip(lls, lls[1:]))
@@ -292,8 +295,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["fit", "eval"])
     def test_bad_train_fraction(self, tmp_path, capsys, command):
         data = _simulate(tmp_path, length=50)
-        if command == "fit":
-            argv = ["fit", "--out", str(tmp_path / "m.json"), "--states", "2"]
+        if command.startswith("fit"):
+            argv = [*command.split(), "--out", str(tmp_path / "m.json"), "--states", "2"]
         else:
             argv = ["eval", "--model", str(_planted_model(tmp_path))]
         code = main([*argv, "--data", str(data), "--train-frac", "1.5"])
@@ -316,6 +319,7 @@ class TestExitCodes:
             ("fit", "--train-frac", "1.5", "train fraction must lie in (0, 1], got 1.5"),
             ("fit", "--states", "0", "--states must be >= 1, got 0"),
             ("fit", "--granularity", "0", "granularity must be >= 1, got 0"),
+            ("fit --algo em", "--granularity", "0", "granularity must be >= 1, got 0"),
             ("fit", "--em-rounds", "-1", "--em-rounds must be >= 0, got -1"),
             ("fit", "--em-iters", "0", "max_iters must be >= 1, got 0"),
             ("fit", "--em-tol", "nan", "rel_ll_tolerance must lie in [0, inf), got nan"),
@@ -331,8 +335,8 @@ class TestExitCodes:
     ):
         bad = tmp_path / "bad.tsv"
         bad.write_text("not\ta\tvalid\theader\n")
-        if command == "fit":
-            argv = ["fit", "--out", str(tmp_path / "m.json"), "--states", "2"]
+        if command.startswith("fit"):
+            argv = [*command.split(), "--out", str(tmp_path / "m.json"), "--states", "2"]
         else:
             argv = ["eval", "--model", str(_planted_model(tmp_path))]
         code = main([*argv, "--data", str(bad), flag, value])

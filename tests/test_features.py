@@ -125,6 +125,17 @@ class TestEmpiricalPriorWeight:
         np.testing.assert_allclose(weights, [0.25, 0.5])
         assert empirical_prior_weight(seq, cell=1) == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("length", [3, 5, 23])
+    def test_summed_in_steps(self, monkeypatch, length):
+        # steps of 5: one short step, one full step, and four with a short last one
+        monkeypatch.setattr(features, "_STEP", 5)
+        cov = np.random.default_rng(length).integers(0, 40, size=(length, 2))
+        seq = CountSequence(cov, np.zeros_like(cov))
+        for cell in range(2):
+            assert empirical_prior_weight(seq, cell) == pytest.approx(
+                np.mean(1.0 / (cov[:, cell] + 2.0)), rel=1e-15
+            )
+
     def test_bad_cell_index(self):
         seq = CountSequence([2, 2, 2], [0, 1, 2])
         with pytest.raises(ParameterError):
@@ -254,6 +265,11 @@ class TestFeatureTable:
 _DENSE = features._DENSE_KEYS
 
 
+def _smallest_unsigned(top: int) -> np.dtype:
+    types = (np.uint8, np.uint16, np.uint32, np.uint64)
+    return next(np.dtype(t) for t in types if top <= np.iinfo(t).max)
+
+
 class TestFeatureTableKeys:
     """``feature_table``'s two keyings against the rank-coded np.unique keying."""
 
@@ -270,7 +286,7 @@ class TestFeatureTableKeys:
         cfg = BetaMapConfig(granularity=granularity)
         table, index = feature_table(seq, cfg)
         cov_u, meth_u, ref_index = reference_feature_keys(seq)
-        assert index.dtype == ref_index.dtype
+        assert index.dtype == _smallest_unsigned(len(cov_u) - 1)
         assert np.array_equal(index, ref_index)
         rows = [beta_map((c, mu), cfg) for c, mu in zip(cov_u.tolist(), meth_u.tolist())]
         assert table.shape == (len(rows), granularity)
@@ -329,9 +345,38 @@ class TestFeatureTableKeys:
         self._assert_matches_reference(CountSequence(cov, meth))
         assert len(sorts) == 1
 
+    @pytest.mark.parametrize("size", [256, 257, 2**16, 2**16 + 1])
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_index_dtype_is_the_smallest_that_holds_every_row(self, monkeypatch, size, dense):
+        # the first size pairs in (coverage, count) order, shuffled; the sorted
+        # keying gets one pair at the int64 limit in place of the last
+        pairs = [(c, mu) for c in range(400) for mu in range(c + 1)][:size]
+        if not dense:
+            pairs[-1] = (2**63 - 1, 2**62)
+        cov, meth = np.array(pairs).T[:, np.random.default_rng(size).permutation(size)]
+        sorts = self._sorts(monkeypatch)
+        seq = CountSequence(cov, meth)
+        table, index = feature_table(seq, BetaMapConfig(granularity=2))
+        clear_cache()
+        assert len(sorts) == (0 if dense else 1)
+        assert index.dtype == _smallest_unsigned(size - 1)
+        assert len(table) == size
+        assert np.array_equal(index, reference_feature_keys(seq)[2])
+
     @pytest.mark.parametrize("cov, meth", [([7], [2]), ([[3, 5]], [[1, 5]])])
     def test_one_position(self, cov, meth):
         self._assert_matches_reference(CountSequence(cov, meth))
+
+    @pytest.mark.parametrize("cells", [1, 2])
+    def test_dense_keying_in_steps(self, monkeypatch, cells):
+        # 23 positions in steps of 5: four full steps and a short last one of 3
+        monkeypatch.setattr(features, "_STEP", 5)
+        gen = np.random.default_rng(cells)
+        cov = gen.integers(0, 9, size=(23, cells))
+        meth = (cov * gen.uniform(size=cov.shape)).astype(np.int64)
+        sorts = self._sorts(monkeypatch)
+        self._assert_matches_reference(CountSequence(cov, meth))
+        assert sorts == []
 
 
 class TestCacheThreads:

@@ -285,6 +285,24 @@ class TestFileDigest:
         b.write_bytes(b"two")
         assert file_digest(a) != file_digest(b)
 
+    def test_file_of_several_blocks_in_one_buffer(self, tmp_path):
+        # 6 MB and a short last read: the digest is hashlib's, and the peak is
+        # the one _CHUNK_BYTES buffer (measured 0.25 MiB; 2.0 MiB with the
+        # fresh 1 MB bytes object per read it replaced)
+        import hashlib
+
+        data = np.random.default_rng(0).bytes(6 * 2**20 + 1234)
+        path = tmp_path / "blob"
+        path.write_bytes(data)
+        tracemalloc.start()
+        try:
+            digest = file_digest(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert digest == hashlib.sha256(data).hexdigest()
+        assert peak < 0.5 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
 
 class TestBadBytes:
     def test_non_utf8_byte_names_the_line(self, tmp_path):
@@ -818,6 +836,23 @@ class TestLoadMemory:
             tracemalloc.stop()
         returned = seq.coverage.nbytes + seq.meth.nbytes
         assert peak < 5 * returned, f"peak {peak / returned:.1f}x the returned bytes"
+
+    def test_peak_holds_the_counts_about_once(self, tmp_path):
+        # the 100k-row table of the test above: 1.53 MiB of int64 columns are
+        # returned, and each block keeps its counts in the smallest type that
+        # holds them (uint8 here) until the columns are filled. Measured
+        # peak: 2.28 MiB, against 3.21 MiB when the blocks kept int64 counts
+        gen = np.random.default_rng(3)
+        cov = gen.integers(0, 40, size=100_000)
+        path = tmp_path / "t.tsv"
+        write_methylation_tsv(path, CountSequence(cov, gen.binomial(cov, 0.4)))
+        tracemalloc.start()
+        try:
+            load_methylation_tsv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
     @pytest.mark.parametrize("ending", [b"\r\n", b"\r"])
     def test_peak_with_crlf_and_cr_line_ends(self, tmp_path, ending):

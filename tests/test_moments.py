@@ -257,6 +257,48 @@ class TestPasses:
             window_sum(table, index, np.eye(3), np.eye(3), np.eye(4))
 
 
+class TestSteps:
+    """The passes walk the windows in steps of ``_STEP``, each step's keys cast to intp once."""
+
+    @pytest.mark.parametrize("cells", [1, 2])
+    @pytest.mark.parametrize(
+        "max_cov, length, dtype",
+        [
+            # 38 windows: five steps of 7 and a last one of 3
+            (12, 40, np.uint8),
+            # 299 windows: 42 steps of 7 and a last one of 5; over 256 distinct keys
+            (80, 301, np.uint16),
+        ],
+    )
+    def test_passes_match_the_dense_oracle(
+        self, rng, monkeypatch, cells, max_cov, length, dtype
+    ):
+        monkeypatch.setattr(moments_module, "_STEP", 7)
+        seq = _random_sequence(rng, length, cells=cells, max_cov=max_cov)
+        table, index = feature_table(seq, BetaMapConfig(granularity=2))
+        assert index.dtype == dtype
+        feats = reference_features(seq, 2)
+        *pairs, t123 = naive_moment_means(feats[:-2], feats[1:-1], feats[2:])
+        windows = length - 2
+        for name, got, want in zip(("s12", "s13", "s23"), pair_sums(table, index), pairs):
+            np.testing.assert_allclose(got, want * windows, rtol=0, atol=1e-12, err_msg=name)
+        x, y, z = (rng.uniform(size=(2 * cells, r)) for r in (2, 3, 4))
+        t123 = t123 * windows
+        np.testing.assert_allclose(
+            window_sum(table, index, x, y, z),
+            np.einsum("abc,ai,bj,ck->ijk", t123, x, y, z),
+            rtol=0, atol=1e-12,
+        )
+        x, y, z = (rng.uniform(size=(2 * cells, 3)) for _ in range(3))
+        expected = (
+            np.einsum("abc,bl,cl->al", t123, y, z),
+            np.einsum("abc,al,cl->bl", t123, x, z),
+            np.einsum("abc,al,bl->cl", t123, x, y),
+        )
+        for got, want in zip(_window_fibres(table, index, x, y, z), expected, strict=True):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
 def _fit_pass(table, index, rank=4):
     """The moment steps of ``ftd_fit``: the halves' pair sums, a whitened triple, a readout."""
     half = len(index) // 2

@@ -93,11 +93,25 @@ def test_import_loads_no_submodule():
 
 def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     data, model = tmp_path / "counts.tsv", tmp_path / "model.json"
-    _loaded_after("simulate", "--length", "400", "--states", "2", "--out", data)
+    simulate = _loaded_after("simulate", "--length", "400", "--states", "2", "--out", data)
+    # sampling and writing a table need none of the sweep's modules
+    assert "betahmm.synth" in simulate
+    sweep = {
+        *(f"betahmm.{m}" for m in ("em", "hungarian", "pipeline", "spectral", "moments",
+                                   "recovery")),
+        "concurrent.futures", "csv",
+    }
+    assert simulate.isdisjoint(sweep), sorted(simulate & sweep)
     fit = _loaded_after("fit", "--data", data, "--states", "2", "--granularity", "8",
                         "--algo", "ftd", "--out", model)
     assert "betahmm.pipeline" in fit
     assert fit.isdisjoint({"betahmm.synth", "betahmm.hungarian", "betahmm.em"})
+    em_fit = _loaded_after("fit", "--data", data, "--states", "2", "--algo", "em",
+                           "--em-iters", "2", "--out", tmp_path / "em.json")
+    assert "betahmm.em" in em_fit
+    spectral = {f"betahmm.{m}" for m in ("pipeline", "spectral", "moments", "recovery", "synth",
+                                         "hungarian")}
+    assert em_fit.isdisjoint(spectral), sorted(em_fit & spectral)
     evaluate = _loaded_after("eval", "--model", model, "--data", data)
     assert "betahmm.em" in evaluate
     unused = {
