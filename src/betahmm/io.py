@@ -29,7 +29,13 @@ whole-array masks; a context filter compares the context field's bytes.
 Warm loads on a 2-core Xeon VM read genome-ftd in 27 ms, about 200 MB/s,
 and a "\\r\\n" copy or one with a non-ASCII chrom in 32 ms; the fallback
 reads about 60 MB/s.
-The writer lays out every row's digits in one byte buffer.
+The writer formats 65,536 rows at a time into a byte block in which each
+field has a right-aligned slot as wide as the block's widest value, writes
+one decimal place per pass over the block's rows, and drops the places no
+value reaches with one boolean compress. So its memory does not grow with
+the table: writing genome-ftd peaks at 4.7 MB of tracemalloc'd memory
+(33.5 MB when every row was laid out at once) and takes about 30 ms on
+that VM, against 58 ms.
 
 Model files are JSON with an explicit schema version. Floats go through
 Python's shortest-round-trip repr, so a save/load cycle reproduces every
@@ -447,40 +453,42 @@ def load_methylation_tsv(
     return CountSequence(cov, meth)
 
 
-def _format_rows(fields: list[np.ndarray], seps: list[str]) -> np.ndarray:
+# rows the writer formats at a time. A one-cell chunk's byte block and keep
+# mask take about 22 bytes per row each, and the writer peaks at 4.7 MB of
+# tracemalloc'd memory whatever the table's length
+_WRITE_ROWS = 1 << 16
+
+
+def _format_rows(fields: list[np.ndarray], seps: list[bytes]) -> np.ndarray:
     """UTF-8 text of rows of non-negative integers, as one byte array.
 
     Row r is ``seps[0] str(fields[0][r]) seps[1] str(fields[1][r]) ... "\\n"``.
-    Every field's place in the buffer follows from its digit count, so each
-    separator byte and each decimal place is written in one pass over all rows.
+    Each field gets a right-aligned slot as wide as its widest value, so every
+    row has the same layout. Each decimal place of a field is written in one
+    ``divmod`` pass over all rows, in the smallest unsigned type that holds
+    the field; a place is kept while the quotient before it is non-zero, and
+    one boolean compress drops the leading places no value reaches.
     """
-    sep_bytes = [sep.encode("utf-8") for sep in seps]
-    ndigits = []
-    for field in fields:
-        count = np.ones(len(field), dtype=np.int64)
-        power = 10
-        while power <= field.max(initial=0):
-            count += field >= power
-            power *= 10
-        ndigits.append(count)
-    row_len = 1 + sum(len(sep) + count for sep, count in zip(sep_bytes, ndigits))
-    row_end = np.cumsum(row_len)
-    buf = np.empty(int(row_len.sum()), dtype=np.uint8)
-    buf[row_end - 1] = ord("\n")
-    end = row_end - row_len  # one past what is laid out so far in each row
-    for field, count, sep in zip(fields, ndigits, sep_bytes):
-        for byte in sep:
-            buf[end] = byte
-            end += 1
-        end += count
-        value, last, digits = field, end - 1, count
-        for place in range(int(count.max(initial=0))):
-            if digits.min() <= place:  # drop the numbers with no digit at this place
-                live = digits > place
-                value, last, digits = value[live], last[live], digits[live]
+    rows = len(fields[0])
+    tops = [int(field.max(initial=0)) for field in fields]
+    widths = [len(str(top)) for top in tops]
+    line = np.frombuffer(
+        b"".join(sep + b"0" * width for sep, width in zip(seps, widths)) + b"\n",
+        dtype=np.uint8,
+    )
+    buf = np.empty((rows, line.size), dtype=np.uint8)
+    buf[:] = line
+    keep = np.ones(buf.shape, dtype=bool)
+    end = 0  # one past the current field's slot
+    for field, sep, top, width in zip(fields, seps, tops, widths):
+        end += len(sep) + width
+        value = field.astype(np.min_scalar_type(top))
+        for place in range(1, width + 1):
+            if place > 1:
+                np.not_equal(value, 0, out=keep[:, end - place])
             value, digit = np.divmod(value, 10)
-            buf[last - place] = ord("0") + digit
-    return buf
+            buf[:, end - place] += digit  # on the slot's "0"
+    return buf[keep]
 
 
 def write_methylation_tsv(
@@ -490,7 +498,12 @@ def write_methylation_tsv(
     context: str = "CG",
     bin_size: int = DEFAULT_BIN_SIZE,
 ) -> None:
-    """Write a sequence as a UTF-8 count table with synthetic genomic coordinates."""
+    """Write a sequence as a UTF-8 count table with synthetic genomic coordinates.
+
+    Rows are formatted and written ``_WRITE_ROWS`` at a time, from views of
+    the sequence's columns, so the writer's memory does not grow with the
+    sequence's length.
+    """
     _check_bin_size(bin_size)
     for name, text in (("chrom", chrom), ("context", context)):
         if any(c in text for c in "\t\n\r"):
@@ -499,13 +512,15 @@ def write_methylation_tsv(
     header = list(TSV_COLUMNS) + [
         col for j in range(1, k + 1) for col in (f"cov_{j}", f"meth_{j}")
     ]
-    fields = [np.arange(len(seq), dtype=np.int64) * bin_size]
-    for j in range(k):
-        fields += [np.ascontiguousarray(seq.coverage[:, j]), np.ascontiguousarray(seq.meth[:, j])]
-    seps = [f"{chrom}\t", f"\t{context}\t"] + ["\t"] * (2 * k - 1)
+    seps = [s.encode("utf-8") for s in [f"{chrom}\t", f"\t{context}\t"] + ["\t"] * (2 * k - 1)]
     with open(path, "wb") as fh:
         fh.write(("\t".join(header) + "\n").encode("utf-8"))
-        fh.write(_format_rows(fields, seps))
+        for lo in range(0, len(seq), _WRITE_ROWS):
+            hi = min(lo + _WRITE_ROWS, len(seq))
+            fields = [np.arange(lo, hi, dtype=np.int64) * bin_size]
+            for j in range(k):
+                fields += [seq.coverage[lo:hi, j], seq.meth[lo:hi, j]]
+            fh.write(_format_rows(fields, seps))
 
 
 @dataclass(eq=False)

@@ -51,6 +51,24 @@ def _read_only_int64(values) -> np.ndarray:
     return np.array(values, dtype=np.int64)
 
 
+# rows a sequence's check looks at a time, so its boolean temporaries take
+# 64 KB per cell whatever the length
+_CHECK_ROWS = 1 << 16
+
+
+def _first_bad(cov: np.ndarray, mu: np.ndarray, bad) -> tuple[int, int] | None:
+    """(position, cell) of the first entry where ``bad(cov, mu)`` holds, or None.
+
+    The rows are checked ``_CHECK_ROWS`` at a time.
+    """
+    for lo in range(0, len(cov), _CHECK_ROWS):
+        hit = bad(cov[lo : lo + _CHECK_ROWS], mu[lo : lo + _CHECK_ROWS])
+        if hit.any():
+            t, j = np.argwhere(hit)[0]
+            return lo + int(t), int(j)
+    return None
+
+
 class CountSequence:
     """An immutable run of count observations with shape ``(length, num_cells)``.
 
@@ -74,14 +92,13 @@ class CountSequence:
             )
         if cov.shape[1] < 1:
             raise DataError("sequence must carry at least one cell")
-        if np.any(cov < 0):
-            t, j = np.argwhere(cov < 0)[0]
-            raise DataError(f"negative coverage at position {t}, cell {j}")
-        bad = (mu < 0) | (mu > cov)
-        if np.any(bad):
-            t, j = np.argwhere(bad)[0]
+        at = _first_bad(cov, mu, lambda c, mu: c < 0)
+        if at is not None:
+            raise DataError(f"negative coverage at position {at[0]}, cell {at[1]}")
+        at = _first_bad(cov, mu, lambda c, mu: (mu < 0) | (mu > c))
+        if at is not None:
             raise DataError(
-                f"meth count outside [0, coverage] at position {t}, cell {j}"
+                f"meth count outside [0, coverage] at position {at[0]}, cell {at[1]}"
             )
         cov.setflags(write=False)
         mu.setflags(write=False)

@@ -103,25 +103,36 @@ def generate_params(cfg: SynthConfig, seed) -> HmmParams:
 def _hidden_states(params: HmmParams, u: np.ndarray) -> np.ndarray:
     """Per position, the first state whose cumulative probability reaches u[t], capped.
 
-    ``nxt[t, i]``, the state at t + 1 after state i at t, takes one
-    ``searchsorted`` per state. The steps fall into K blocks of B =
-    isqrt(length - 1); each block's map from its first state to its last is
-    composed in B rounds, the block starts are carried through those maps,
-    and every block is filled from its start in B more rounds.
+    ``nxt[t, i]``, the state at t + 1 after state i at t, is the count of
+    column i's cumulative sums below u[t + 1], the last one left out as the
+    cap. One ``searchsorted`` over every column's sums, merged and sorted,
+    gives how many of them lie below each draw, and a prefix-count table,
+    one row per such count and one column per state, splits that number by
+    column; sums that tie fall on the same side of any draw, so their order
+    does not matter. ``nxt`` holds the smallest unsigned type for m - 1 and
+    is read flat, so each round below is one ``take``.
+    The steps fall into K blocks of B = isqrt(length - 1); each block's map
+    from its first state to its last is composed in B rounds, the block
+    starts are carried through those maps, and every block is filled from
+    its start in B more rounds.
     """
     m = params.num_states
     cum_pi = np.cumsum(params.initial_dist)
-    cum_T = np.cumsum(params.transition, axis=0).T  # row i: cumulative column i
-    cum_pi[-1] = cum_T[:, -1] = np.inf  # the cap at the last state
+    cum_pi[-1] = np.inf  # the cap at the last state
+    sums = np.cumsum(params.transition, axis=0)[:-1].T.ravel()  # column i's, then i + 1's
+    order = np.argsort(sums, kind="stable")
+    below = np.zeros((sums.size + 1, m), dtype=np.min_scalar_type(m - 1))
+    below[np.arange(1, sums.size + 1), np.repeat(np.arange(m), m - 1)[order]] = 1
+    below = below.cumsum(axis=0, dtype=below.dtype)
     steps = len(u) - 1
-    nxt = np.empty((steps, m), dtype=np.intp)
-    for i in range(m):
-        nxt[:, i] = np.searchsorted(cum_T[i], u[1:])
+    # flat: nxt[t, i] is nxt[t * m + i]
+    nxt = below.take(np.searchsorted(sums[order], u[1:]), axis=0).ravel()
     size = max(math.isqrt(steps), 1)
     blocks = max(-(-steps // size), 1)  # at length 1, one block whose step is cut
-    maps = np.broadcast_to(np.arange(m), (blocks - 1, m))
+    at = m * size * np.arange(blocks)  # each block's current step, times m
+    maps = np.broadcast_to(np.arange(m, dtype=nxt.dtype), (blocks - 1, m))
     for j in range(size):
-        maps = np.take_along_axis(nxt[j : (blocks - 1) * size : size], maps, axis=1)
+        maps = nxt.take(at[:-1, None] + j * m + maps)
     starts = [int(np.searchsorted(cum_pi, u[0]))]
     for block_map in maps.tolist():
         starts.append(block_map[starts[-1]])
@@ -129,11 +140,11 @@ def _hidden_states(params: HmmParams, u: np.ndarray) -> np.ndarray:
     states[0] = starts[0]
     states_by_block = states[1:].reshape(blocks, size)
     state = np.array(starts)
-    rows = size * np.arange(blocks)
     for j in range(min(size, steps)):
         # the last block repeats the last step; those positions are cut below
-        state = nxt[np.minimum(rows + j, steps - 1), state]
+        state = nxt.take(np.minimum(at, m * (steps - 1)) + state)
         states_by_block[:, j] = state
+        at += m
     return states[: len(u)]
 
 
@@ -142,7 +153,8 @@ def sample_sequence(
 ) -> CountSequence:
     """Sample counts of the given length from a binomial HMM with Poisson coverage.
 
-    One ``rng.random(length)`` call, the stream of one draw per position, drives the chain."""
+    One ``rng.random(length)`` call, the stream of one draw per position, drives the chain.
+    The drawn counts are made read-only, so the sequence keeps them without a copy."""
     if length < 1:
         raise ParameterError(f"length must be >= 1, got {length}")
     if coverage_mean < 0.0:
@@ -152,6 +164,8 @@ def sample_sequence(
     probs = params.cell_probs()[:, states].T  # (length, num_cells)
     coverage = rng.poisson(coverage_mean, size=probs.shape)
     meth = rng.binomial(coverage, probs)
+    coverage.setflags(write=False)
+    meth.setflags(write=False)
     return CountSequence(coverage, meth)
 
 

@@ -885,6 +885,28 @@ class TestWriterMatchesRowWriter:
         reference_write_tsv(ref, seq, chrom=chrom, context=context, bin_size=bin_size)
         assert new.read_bytes() == ref.read_bytes()
 
+    @pytest.mark.parametrize(
+        "case", ["two cells", "digits grow in the last chunk", "an all-zero chunk", "a non-ASCII chrom"]
+    )
+    def test_chunks_match_row_writer(self, tmp_path, rng, case):
+        # two whole chunks and three rows; with bin_size 100, bin_start reaches
+        # 8 digits at row 100,000, inside the second chunk
+        rows = 2 * io_module._WRITE_ROWS + 3
+        cells = 2 if case == "two cells" else 1
+        cov = rng.integers(0, 1000, size=(rows, cells))
+        if case == "digits grow in the last chunk":
+            cov %= 10
+            cov[-2] = 123_456
+        elif case == "an all-zero chunk":
+            cov[io_module._WRITE_ROWS : 2 * io_module._WRITE_ROWS] = 0
+        meth = (cov * rng.uniform(size=cov.shape)).astype(np.int64)
+        chrom = "chrÜ" if case == "a non-ASCII chrom" else "sim"
+        seq = CountSequence(cov, meth)
+        new, ref = tmp_path / "new.tsv", tmp_path / "ref.tsv"
+        write_methylation_tsv(new, seq, chrom=chrom)
+        reference_write_tsv(ref, seq, chrom=chrom)
+        assert new.read_bytes() == ref.read_bytes()
+
     def test_empty_sequence(self, tmp_path):
         seq = CountSequence(np.zeros((0, 2), dtype=np.int64), np.zeros((0, 2), dtype=np.int64))
         new, ref = tmp_path / "new.tsv", tmp_path / "ref.tsv"
@@ -903,3 +925,21 @@ class TestWriterMatchesRowWriter:
         with pytest.raises(ParameterError, match=f"{field} must hold no tab or line end"):
             write_methylation_tsv(path, seq, **{field: value})
         assert not path.exists()
+
+
+class TestWriteMemory:
+    @pytest.mark.parametrize("rows", [300_000, 1_200_000])
+    def test_peak_does_not_grow_with_length(self, tmp_path, rows):
+        # rows are formatted one chunk at a time. Measured: 4.70 MiB at 300k
+        # rows and 4.89 MiB at 1.2M, against 38 and 154 MiB when every row
+        # was laid out at once
+        gen = np.random.default_rng(3)
+        cov = gen.integers(0, 40, size=rows)
+        seq = CountSequence(cov, gen.binomial(cov, 0.4))
+        tracemalloc.start()
+        try:
+            write_methylation_tsv(tmp_path / "t.tsv", seq)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20, f"peak {peak / 2**20:.2f} MiB"

@@ -155,12 +155,32 @@ class TestSampleSequence:
         assert hashlib.sha256(raw).hexdigest() == digest
 
     @pytest.mark.parametrize("num_cells", [1, 2])
-    @pytest.mark.parametrize("num_states", [1, 2, 4, 6])
+    @pytest.mark.parametrize("num_states", [1, 2, 4, 6, 12])
     @pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 10, 17, 26, 101, 4097])
     def test_states_match_sequential_lookup(self, length, num_states, num_cells):
         cfg = SynthConfig(num_states=num_states, num_cells=num_cells)
         params = generate_params(cfg, seed=length + num_states)
         u = np.random.default_rng(length).random(length)
+        assert np.array_equal(_hidden_states(params, u), sequential_states(params, u))
+
+    def test_states_with_tied_cumulative_sums(self):
+        # zero-probability transitions repeat a sum within a column, and the
+        # columns share sums, so the merged sums tie within and across
+        # columns; draws sit on, between and above them
+        transition = np.array([
+            [0.25, 0.0, 0.25, 0.5],
+            [0.0, 0.5, 0.25, 0.0],
+            [0.25, 0.0, 0.0, 0.5],
+            [0.5, 0.5, 0.5, 0.0],
+        ])
+        params = validate_params(HmmParams(
+            initial_dist=np.array([0.0, 0.5, 0.0, 0.5]),
+            transition=transition,
+            meth_probs=np.array([0.1, 0.4, 0.6, 0.9]),
+        ))
+        gen = np.random.default_rng(2)
+        u = gen.choice([0.0, 0.25, 0.5, 0.75, 1.0], size=4097)
+        u[::3] = gen.random(len(u[::3]))
         assert np.array_equal(_hidden_states(params, u), sequential_states(params, u))
 
     def test_draw_above_a_short_column_sum_stays_in_range(self):
