@@ -79,6 +79,7 @@ class FtdConfig:
     def __post_init__(self) -> None:
         if self.granularity < 1:
             raise ParameterError(f"granularity must be >= 1, got {self.granularity}")
+        BetaMapConfig(self.granularity)  # the map's integer rule
         if self.moment_ridge is not None and self.moment_ridge < 0.0:
             raise ParameterError(f"moment_ridge must be >= 0, got {self.moment_ridge}")
 
@@ -222,10 +223,10 @@ def beta_map(obs, cfg: BetaMapConfig) -> np.ndarray:
 _DENSE_KEYS = 4
 
 # positions (or windows) per step of every stepped pass: the dense keying, the
-# prior weights' sums and the moment passes, so none holds a temporary as long
-# as the sequence. A moment step's keys are one intp block of this many rows
-# per cell (256 KB a cell), and window_sum's scratch three float64 columns of
-# this length (768 KB)
+# prior weights' sums, the sampler's count draws and the one window loop under
+# the moment passes, so none holds a temporary as long as the sequence. A
+# moment step's keys are one intp block of this many rows per cell (256 KB a
+# cell), and a pass's weights at most four float64 columns of this length (1 MB)
 _STEP = 1 << 15
 
 

@@ -5,22 +5,21 @@ count) key, and each position's row of every cell (``features.feature_table``);
 position t's feature vector f_t is its cells' rows side by side. Every
 overlapping window (t, t+1, t+2) contributes its three vectors.
 
-Every pass reads the windows through their keys with ``np.bincount``: a
-bincount of one key column, weighted by values gathered from the other
-positions of each window, sums those values per key, and a product with the
-table's rows finishes the sum. The passes walk the windows in steps of
-``_STEP``, and convert each step's keys to intp once (``_steps``): the index
-is narrow (uint16 for a genome's keys), and ``np.take`` and ``np.bincount``
-would copy it to intp on every call. So no pass forms an array as long as
-the sequence, or larger than a step or a few U x D for U distinct keys and
-feature dimension D, and none loops over positions or keys.
+Every pass is one loop over the windows, ``_free_sums``: it sums one free
+position's feature vector, weighted by values gathered from the window's
+other positions, as a bincount of the free position's keys times the table.
+The windows go in steps of ``_STEP`` whose keys are converted to intp once,
+since ``np.take`` and ``np.bincount`` would copy a narrow index on every call.
+So no pass forms an array as long as the sequence, or larger than a step or
+a few U x D for U distinct keys and feature dimension D, and none loops over
+positions or keys. Each pass is the weights it hands to that loop:
 
-- ``pair_sums`` gives the three D x D pair sums, with one bincount per
-  feature column, cell pair, lag and step.
+- ``pair_sums`` gives the three D x D pair sums, weighted by every feature
+  column one and two positions later.
 - ``window_sum`` gives the sum of (x.T f_t) (x) (y.T f_{t+1}) (x) (z.T f_{t+2})
-  for any three factor matrices, with one bincount per column pair of the two
-  narrower factors. The spectral fit calls it with whitened factors of a few
-  columns, so it never forms the D x D x D triple.
+  for any three factor matrices, weighted by each column pair of x and y.
+  The spectral fit calls it with whitened factors of a few columns, so it
+  never forms the D x D x D triple.
 - ``_window_fibres`` gives, for each column of three factors, the three sums
   that leave one position's feature vector free: the spectral fit's readout
   of its feature means.
@@ -50,56 +49,61 @@ MAX_FEATURE_DIM = 256
 _SUM_TOL = 1e-9
 
 
-def _steps(index: np.ndarray, windows: int):
-    """The windows in steps of ``_STEP``: ``(lo, keys)``, the step's key rows as intp.
+def _free_sums(table: np.ndarray, index: np.ndarray, weights) -> np.ndarray:
+    """Window sums of a free position's feature vector, one row per caller's weight.
 
-    A step of m windows from window ``lo`` reads ``m + 2`` rows of ``index``
-    from row ``lo``, so ``keys[k : k + m]`` are the keys at each window's
-    position k. ``np.take`` and ``np.bincount`` copy an index that is not
-    intp on every call, so each step's rows are converted once, into one
-    block reused by every step, whose columns are contiguous.
+    ``index[t, j]`` is the table row of cell j at position t. For the step of
+    windows from ``lo``, ``weights(lo, keys)`` yields the same ``(free, w)``
+    pairs in the same order at every step: ``keys[k]`` holds each window's
+    intp keys at its position k, one column per cell, and ``w`` one value per
+    window. Each pair is bincounted and mapped through the table before the
+    next is drawn, so ``w`` may be reused scratch. Row i, of length cells * D,
+    sums f_{t+free} * w_t of pair i over every window.
     """
-    block = np.empty((min(windows, _STEP) + 2, index.shape[1]), dtype=np.intp, order="F")
+    windows, cells = index.shape[0] - 2, index.shape[1]
+    size = table.shape[0]
+    # one intp block serves every step, with contiguous columns
+    block = np.empty((min(windows, _STEP) + 2, cells), dtype=np.intp, order="F")
+    total = 0.0
     for lo in range(0, windows, _STEP):
-        keys = block[: min(windows - lo, _STEP) + 2]
-        keys[...] = index[lo : lo + len(keys)]
-        yield lo, keys
+        step = block[: min(windows - lo, _STEP) + 2]
+        step[...] = index[lo : lo + len(step)]
+        keys = [step[k : k + len(step) - 2] for k in range(3)]
+        total = total + np.array([
+            np.concatenate([
+                table.T @ np.bincount(keys[free][:, c], w, minlength=size) for c in range(cells)
+            ])
+            for free, w in weights(lo, keys)
+        ])
+    return total
 
 
 def pair_sums(table: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Window sums of f_t (x) f_{t+1}, f_t (x) f_{t+2} and f_{t+1} (x) f_{t+2}.
 
     ``index[t, j]`` is the table row of cell j at position t; the n - 2
-    windows of n positions are summed. The block of cells (a, b) at lag k is
-    ``table.T @ Z.T``, where row j of Z bincounts cell a's keys weighted by
-    column j of cell b's rows k positions later, summed over the steps of
-    :func:`_steps`; Z holds one step and block at a time, so the scratch is
-    U x D whatever the cell count. The first and third sums share the lag-1
-    sum over the inner windows and add one end pair each.
+    windows of n positions are summed. Column (b, j) of the sum at lag k
+    leaves position 0 free, weighted by column j of cell b's rows k positions
+    later. The first and third sums share the lag-1 sum over the inner
+    windows, from window 1, and add one end pair each.
     """
     length, cells = index.shape
-    windows = length - 2
-    size, D = table.shape
+    D = table.shape[1]
     columns = np.ascontiguousarray(table.T)
-    sums = np.zeros((2, cells * D, cells * D))  # the lag-1 sum over the inner windows, lag 2
-    z = np.empty((D, size))
-    weights = np.empty(min(windows, _STEP))
-    for lo, keys in _steps(index, windows):
+    scratch = np.empty(min(length - 2, _STEP))
+
+    def weights(lo, keys):
+        w = scratch[: len(keys[0])]
         for lag in (1, 2):
-            # the lag-1 sum takes the inner windows, from position 1
-            start = int(lag == 1 and lo == 0)
-            first = keys[start : len(keys) - 2]
-            later = keys[start + lag : len(keys) - 2 + lag]
-            w = weights[: len(first)]
-            for a in range(cells):
-                keys_a = first[:, a]
-                for b in range(cells):
-                    keys_b = later[:, b]
-                    for j, column in enumerate(columns):
-                        np.take(column, keys_b, out=w, mode="clip")
-                        z[j] = np.bincount(keys_a, w, minlength=size)
-                    sums[lag - 1, a * D : (a + 1) * D, b * D : (b + 1) * D] += columns @ z.T
-    inner, lag2 = sums
+            for b in range(cells):
+                for column in columns:
+                    np.take(column, keys[lag][:, b], out=w, mode="clip")
+                    if lag == 1 and lo == 0:  # the inner windows start at window 1
+                        w[0] = 0.0
+                    yield 0, w
+
+    sums = _free_sums(table, index, weights).reshape(2, cells * D, cells * D)
+    inner, lag2 = sums.transpose(0, 2, 1)
 
     def outer(s: int, t: int) -> np.ndarray:
         return np.outer(table[index[s]].ravel(), table[index[t]].ravel())
@@ -129,37 +133,22 @@ def window_sum(
     """Sum over windows of (x.T f_t) (x) (y.T f_{t+1}) (x) (z.T f_{t+2}).
 
     ``x``, ``y`` and ``z`` have one row per feature coordinate; the result has
-    one axis per factor, of its column count. Each factor is first folded into
-    every cell's table rows. The keys at the widest factor's position are then
-    bincounted once per column pair of the other two, weighted by the product
-    of their gathered projections, and the bincount times the widest factor's
-    projection gives one fibre of the result.
+    one axis per factor, of its column count. ``x`` and ``y`` are folded into
+    every cell's table rows, and position t+2 is left free, weighted by the
+    product of their gathered projections, once per column pair; ``z`` then
+    contracts each free sum.
     """
-    windows = index.shape[0] - 2
-    cells = index.shape[1]
-    size = table.shape[0]
-    factors = (x, y, z)
-    proj = [_project(table, f, cells) for f in factors]
-    wide = max(range(3), key=lambda k: factors[k].shape[1])
-    p, q = (k for k in range(3) if k != wide)
-    out = np.zeros((factors[p].shape[1], factors[q].shape[1], factors[wide].shape[1]))
-    # the windows go in steps whose gathered columns share one block of
-    # scratch: fresh n-length temporaries in every call cost as much again in
-    # page faults, and a step's columns stay in cache
-    scratch = np.empty((3, min(windows, _STEP)))
-    for _, step in _steps(index, windows):
-        keys = [step[k : k + len(step) - 2] for k in range(3)]
-        first, weights, part = scratch[:, : len(keys[0])]
-        for i in range(out.shape[0]):
-            _gather(proj[p][:, i], keys[p], first, part)
-            for j in range(out.shape[1]):
-                np.multiply(first, _gather(proj[q][:, j], keys[q], weights, part), out=weights)
-                for c in range(cells):
-                    out[i, j] += proj[wide][c] @ np.bincount(
-                        keys[wide][:, c], weights, minlength=size
-                    )
-    # axes are (p, q, wide) with p < q; move the widest factor's axis home
-    return np.moveaxis(out, 2, wide)
+    proj = [_project(table, f, index.shape[1]) for f in (x, y, z)]
+    scratch = np.empty((3, min(index.shape[0] - 2, _STEP)))
+
+    def weights(lo, keys):
+        first, w, part = scratch[:, : len(keys[0])]
+        for i in range(x.shape[1]):
+            _gather(proj[0][:, i], keys[0], first, part)
+            for j in range(y.shape[1]):
+                yield 2, np.multiply(first, _gather(proj[1][:, j], keys[1], w, part), out=w)
+
+    return (_free_sums(table, index, weights) @ z).reshape(x.shape[1], y.shape[1], -1)
 
 
 def _window_fibres(
@@ -171,30 +160,23 @@ def _window_fibres(
     f_t (y_l.T f_{t+1}) (z_l.T f_{t+2}), (x_l.T f_t) f_{t+1} (z_l.T f_{t+2})
     and (x_l.T f_t) (y_l.T f_{t+1}) f_{t+2}: ``window_sum`` of the columns
     with an identity at the free position. The three gathered projections of
-    column l serve all three sums, and the keys at the free position are
-    bincounted, weighted by the product of the other two.
+    column l serve all three sums, each weighted by the product of the other
+    two.
     """
-    windows = index.shape[0] - 2
-    cells = index.shape[1]
-    size, D = table.shape
-    proj = [_project(table, f, cells) for f in (x, y, z)]
-    out = np.zeros((3, cells, D, x.shape[1]))
-    # the three gathered columns and their products, as in window_sum
-    scratch = np.empty((4, min(windows, _STEP)))
-    for _, step in _steps(index, windows):
-        keys = [step[k : k + len(step) - 2] for k in range(3)]
-        *gathered, weights = scratch[:, : len(keys[0])]
+    proj = [_project(table, f, index.shape[1]) for f in (x, y, z)]
+    scratch = np.empty((4, min(index.shape[0] - 2, _STEP)))
+
+    def weights(lo, keys):
+        *gathered, w = scratch[:, : len(keys[0])]
         for col in range(x.shape[1]):
             for k in range(3):
-                _gather(proj[k][:, col], keys[k], gathered[k], weights)
+                _gather(proj[k][:, col], keys[k], gathered[k], w)
             for free in range(3):
                 a, b = (k for k in range(3) if k != free)
-                np.multiply(gathered[a], gathered[b], out=weights)
-                for c in range(cells):
-                    out[free, c, :, col] += table.T @ np.bincount(
-                        keys[free][:, c], weights, minlength=size
-                    )
-    return tuple(part.reshape(cells * D, -1) for part in out)
+                yield free, np.multiply(gathered[a], gathered[b], out=w)
+
+    sums = _free_sums(table, index, weights).reshape(x.shape[1], 3, -1)
+    return tuple(sums[:, free].T for free in range(3))
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,24 +226,16 @@ class MomentSet:
         d = self.dim
         if self.count < 1:
             raise DataError("moment set holds no triples")
-        for name in ("p12", "p13", "p23"):
-            mat = getattr(self, name)
-            if mat.shape != (d, d):
-                raise ParameterError(f"{name} has shape {mat.shape}, expected {(d, d)}")
-            if float(mat.min()) < -1e-12:
-                raise ParameterError(f"{name} has a negative entry ({mat.min()})")
-            total = float(mat.sum())
-            if abs(total - k * k) > _SUM_TOL * max(1.0, k * k):
-                raise ParameterError(
-                    f"{name} entries sum to {total}, expected {k * k}"
-                )
-        if self.t123.shape != (d, d, d):
-            raise ParameterError(f"t123 has shape {self.t123.shape}, expected {(d, d, d)}")
-        if float(self.t123.min()) < -1e-12:
-            raise ParameterError(f"t123 has a negative entry ({self.t123.min()})")
-        total = float(self.t123.sum())
-        if abs(total - k**3) > _SUM_TOL * max(1.0, k**3):
-            raise ParameterError(f"t123 entries sum to {total}, expected {k**3}")
+        for name in ("p12", "p13", "p23", "t123"):
+            arr = getattr(self, name)
+            order = 3 if name == "t123" else 2
+            if arr.shape != (d,) * order:
+                raise ParameterError(f"{name} has shape {arr.shape}, expected {(d,) * order}")
+            if float(arr.min()) < -1e-12:
+                raise ParameterError(f"{name} has a negative entry ({arr.min()})")
+            total = float(arr.sum())
+            if abs(total - k**order) > _SUM_TOL * max(1.0, k**order):
+                raise ParameterError(f"{name} entries sum to {total}, expected {k**order}")
         return self
 
 

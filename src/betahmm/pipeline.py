@@ -8,8 +8,9 @@ result to a few EM refinement rounds.
 The rank decision and the whitening map W come from the pair moments alone.
 The triple enters only through contractions with D x r factors: the m x m x m
 whitened tensor and a D x m readout of the feature means. ``ftd_fit`` takes
-them straight from the keyed sequence (``moments.window_sum`` and
-``moments._window_fibres``), so no D x D x D array forms and the triple costs
+them, like its pair sums, straight from the keyed sequence, through the one
+window loop under ``moments.pair_sums``, ``moments.window_sum`` and
+``moments._window_fibres``, so no D x D x D array forms and the triple costs
 O(n m**2) for n windows and m states; ``ftd_fit_moments`` takes them from a
 finalized moment set's dense triple. Every step after the contractions is
 shared.

@@ -17,7 +17,7 @@ import numpy as np
 
 from ._blas import _one_blas_thread
 from .errors import BetaHmmError, ParameterError
-from .features import FtdConfig
+from .features import _STEP, FtdConfig
 from .model import CountSequence, HmmParams
 
 # the fits, hungarian, csv and concurrent.futures are imported by the functions
@@ -109,8 +109,9 @@ def _hidden_states(params: HmmParams, u: np.ndarray) -> np.ndarray:
     gives how many of them lie below each draw, and a prefix-count table,
     one row per such count and one column per state, splits that number by
     column; sums that tie fall on the same side of any draw, so their order
-    does not matter. ``nxt`` holds the smallest unsigned type for m - 1 and
-    is read flat, so each round below is one ``take``.
+    does not matter. ``nxt``, like the returned path, holds the smallest
+    unsigned type for m - 1, and is read flat, so each round below is one
+    ``take``.
     The steps fall into K blocks of B = isqrt(length - 1); each block's map
     from its first state to its last is composed in B rounds, the block
     starts are carried through those maps, and every block is filled from
@@ -136,7 +137,7 @@ def _hidden_states(params: HmmParams, u: np.ndarray) -> np.ndarray:
     starts = [int(np.searchsorted(cum_pi, u[0]))]
     for block_map in maps.tolist():
         starts.append(block_map[starts[-1]])
-    states = np.empty(1 + blocks * size, dtype=np.intp)
+    states = np.empty(1 + blocks * size, dtype=nxt.dtype)
     states[0] = starts[0]
     states_by_block = states[1:].reshape(blocks, size)
     state = np.array(starts)
@@ -154,16 +155,22 @@ def sample_sequence(
     """Sample counts of the given length from a binomial HMM with Poisson coverage.
 
     One ``rng.random(length)`` call, the stream of one draw per position, drives the chain.
-    The drawn counts are made read-only, so the sequence keeps them without a copy."""
+    The counts are drawn ``_STEP`` rows at a time, in the row order of one whole
+    draw, so no float array as long as the sequence is held beside them; they
+    are made read-only, so the sequence keeps them without a copy."""
     if length < 1:
         raise ParameterError(f"length must be >= 1, got {length}")
     if coverage_mean < 0.0:
         raise ParameterError(f"coverage_mean must be >= 0, got {coverage_mean}")
     rng = np.random.default_rng(seed)
     states = _hidden_states(params, rng.random(length))
-    probs = params.cell_probs()[:, states].T  # (length, num_cells)
-    coverage = rng.poisson(coverage_mean, size=probs.shape)
-    meth = rng.binomial(coverage, probs)
+    cell_probs = params.cell_probs()
+    coverage = rng.poisson(coverage_mean, size=(length, len(cell_probs)))
+    meth = np.empty_like(coverage)
+    for lo in range(0, length, _STEP):
+        meth[lo : lo + _STEP] = rng.binomial(
+            coverage[lo : lo + _STEP], cell_probs[:, states[lo : lo + _STEP]].T
+        )
     coverage.setflags(write=False)
     meth.setflags(write=False)
     return CountSequence(coverage, meth)

@@ -212,7 +212,7 @@ class TestMerge:
 class TestPasses:
     @pytest.mark.parametrize("widths", [(2, 3, 5), (5, 2, 3), (3, 5, 2), (1, 1, 4), (4, 4, 4)])
     def test_window_sum_matches_a_contracted_naive_triple(self, rng, widths):
-        # the widest factor's keys are bincounted, in each of the three places
+        # factors of unequal widths, the widest in each of the three places
         cfg = BetaMapConfig(granularity=2)
         seq = _random_sequence(rng, 40, cells=2)
         table, index = feature_table(seq, cfg)
@@ -330,13 +330,15 @@ class TestMemory:
             tracemalloc.stop()
         assert peak < 24 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
-    def test_keying_and_pass_peaks_are_a_few_times_the_feature_table(self):
-        # 100k positions of one cell at granularity 30, as in a genome-length
-        # fit. Measured as multiples of table + index bytes: keying 1.9x and
-        # the fit's pass 3.8x, against 6.4x (and an arena tracemalloc did not
-        # see) for the dense-triple pass that it replaced
+    @pytest.mark.parametrize("cells", [1, 2])
+    def test_keying_and_pass_peaks_are_a_few_times_the_feature_table(self, cells):
+        # 100k positions at granularity 30, as in a genome-length fit.
+        # Measured as multiples of table + index bytes, one cell (two cells):
+        # keying 2.2x (2.7x) and the fit's pass 5.3x (4.2x), against 6.4x
+        # with one cell (and an arena tracemalloc did not see) for the
+        # dense-triple pass that it replaced
         gen = np.random.default_rng(0)
-        cov = gen.integers(0, 40, size=100_000)
+        cov = gen.integers(0, 40, size=(100_000, cells))
         seq = CountSequence(cov, gen.binomial(cov, 0.4))
         cfg = BetaMapConfig(granularity=30)
         feature_table(seq, cfg)  # rows cached, so the first peak is the keying's

@@ -82,6 +82,8 @@ class TestConfigValidation:
     def test_rejects_bad_values(self):
         with pytest.raises(ParameterError):
             FtdConfig(granularity=0)
+        with pytest.raises(ParameterError, match="integer"):
+            FtdConfig(granularity=2.5)
         with pytest.raises(ParameterError):
             FtdConfig(moment_ridge=-1.0)
 

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -153,6 +154,21 @@ class TestSampleSequence:
         seq = sample_sequence(generate_params(config, param_seed), length, 25, data_seed)
         raw = seq.coverage.astype(np.int64).tobytes() + seq.meth.astype(np.int64).tobytes()
         assert hashlib.sha256(raw).hexdigest() == digest
+
+    @pytest.mark.parametrize("num_cells", [1, 2])
+    def test_peak_is_near_the_counts_it_returns(self, num_cells):
+        # 2**20 rows: 2.02x (one cell) and 1.77x (two) of the returned counts
+        # with an intp state path and whole-length probabilities, 1.25x and
+        # 1.06x with a narrow path and the counts drawn in steps
+        params = generate_params(SynthConfig(num_cells=num_cells), seed=0)
+        tracemalloc.start()
+        try:
+            seq = sample_sequence(params, 1 << 20, 25, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = seq.coverage.nbytes + seq.meth.nbytes
+        assert peak < 1.4 * size, f"peak {peak / size:.2f}x the counts"
 
     @pytest.mark.parametrize("num_cells", [1, 2])
     @pytest.mark.parametrize("num_states", [1, 2, 4, 6, 12])
