@@ -49,7 +49,7 @@ class BetaMapConfig:
     granularity: int = 30
 
     def __post_init__(self) -> None:
-        if int(self.granularity) != self.granularity or self.granularity < 1:
+        if not (1 <= self.granularity < math.inf and int(self.granularity) == self.granularity):
             raise ParameterError(f"granularity must be a positive integer, got {self.granularity}")
 
 

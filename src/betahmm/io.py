@@ -9,26 +9,20 @@ merged at load time by summing consecutive column pairs two at a time, and a
 context filter keeps only rows whose context matches (e.g. "CG").
 
 Tables are read and written by column. The reader takes the file's bytes in
-blocks of whole lines, about 256 KB each, so the bytes it holds at any time
-are one block's, and each block keeps its counts in the smallest unsigned
-type that holds them until the int64 columns are filled. So a load holds the
-counts about once: the 5.5 MB, 262,144-row genome-ftd table of ``perfbench``
-returns 4.2 MB of columns and peaks at 4.7 MB of tracemalloc'd memory (8.4 MB
-when the blocks kept int64 counts). A block that is not ASCII is checked once
-to be UTF-8.
-A block whose lines all end in "\\n", or all in "\\r\\n", is read straight
-from its bytes: one scan finds its tabs and line ends, and each numeric
-field is parsed from its digit bytes, one pass per decimal place over every
-row; empty lines are counted and dropped. A block with a whitespace-only
-line, a lone "\\r", a field count off, a sign, a space or a number of 19 or
-more digits goes to the fallback, which turns "\\r\\n" and a lone "\\r" into
-"\\n" as Python's text layer does and hands the lines to numpy's text
-parser, one by one only when a line is bad. Both
-give the same values and errors, and check the rows with the same
-whole-array masks; a context filter compares the context field's bytes.
-Warm loads on a 2-core Xeon VM read genome-ftd in 27 ms, about 200 MB/s,
-and a "\\r\\n" copy or one with a non-ASCII chrom in 32 ms; the fallback
-reads about 60 MB/s.
+blocks of whole lines, about 256 KB each, and each block keeps its counts in
+the smallest unsigned type that holds them until the int64 columns are
+filled. So a load holds the counts about once: the 5.5 MB, 262,144-row
+genome-ftd table of ``perfbench`` returns 4.2 MB of columns and peaks at 4.7
+MB of tracemalloc'd memory (8.4 MB when the blocks kept int64 counts). A
+block that is not ASCII is checked once to be UTF-8. Each block is read from
+its bytes: one scan finds its tabs and line ends, and each numeric field is
+parsed one decimal place at a time over every row, after a pass that strips
+signs and spaces if the block holds any. Only the lines this cannot read
+(whitespace-only lines, other padding, numbers of 19 or more digits, wrong
+field counts, bad text) are decoded and read one by one with ``int()``.
+Warm loads on a 2-core Xeon VM read genome-ftd in 25 ms, about 220 MB/s, and
+a "\\r\\n" copy of a table that size in 32 ms, one with a sign before every
+count in 29 ms.
 The writer formats 65,536 rows at a time into a byte block in which each
 field has a right-aligned slot as wide as the block's widest value, writes
 one decimal place per pass over the block's rows, and drops the places no
@@ -144,60 +138,37 @@ def _parse_header(line: str) -> int:
     return len(rest) // 2
 
 
-def _parse_columns(lines: list[str], num_cells: int) -> np.ndarray:
-    """``bin_start`` and the count columns of lines with the right field count.
-
-    numpy's C parser reads each field as a decimal integer with an optional
-    sign and surrounding whitespace, and raises ValueError on anything else,
-    including values outside int64.
-    """
-    width = 1 + 2 * num_cells
-    if not lines:
-        return np.empty((0, width), dtype=np.int64)
-    return np.loadtxt(
-        lines,
-        dtype=np.int64,
-        delimiter="\t",
-        comments=None,
-        usecols=(1, *range(3, 2 + width)),
-        ndmin=2,
-    )
-
-
-def _parses(line: str, num_cells: int) -> bool:
-    try:
-        _parse_columns([line], num_cells)
-    except ValueError:
-        return False
-    return True
-
-
-def _line_error(line: str, num_cells: int, bin_size: int) -> str:
-    """Why a rejected data line is invalid: the first failed check, in reading order."""
-    fields = line.split("\t")
-    if len(fields) != 3 + 2 * num_cells:
-        return f"expected {3 + 2 * num_cells} fields, got {len(fields)}"
-    try:
-        bin_start = int(fields[1])
-        counts = [int(x) for x in fields[3:]]
-    except ValueError as exc:
-        return str(exc)
+def _row_error(values: list[int], bin_size: int) -> str | None:
+    """Why a row's ``[bin_start, cov_1, meth_1, ...]`` are invalid, or None."""
+    bin_start = values[0]
     if bin_start < 0 or bin_start % bin_size != 0:
         return f"bin_start {bin_start} is not a multiple of {bin_size}"
-    for j, (c, mu) in enumerate(zip(counts[0::2], counts[1::2])):
+    for j, (c, mu) in enumerate(zip(values[1::2], values[2::2])):
         if c < 0 or mu < 0 or mu > c:
             return f"cell {j + 1} has meth {mu} outside [0, {c}]"
-    # int() took it but numpy did not: digit separators, non-ASCII digits, overflow
-    return "bin_start and counts must be plain decimal integers within the 64-bit range"
+    return None
 
 
-def _invalid_rows(bin_start, cov, meth, bin_size: int) -> np.ndarray:
-    """Rows with a misaligned or negative ``bin_start`` or a meth count outside ``[0, cov]``."""
-    return (
-        (bin_start < 0)
-        | (bin_start % bin_size != 0)
-        | ((meth < 0) | (meth > cov)).any(axis=1)
-    )
+def _read_line(line: str, num_cells: int, bin_size: int) -> tuple[str, list[int]] | None:
+    """The context and counts of a line the byte parser did not read, or None if it is blank.
+
+    Raises ValueError naming the first failed check, in reading order: the
+    field count, ``int()`` of ``bin_start`` and of each count, the checks of
+    :func:`_row_error`, and last that each number is plain: ASCII digits,
+    with an optional sign and whitespace around them, below 2**63.
+    """
+    if not line.strip():
+        return None
+    fields = line.split("\t")
+    if len(fields) != 3 + 2 * num_cells:
+        raise ValueError(f"expected {3 + 2 * num_cells} fields, got {len(fields)}")
+    numbers = [fields[1], *fields[3:]]
+    values = [int(x) for x in numbers]
+    if why := _row_error(values, bin_size):
+        raise ValueError(why)
+    if max(values) >= 2**63 or not all(x.strip().isascii() and "_" not in x for x in numbers):
+        raise ValueError("bin_start and counts must be plain decimal integers within the 64-bit range")
+    return fields[2], values[1:]
 
 
 def _has_context(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray, context: str) -> np.ndarray:
@@ -212,18 +183,35 @@ def _has_context(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray, context: str) 
     return keep
 
 
-def _decimal(buf: np.ndarray, start: np.ndarray, end: np.ndarray, out: np.ndarray) -> bool:
-    """Read the fields ``buf[start:end]`` into ``out``, if each is 1-18 plain digits.
+def _decimal(
+    buf: np.ndarray, start: np.ndarray, end: np.ndarray, out: np.ndarray, ok: np.ndarray,
+    padded: bool,
+) -> None:
+    """Read the fields ``buf[start:end]`` into ``out``, and clear ``ok`` where one is not read.
 
-    Such a field holds exactly the value numpy's text parser reads from it,
-    and fits in int64. The fields are right-aligned at their ends: each pass
-    gathers one digit place of every field, from the widest field's first,
-    and the places a field does not reach read as 0.
+    A field is read if it is 1-18 ASCII digits or, when ``padded``, such
+    digits after an optional sign, with ASCII spaces around them: it then
+    holds exactly the value ``int()`` reads from it, and fits in int64. The
+    digits are right-aligned at their ends: each pass gathers one digit place
+    of every field, from the widest field's first, and the places a field
+    does not reach read as 0.
     """
+    if padded:
+        start, end = start.copy(), end.copy()
+        for _ in range(16):  # a field padded with more spaces is read by _read_line
+            lead, trail = buf[start] == ord(" "), buf[end - 1] == ord(" ")
+            if not (lead.any() or trail.any()):
+                break
+            start += lead
+            end -= trail
+        neg = buf[start] == ord("-")
+        start += neg | (buf[start] == ord("+"))
     width = end - start
     narrowest, widest = int(width.min()), int(width.max())
     if narrowest < 1 or widest > 18:
-        return False
+        ok &= (width > 0) & (width < 19)
+        width *= ok  # a row not read takes no digits
+        narrowest, widest = int(width.min()), int(width.max())
     at = end - widest  # below 0 only at places a field near the block's start does not reach
     out[:] = 0
     for place in range(widest, 0, -1):
@@ -231,139 +219,102 @@ def _decimal(buf: np.ndarray, start: np.ndarray, end: np.ndarray, out: np.ndarra
         if place > narrowest:
             digit *= width >= place
         if digit.max() > 9:
-            return False
+            ok &= digit < 10
         out *= 10
         out += digit
         at += 1
-    return True
+    if padded:
+        np.negative(out, out=out, where=neg)
 
 
-def _byte_counts(
-    block: bytes, skip: int, num_cells: int, bin_size: int, context_filter: str | None,
-) -> tuple[np.ndarray, int] | None:
-    """The validated, filtered count columns of a block, read from its bytes.
-
-    ``block`` is UTF-8 and ends with a line end; its first ``skip`` lines are
-    skipped. Its lines must all end in "\\n" or all in "\\r\\n", with no
-    other "\\r", so they are the text layer's lines; a "\\r\\n" row's last
-    field ends at its "\\r". Empty lines are counted and dropped. The bytes
-    below 11 of the other lines must be rows of ``2 + 2 * num_cells`` tabs
-    and a "\\n", which leaves out whitespace-only lines and wrong field
-    counts. Every numeric field must be 1-18 plain digits (see
-    :func:`_decimal`), which leaves out signs, spaces and wider numbers.
-    Returns None when any of this fails or a row is invalid:
-    :func:`_chunk_columns` then reads the block and names the first bad
-    line. Otherwise returns the counts, ``(rows, 2 * num_cells)``, and the
-    block's line count.
-    """
-    buf = np.frombuffer(block, dtype=np.uint8)
-    tabs = 2 + 2 * num_cells
-    row = np.array([ord("\t")] * tabs + [ord("\n")], dtype=np.uint8)
-
-    def fits(seps: np.ndarray) -> bool:
-        """Whether the separators are whole rows of tabs and a line end."""
-        return seps.size % (tabs + 1) == 0 and (buf[seps].reshape(-1, tabs + 1) == row).all()
-
-    seps = np.flatnonzero(buf < 11)
-    crlf = block.endswith(b"\r\n")
-    blank = 0
-    if not fits(seps):
-        # empty lines are sought only in a block that does not fit: searching
-        # every block for them took 0.4 ms per 256 KB
-        at = np.flatnonzero(buf[seps] == ord("\n"))
-        empty = np.diff(seps[at], prepend=-1) == 1 + crlf
-        if crlf:
-            empty &= buf[seps[at] - 1] == ord("\r")
-        seps = np.delete(seps, at[empty])
-        blank = int(np.count_nonzero(empty))
-        if not fits(seps):
-            return None
-    seps = seps.reshape(-1, tabs + 1)
-    if crlf:
-        if block.count(b"\r") != len(seps) + blank or (buf[seps[:, tabs] - 1] != ord("\r")).any():
-            return None
-    elif b"\r" in block:
-        return None
-    # field f of row r ends at seps[f, r] and starts after seps[f - 1, r]
-    seps = np.ascontiguousarray(seps[skip:].T)
-    seps[tabs] -= crlf
-    bin_start = np.empty(seps.shape[1], dtype=np.int64)
-    counts = np.empty((2 * num_cells, seps.shape[1]), dtype=np.int64)
-    if seps.shape[1] and not (
-        _decimal(buf, seps[0] + 1, seps[1], bin_start)
-        and all(_decimal(buf, seps[f - 1] + 1, seps[f], counts[f - 3]) for f in range(3, tabs + 1))
-    ):
-        return None
-    if _invalid_rows(bin_start, counts[0::2].T, counts[1::2].T, bin_size).any():
-        return None
-    if context_filter is not None:
-        counts = counts[:, _has_context(buf, seps[1] + 1, seps[2], context_filter)]
-    return counts.T, skip + seps.shape[1] + blank
-
-
-def _chunk_columns(
-    path, first: int, block: bytes, num_cells: int, bin_size: int,
-    context_filter: str | None,
+def _block_counts(
+    path, first: int, block: bytes, num_cells: int, bin_size: int, context_filter: str | None,
 ) -> tuple[np.ndarray, int]:
-    """The validated, filtered count columns of a block, and its line count.
+    """The validated, filtered count columns of a block, ``(rows, 2 * num_cells)``, and its line count.
 
     ``block`` is UTF-8 and ends with a line end; its line ``j`` is file line
-    ``first + j + 1``, and the file's header is skipped. "\\r\\n" and a lone
-    "\\r" become "\\n" here, as in Python's text layer. Line ends and tabs are
-    found in the block's bytes, so field counts and the context field need no
-    per-line ``count`` or ``split``.
-
-    A block whose every line has the right tab count and parses goes to
-    numpy's parser whole, with no per-line Python pass. Only when a line's
-    tab count is off or numpy rejects the batch are blank and whitespace-only
-    lines found with ``str.strip`` and the other lines selected one by one up
-    to the first bad one. A whitespace-only line can have the right tab count;
-    it has no digits, so it fails the batch parse and is skipped there.
+    ``first + j + 1``, and the file's header is skipped. A row is a line
+    whose bytes below 11 are ``2 + 2 * num_cells`` tabs and its "\\n"; one
+    compare finds a block of rows only. Empty lines are dropped, a "\\r\\n"
+    row's last field ends at its "\\r", and a block with a lone "\\r" is read
+    with its line ends turned into "\\n". :func:`_decimal` reads the rows'
+    numbers, and :func:`_read_line` each other line and each row it does not
+    read. The error names the block's first bad line.
     """
-    if b"\r" in block:
-        block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    lines = block.decode().split("\n")
-    lines.pop()  # the empty text after the last line end
+    skip = int(first == 0)
+    tabs = 2 + 2 * num_cells
+    row = np.array([ord("\t")] * tabs + [ord("\n")], dtype=np.uint8)
     buf = np.frombuffer(block, dtype=np.uint8)
-    ends = np.flatnonzero(buf == ord("\n"))
-    tab_at = np.flatnonzero(buf == ord("\t"))
-    # line j holds the tabs tab_at[first_tab[j] : first_tab[j] + tabs[j]]
-    tabs_before_end = np.searchsorted(tab_at, ends)
-    first_tab = np.r_[0, tabs_before_end[:-1]]
-    tabs = tabs_before_end - first_tab
-    skip = 1 if first == 0 else 0
-    rows = np.arange(skip, len(lines))
-    end = rows.size
-    try:
-        if (tabs[skip:] != 2 + 2 * num_cells).any():
-            raise ValueError("a line has the wrong field count")
-        columns = _parse_columns(lines[skip:], num_cells)
-    except ValueError:
-        kept = np.fromiter(map(bool, map(str.strip, lines)), dtype=bool, count=len(lines))
-        kept[:skip] = False
-        rows = np.flatnonzero(kept)
-        wrong_width = np.flatnonzero(tabs[rows] != 2 + 2 * num_cells)
-        end = int(wrong_width[0]) if wrong_width.size else rows.size
-        # rows[:end] have the right field count; every later check only shortens end
-        body = [lines[i] for i in rows[:end].tolist()]
+    seps = np.flatnonzero(buf < 11)
+    # field f of row r ends at seps[f, r] and starts after seps[f - 1, r]
+    if clean := seps.size % (tabs + 1) == 0 and (buf[seps].reshape(-1, tabs + 1) == row).all():
+        seps = np.ascontiguousarray(seps.reshape(-1, tabs + 1).T)
+        ends = seps[tabs]
+    else:
+        at = np.flatnonzero(buf[seps] == ord("\n"))  # the index in seps of each line's "\n"
+        ends = seps[at]
+    if b"\r" in block:
+        # ends - 1 is -1 only for a block that starts with an empty line, and
+        # such a block ends with its last "\n" (see _blocks)
+        cr = buf[ends - 1] == ord("\r")
+        if block.count(b"\r") != np.count_nonzero(cr):
+            # a lone "\r" ends a line, as in Python's text layer
+            block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            return _block_counts(path, first, block, num_cells, bin_size, context_filter)
+        ends -= cr  # a line's text, and so a clean block's last fields, end at its "\r"
+    lines = ends.size
+    line = None  # the line of each row, when it is not the row's index
+    odd = []  # (line, end of its text) of each line that is neither a row nor empty
+    if not clean:
+        starts = np.r_[0, seps[at[:-1]] + 1]
+        line = np.flatnonzero(np.diff(at, prepend=-1) == tabs + 1)
+        seps = seps[at[line] + np.arange(-tabs, 1)[:, None]]
+        fits = (buf[seps] == row[:, None]).all(axis=0)
+        line, seps = line[fits], seps[:, fits]
+        seps[tabs] = ends[line]
+        text = np.setdiff1d(np.flatnonzero(ends > starts), line)  # the header is a row
+        odd = list(zip(text.tolist(), ends[text].tolist()))
+        line = line[skip:]
+    seps = seps[:, skip:]
+    padded = b" " in block or b"+" in block or b"-" in block
+    n = seps.shape[1]
+    bin_start = np.empty(n, dtype=np.int64)
+    counts = np.empty((tabs - 2, n), dtype=np.int64)  # cov_1, meth_1, cov_2, ...
+    ok = np.ones(n, dtype=bool)  # the rows whose numeric fields _decimal reads
+    for f, out in zip([1, *range(3, tabs + 1)], [bin_start, *counts]) if n else ():
+        _decimal(buf, seps[f - 1] + 1, seps[f], out, ok, padded)
+    cov, meth = counts[0::2], counts[1::2]
+    invalid = (bin_start < 0) | (bin_start % bin_size != 0) | ((meth < 0) | (meth > cov)).any(axis=0)
+    keep = None if context_filter is None else _has_context(buf, seps[1] + 1, seps[2], context_filter)
+    if not (odd or invalid.any() or not ok.all()):
+        return (counts if keep is None else counts[:, keep]).T, lines
+    if line is None:
+        line = np.arange(skip, skip + n)
+    stop, why = lines, None  # the first bad line and why
+    if (bad := np.flatnonzero(invalid & ok)).size:
+        r = bad[0]
+        stop, why = int(line[r]), _row_error([bin_start[r], *counts[:, r]], bin_size)
+    failed = np.flatnonzero(~ok)
+    extra = []  # (line, counts) of the lines _read_line took, in line order
+    for j, end in sorted(odd + list(zip(line[failed].tolist(), seps[tabs, failed].tolist()))):
+        if j > stop:
+            break
+        text = block[block.rfind(b"\n", 0, end) + 1 : end].decode()
         try:
-            columns = _parse_columns(body, num_cells)
-        except ValueError:
-            # each line is parsed on its own, so a line fails alone as in a batch
-            end = next(i for i, line in enumerate(body) if not _parses(line, num_cells))
-            columns = _parse_columns(body[:end], num_cells)
-    invalid = _invalid_rows(columns[:, 0], columns[:, 1::2], columns[:, 2::2], bin_size)
-    if invalid.any():
-        end = int(invalid.argmax())
-    if end < rows.size:
-        i = int(rows[end])
-        why = _line_error(lines[i], num_cells, bin_size)
-        raise DataError(f"{path}:{first + i + 1}: {why}")
-    if context_filter is not None:
-        # a row's context lies between its second and third tabs
-        tab = first_tab[rows]
-        columns = columns[_has_context(buf, tab_at[tab + 1] + 1, tab_at[tab + 2], context_filter)]
-    return columns[:, 1:], len(lines)
+            got = _read_line(text, num_cells, bin_size)
+        except ValueError as exc:
+            stop, why = j, str(exc)
+            break
+        if got is not None and context_filter in (None, got[0]):
+            extra.append((j, got[1]))
+    if why is not None:
+        raise DataError(f"{path}:{first + stop + 1}: {why}")
+    keep = ok if keep is None else keep & ok
+    counts = counts[:, keep]
+    if extra:
+        at = np.searchsorted(line[keep], [j for j, _ in extra])
+        counts = np.insert(counts, at, np.array([c for _, c in extra], dtype=np.int64).T, axis=1)
+    return counts.T, lines
 
 
 def _read_table(
@@ -377,16 +328,15 @@ def _read_table(
     names the first rejected line in the file. Every data line is checked
     before ``context_filter`` drops the rows whose context differs.
 
-    The file comes in blocks of :func:`_blocks`, each validated and filtered
-    on its own, so the bytes held at any time are one block's. Each block is
-    read from its bytes by :func:`_byte_counts` or, if that turns it down,
-    by :func:`_chunk_columns`. Each block keeps its counts without
-    ``bin_start``, in the smallest unsigned type that holds the block's
-    largest count (uint8 for coverages below 256), and the returned int64
-    arrays are filled from them once, so the counts are held about once. The
-    errors are those of reading the file whole: a byte that is not UTF-8
-    anywhere in the file outranks a bad header or row, which are raised only
-    once the rest of the file has decoded.
+    The file comes in blocks of :func:`_blocks`, each read, validated and
+    filtered on its own by :func:`_block_counts`, so the bytes held at any
+    time are one block's. Each block keeps its counts without ``bin_start``,
+    in the smallest unsigned type that holds the block's largest count (uint8
+    for coverages below 256), and the returned int64 arrays are filled from
+    them once, so the counts are held about once. The errors are those of
+    reading the file whole: a byte that is not UTF-8 anywhere in the file
+    outranks a bad header or row, which are raised only once the rest of the
+    file has decoded.
     """
     _check_bin_size(bin_size)
     parts = []
@@ -401,9 +351,7 @@ def _read_table(
             try:
                 if first == 0:
                     num_cells = _parse_header(re.match(rb"[^\r\n]*", block)[0].decode())
-                counts, lines = _byte_counts(
-                    block, int(first == 0), num_cells, bin_size, context_filter
-                ) or _chunk_columns(path, first, block, num_cells, bin_size, context_filter)
+                counts, lines = _block_counts(path, first, block, num_cells, bin_size, context_filter)
                 # counts are validated non-negative, so the smallest unsigned
                 # type that holds the block's largest keeps them all
                 parts.append(counts.astype(np.min_scalar_type(int(counts.max(initial=0)))))

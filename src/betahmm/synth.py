@@ -41,6 +41,9 @@ _ALGORITHMS = ("ftd", "em")
 _LOW_RANGE = (0.0, 0.3)
 _HIGH_RANGE = (0.7, 1.0)
 
+# the largest mean numpy's Poisson sampler takes: its draws stay within int64
+_MAX_COVERAGE_MEAN = np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max)
+
 
 @dataclass(frozen=True)
 class SynthConfig:
@@ -160,8 +163,10 @@ def sample_sequence(
     are made read-only, so the sequence keeps them without a copy."""
     if length < 1:
         raise ParameterError(f"length must be >= 1, got {length}")
-    if coverage_mean < 0.0:
-        raise ParameterError(f"coverage_mean must be >= 0, got {coverage_mean}")
+    if not 0.0 <= coverage_mean <= _MAX_COVERAGE_MEAN:
+        raise ParameterError(
+            f"coverage_mean must lie in [0, {_MAX_COVERAGE_MEAN:.4g}], got {coverage_mean}"
+        )
     rng = np.random.default_rng(seed)
     states = _hidden_states(params, rng.random(length))
     cell_probs = params.cell_probs()

@@ -200,6 +200,15 @@ class TestExitCodes:
         assert "num_cells must be >= 1, got 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("mean", ["nan", "inf", "1e19"])
+    def test_coverage_mean_out_of_range_is_parameter_error(self, tmp_path, capsys, mean):
+        out = tmp_path / "x.tsv"
+        code = main(["simulate", "--length", "10", "--coverage-mean", mean, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "data error: coverage_mean must lie in" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_missing_input_file(self, tmp_path, capsys):
         code = main([
             "fit", "--data", str(tmp_path / "missing.tsv"),

@@ -321,7 +321,7 @@ class TestBadBytes:
 # --- the columnar reader and writer against the row-by-row reference ---------
 
 BLANK_LINES = ("", " ", "\t", " \t ", "\t\t\t\t", "\x0b", "\x0c", "\x1c", "\xa0", " ", "　")
-ODD_COUNTS = ("-1", "+3", " 7", "007", "-0", "five", "", " ", "2.0", "0x1")
+ODD_COUNTS = ("-1", "+3", " 7", "007", "-0", "five", "", " ", "2.0", "0x1", "7\x1c", "\x1f7")
 
 
 def _outcome(load, *args, **kwargs):
@@ -442,6 +442,9 @@ class TestReaderMatchesRowParser:
             (HEADER_1 + "chr1\t50\tCG\t3\t1\n", 100),
             (HEADER_1 + "chr1\t50\tCG\t3\t1\n", 50),
             (HEADER_1 + "chr1\t0\tCG\t0\t0\n", 100),
+            # int() does not strip the ASCII control bytes \x1c-\x1f
+            (HEADER_1 + "chr1\t0\tCG\t7\x1c\t2\n", 100),
+            (HEADER_1 + "chr1\t0\tCG\t9\t\x1f7\n", 100),
         ],
     )
     def test_malformed_table_cases(self, tmp_path, text, bin_size):
@@ -613,6 +616,10 @@ class TestChunkBoundaries:
         _check_first_bad_line_wins(tmp_path)
 
 
+def _no_line_reader(*args, **kwargs):
+    raise AssertionError("the per-line reader ran")
+
+
 class TestCleanChunks:
     """A chunk whose every line has the right tab count and parses skips the per-line pass."""
 
@@ -622,13 +629,7 @@ class TestCleanChunks:
         seq = CountSequence(cov, gen.binomial(cov, 0.4))
         path = tmp_path / "t.tsv"
         write_methylation_tsv(path, seq)
-
-        def per_line(*args, **kwargs):
-            raise AssertionError("a per-line path ran on a clean table")
-
-        monkeypatch.setattr(io_module, "_parses", per_line)
-        monkeypatch.setattr(io_module, "_line_error", per_line)
-        monkeypatch.setattr(np, "fromiter", per_line)  # _chunk_columns' blank-line mask
+        monkeypatch.setattr(io_module, "_read_line", _no_line_reader)
         loaded = load_methylation_tsv(path)
         assert np.array_equal(loaded.coverage, seq.coverage)
         assert np.array_equal(loaded.meth, seq.meth)
@@ -640,16 +641,55 @@ class TestCleanChunks:
         rows[2200] = "chr1\t220000\tCG\t9\t+3"
         return _write(tmp_path / "t.tsv", HEADER_1 + "\n".join(rows) + "\n")
 
-    def test_fallback_at_the_default_chunk_size(self, tmp_path):
+    def test_odd_rows_at_the_default_chunk_size(self, tmp_path):
         path = self._table_with_a_blank_and_a_signed_count(tmp_path)
         seq = load_methylation_tsv(path)
         assert len(seq) == 2999 and seq.meth[2199, 0] == 3
         _assert_same_as_reference(path)
 
-    def test_fallback_in_small_chunks(self, tmp_path, chunk_bytes):
+    def test_odd_rows_in_small_chunks(self, tmp_path, chunk_bytes):
         path = self._table_with_a_blank_and_a_signed_count(tmp_path)
         assert len(load_methylation_tsv(path)) == 2999
         _assert_same_as_reference(path)
+
+    def test_only_the_rows_the_byte_parser_cannot_read_are_read_per_line(
+        self, tmp_path, monkeypatch
+    ):
+        rows = _rows(3000)
+        rows[400] = "chr1\t40000\tCG\t-0\t+0"  # signed
+        rows[1100] = "chr1\t110000\tCG\t  12 \t 3"  # space-padded
+        rows[1900] = " \t \t \t \t "  # whitespace only
+        rows[2600] = "chr1\t260000\tCG\t9\t\xa02"  # padded with a no-break space
+        path = _write(tmp_path / "t.tsv", HEADER_1 + "\n".join(rows) + "\n")
+        read = []
+        read_line = io_module._read_line
+
+        def spy(line, *args):
+            read.append(line)
+            return read_line(line, *args)
+
+        monkeypatch.setattr(io_module, "_read_line", spy)
+        seq = load_methylation_tsv(path)
+        assert read == [rows[1900], rows[2600]]
+        assert len(seq) == 2999
+        assert seq.coverage[[400, 1100, 2599], 0].tolist() == [0, 12, 9]
+        assert seq.meth[[400, 1100, 2599], 0].tolist() == [0, 3, 2]
+        _assert_same_as_reference(path)
+
+    @pytest.mark.parametrize("context_filter", [None, "CG"])
+    def test_rows_read_per_line_keep_their_place(self, tmp_path, any_chunk_bytes, context_filter):
+        # a control byte in a chrom breaks a row's separators, a count padded
+        # with more spaces than the byte parser strips fails its digits, and a
+        # 19-digit count is too wide: each row is read per line, in file order
+        rows = _rows(60)
+        rows[7] = "chr\x01\t700\tCG\t8\t1"
+        rows[8] = "\x02\t800\tCHH\t5\t5"
+        rows[30] = "chr1\t3000\tCG\t" + " " * 20 + "6\t0"
+        rows[45] = f"chr1\t4500\tCG\t{2**63 - 1}\t{10**18}"
+        path = _write(tmp_path / "t.tsv", HEADER_1 + "\n".join(rows) + "\n")
+        seq = load_methylation_tsv(path, context_filter=context_filter)
+        assert len(seq) == (60 if context_filter is None else 59)
+        _assert_same_as_reference(path, context_filter=context_filter)
 
 
 @pytest.fixture(params=[None, 1, 7, 64])
@@ -661,7 +701,7 @@ def any_chunk_bytes(request, monkeypatch):
 
 
 class TestByteParser:
-    """Blocks are read from their digit bytes, with the values numpy's parser reads."""
+    """Blocks are read from their digit bytes, with the values int() reads."""
 
     @pytest.mark.parametrize("digits", [1, 8, 9, 18, 19])
     def test_field_widths(self, tmp_path, any_chunk_bytes, digits):
@@ -710,11 +750,7 @@ class TestByteParser:
         path = tmp_path / "t.tsv"
         path.write_bytes((HEADER_1 + "\n".join(lines) + "\n").replace("\n", newline).encode())
         expected = _outcome(reference_load_tsv, path, context_filter="CG")
-
-        def fallback(*args, **kwargs):
-            raise AssertionError("a block with empty lines went to the fallback")
-
-        monkeypatch.setattr(io_module, "_chunk_columns", fallback)
+        monkeypatch.setattr(io_module, "_read_line", _no_line_reader)
         assert _outcome(load_methylation_tsv, path, context_filter="CG") == expected
         assert len(expected[1]) == 40
 
@@ -737,7 +773,7 @@ class TestByteParser:
         ],
         ids=["lf-cr-space", "crlf-cr-space", "cr-in-chrom", "cr-count-matches", "mixed", "crlf-no-end"],
     )
-    def test_line_ends_the_byte_parser_turns_down(self, tmp_path, any_chunk_bytes, text):
+    def test_lone_cr_and_mixed_line_ends(self, tmp_path, any_chunk_bytes, text):
         path = tmp_path / "t.tsv"
         path.write_bytes(text.encode())
         _assert_same_as_reference(path, context_filter="CG")
@@ -762,18 +798,14 @@ class TestByteParser:
 
     @pytest.mark.parametrize("ending", [b"\n", b"\r\n"])
     @pytest.mark.parametrize("chrom", ["sim", "chrÜ"])
-    def test_clean_table_never_calls_numpy_text_parser(self, tmp_path, monkeypatch, ending, chrom):
+    def test_clean_table_never_calls_the_line_reader(self, tmp_path, monkeypatch, ending, chrom):
         gen = np.random.default_rng(5)
         cov = gen.integers(0, 40, size=(20_000, 2))
         seq = CountSequence(cov, gen.binomial(cov, 0.4))
         path = tmp_path / "t.tsv"
         write_methylation_tsv(path, seq, chrom=chrom)
         path.write_bytes(path.read_bytes().replace(b"\n", ending))
-
-        def loadtxt(*args, **kwargs):
-            raise AssertionError("np.loadtxt ran on a clean table")
-
-        monkeypatch.setattr(np, "loadtxt", loadtxt)
+        monkeypatch.setattr(io_module, "_read_line", _no_line_reader)
         for context_filter in (None, "CG"):
             loaded = load_methylation_tsv(path, context_filter=context_filter)
             assert np.array_equal(loaded.coverage, seq.coverage)
@@ -856,7 +888,8 @@ class TestLoadMemory:
 
     @pytest.mark.parametrize("ending", [b"\r\n", b"\r"])
     def test_peak_with_crlf_and_cr_line_ends(self, tmp_path, ending):
-        # the byte parser reads the \r\n table; every block of the \r one goes to the fallback
+        # the \r\n table is read as it stands; each block of the \r one is
+        # copied with its line ends turned into \n first
         gen = np.random.default_rng(3)
         cov = gen.integers(0, 40, size=100_000)
         path = tmp_path / "t.tsv"

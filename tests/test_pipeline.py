@@ -86,6 +86,10 @@ class TestConfigValidation:
             FtdConfig(granularity=2.5)
         with pytest.raises(ParameterError):
             FtdConfig(moment_ridge=-1.0)
+        for granularity in (float("nan"), float("inf"), 2.5, 0):
+            for config in (BetaMapConfig, FtdConfig):
+                with pytest.raises(ParameterError, match="granularity must be"):
+                    config(granularity=granularity)
 
     def test_state_count_is_checked_first(self):
         # a two-position sequence would raise DataError; the state count comes first

@@ -220,6 +220,12 @@ class TestSampleSequence:
         with pytest.raises(ParameterError):
             sample_sequence(params, 10, -1.0, seed=0)
 
+    @pytest.mark.parametrize("mean", [float("nan"), float("inf"), 1e19])
+    def test_coverage_mean_the_poisson_sampler_refuses(self, mean):
+        params = generate_params(SynthConfig(), seed=0)
+        with pytest.raises(ParameterError, match="coverage_mean must lie in"):
+            sample_sequence(params, 10, mean, seed=0)
+
 
 class TestStationaryDistribution:
     def test_matches_linear_solve(self, rng):
