@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from dataclasses import asdict
@@ -135,6 +134,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_fit(args) -> int:
     from . import io as model_io
     from .features import FtdConfig
+    from .model import _check_em_settings
 
     # every flag is checked before the table is read; the EM flags are
     # recorded in every model's provenance, so they are checked for every
@@ -145,10 +145,7 @@ def _cmd_fit(args) -> int:
     if args.em_rounds < 0:
         raise ParameterError(f"--em-rounds must be >= 0, got {args.em_rounds}")
     ftd_cfg = FtdConfig(granularity=args.granularity)
-    if args.em_iters < 1:
-        raise ParameterError(f"max_iters must be >= 1, got {args.em_iters}")
-    if not 0.0 <= args.em_tol < math.inf:
-        raise ParameterError(f"rel_ll_tolerance must lie in [0, inf), got {args.em_tol}")
+    _check_em_settings(args.em_iters, args.em_tol)
     seq = model_io.load_methylation_tsv(
         args.data, context_filter=args.context, merge_replicates=args.merge_replicates
     )

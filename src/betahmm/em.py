@@ -1,19 +1,28 @@
 """Expectation-maximization baseline for binomial HMMs.
 
-Uses the scaled forward-backward recursions (per-position normalization
-constants rather than log-space messages), betas scaled so that
-alpha_t . beta_t = 1. Both passes are walked in blocks of about sqrt(L) / 2
-positions and share one set of block transfers, so an EM iteration makes one
-transfer pass, two log-depth block scans and two in-block recursions: about
-1.5 sqrt(L) + log2(L) rounds of numpy calls. Emissions multiply one binomial
-likelihood per cell type, treating cells as conditionally independent given
-the shared hidden state.
-The module needs numpy alone: the binomial coefficients come from
-``math.lgamma`` once per count value, and a fit computes them once.
+Forward-backward uses scaled messages (per-position normalizers, not log
+space), betas scaled so that alpha_t . beta_t = 1, in two passes over steps
+of ``_STEP`` rows whose transitions go in blocks of B = isqrt(S - 1) // 2
+rows, S = min(L, ``_STEP``). Pass 1 (:func:`_pass1`) computes each step's
+emissions and every block's transfer and keeps only those K m x m matrices;
+one doubling scan, forward from alpha_0 and backward from a uniform beta
+stacked in one array, gives every block-start alpha, every block-end beta
+and the log-likelihood. It is all that :func:`log_likelihood` runs. Pass 2
+(:func:`_pass2`), run only before an M-step, walks alpha forward and beta
+backward inside every block of a step in the same rounds, the last step
+first, and the M-step sums that step's share. An iteration thus makes about
+2 B rounds of numpy calls a step and log2(K) for the scan, and beyond the
+counts it holds the transfers and one step's messages: under a byte a row
+at 4 states, on top of about 10 MiB for the step.
+Emissions multiply one binomial likelihood per cell type, treating cells as
+conditionally independent given the shared hidden state. The module needs
+numpy alone: the binomial coefficients come from ``math.lgamma`` once per
+count value, and a fit computes them once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 import warnings
@@ -22,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, NumericalError, ParameterError
-from .model import CountSequence, HmmParams
+from .model import _STEP, CountSequence, HmmParams, _check_em_settings
 
 __all__ = ["EmConfig", "EmTrace", "log_likelihood", "em_fit", "random_init"]
 
@@ -43,13 +52,7 @@ class EmConfig:
     init: HmmParams | None = None
 
     def __post_init__(self) -> None:
-        if self.max_iters < 1:
-            raise ParameterError(f"max_iters must be >= 1, got {self.max_iters}")
-        # a finite bound, so a model's provenance stays strict JSON
-        if not 0.0 <= self.rel_ll_tolerance < math.inf:
-            raise ParameterError(
-                f"rel_ll_tolerance must lie in [0, inf), got {self.rel_ll_tolerance}"
-            )
+        _check_em_settings(self.max_iters, self.rel_ll_tolerance)
 
 
 @dataclass(eq=False)
@@ -79,10 +82,8 @@ def emission_log_probs(params: HmmParams, seq: CountSequence) -> np.ndarray:
     """
     p = params.cell_probs()
     if p.shape[0] != seq.num_cells:
-        raise ParameterError(
-            f"model carries {p.shape[0]} cell(s) but data carries {seq.num_cells}"
-        )
-    return _log_choose(seq)[:, None] + _count_log_probs(p, seq)
+        raise ParameterError(f"model carries {p.shape[0]} cell(s) but data carries {seq.num_cells}")
+    return (_log_choose(seq) + _count_log_probs(p, seq)).T
 
 
 def _log_choose(seq: CountSequence) -> np.ndarray:
@@ -103,7 +104,7 @@ def _log_choose(seq: CountSequence) -> np.ndarray:
 
 
 def _count_log_probs(p: np.ndarray, seq: CountSequence) -> np.ndarray:
-    """mu log p + (c - mu) log(1 - p) summed over cells, shape (length, num_states).
+    """mu log p + (c - mu) log(1 - p) summed over cells, shape (num_states, length).
 
     ``p`` is (num_cells, num_states). As in ``binom.logpmf``, 0 log 0 counts
     as 0 and a positive count against a probability of 0 gives -inf.
@@ -112,20 +113,19 @@ def _count_log_probs(p: np.ndarray, seq: CountSequence) -> np.ndarray:
     with np.errstate(divide="ignore"):
         log_p = np.where(zero, 0.0, np.log(p))
         log_q = np.where(one, 0.0, np.log1p(-p))
-    c = seq.coverage.astype(np.float64)
-    mu = seq.meth.astype(np.float64)
-    out = mu @ log_p + (c - mu) @ log_q
+    cov, meth = seq.coverage.T, seq.meth.T
+    mu = meth.astype(np.float64)
+    out = log_p.T @ mu + log_q.T @ (cov.astype(np.float64) - mu)
     if zero.any() or one.any():
-        out[(seq.meth > 0) @ zero | (seq.coverage > seq.meth) @ one] = -np.inf
+        out[zero.T @ (meth > 0) | one.T @ (cov > meth)] = -np.inf
     return out
 
 
 def _row_max(x: np.ndarray) -> np.ndarray:
     """``x.max(axis=-1)`` by one ``np.maximum`` per column.
 
-    numpy reduces a short last axis several times slower than it runs a
-    handful of whole-column calls; ``X @ ones`` stands in for the sum the
-    same way.
+    numpy reduces a short last axis several times slower than it runs a few
+    whole-column calls, so the walks below hold a state a column.
     """
     top = x[..., 0].copy()
     for k in range(1, x.shape[-1]):
@@ -133,230 +133,233 @@ def _row_max(x: np.ndarray) -> np.ndarray:
     return top
 
 
+# the least positive float: dividing a zero sum by it leaves the zero row
+_TINY = 5e-324
+
+
 def _compose(a1, s1, a2, s2) -> tuple[np.ndarray, np.ndarray]:
     """The walk through transfers (a1, s1), then (a2, s2), as one transfer.
 
-    A transfer (A, s) has shapes (n, m, m) and (n, m): row i of A is basis
+    A transfer (A, s) has shapes (..., m, m) and (..., m): row i of A is basis
     vector i walked through some steps with its sum scaled to 1, and s[i] is
     the log of that scale. Each row's weights on the rows of a2 are shifted by
     their own maximum in log space, so no row underflows against another. A
-    dead row (zero, scale -inf) stays zero with scale -inf and never turns
-    into nan, which a matrix product would spread: 0 * nan is nan.
+    dead row (zero, scale -inf) stays zero and never turns into nan.
     """
-    weights = np.log(a1) + s2[:, None, :]
+    m = a2.shape[-1]
+    weights = np.log(a1)
+    weights += s2[..., None, :]
     top = _row_max(weights)
-    product = np.exp(weights - np.where(np.isfinite(top), top, 0.0)[..., None]) @ a2
-    row_sums = product @ np.ones(product.shape[-1])
-    product /= np.where(row_sums > 0.0, row_sums, 1.0)[..., None]
+    weights -= np.where(np.isfinite(top), top, 0.0)[..., None]
+    product = np.exp(weights, out=weights) @ a2
+    row_sums = (product.reshape(-1, m) @ np.ones(m)).reshape(product.shape[:-1])
+    product /= np.maximum(row_sums, _TINY)[..., None]
     return product, s1 + top + np.log(row_sums)
 
 
-def _block_grid(length: int) -> tuple[int, int]:
-    """Block size B = isqrt(length - 1) // 2 and the K blocks of the length - 1 steps.
+def _steps(length: int) -> tuple[int, list]:
+    """The block size B and each step's (a, hi, K): K blocks over rows a + 1 .. hi - 1.
 
-    Block k holds positions 1 + k B .. (k + 1) B; the last one stops at
-    length - 1 and may be short.
+    Row a is the step before's last (row 0 in step 0). Block k holds local
+    rows 1 + k B .. (k + 1) B, the last one stopping at n = hi - 1 - a.
     """
-    size = max(math.isqrt(length - 1) // 2, 1)
-    return size, max(-(-(length - 1) // size), 1)  # at length 1, one block whose step is cut
+    size = max(math.isqrt(min(length, _STEP) - 1) // 2, 1)
+    rows = [(max(lo - 1, 0), min(lo + _STEP, length)) for lo in range(0, length, _STEP)]
+    # at length 1, one block whose step is cut
+    return size, [(a, hi, max(-(-(hi - a - 1) // size), 1)) for a, hi in rows]
 
 
-def _transfers(step, length: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every block's transfer (A, s), shapes (K, m, m) and (K, m); see :func:`_compose`.
-
-    Row i of A[k] is basis vector i stepped through block k's positions,
-    renormalized at each step with its log scale kept in s[k, i], so a row
-    the block's data disfavour does not underflow against another. The short
-    last block's rows stop stepping at length - 1. B rounds of numpy calls.
-    """
-    size, blocks = _block_grid(length)
-    steps_in_last = length - 1 - size * (blocks - 1)  # 0 at length 1
-    ones = np.ones(m)
-    # rows k*m .. k*m + m - 1 hold block k's transfer matrix
-    row_starts = np.repeat(1 + size * np.arange(blocks), m)
-    transfer = np.tile(np.eye(m), (blocks, 1))
-    log_scale = np.zeros(blocks * m)
-    for j in range(size):
-        rows = blocks * m if j < steps_in_last else (blocks - 1) * m
-        moved = step(row_starts[:rows] + j, transfer[:rows])
-        row_sums = moved @ ones
-        log_scale[:rows] += np.log(row_sums)
-        np.divide(moved, np.where(row_sums > 0.0, row_sums, 1.0)[:, None], out=transfer[:rows])
-    return transfer.reshape(blocks, m, m), log_scale.reshape(blocks, m)
-
-
-def _scan(first: np.ndarray, mats: np.ndarray, logs: np.ndarray) -> np.ndarray:
-    """Row k: ``first`` (summing to 1) walked through transfers 0 .. k - 1, normalized.
-
-    A doubling scan over the element that maps every basis vector to
-    ``first`` and the n transfers (:func:`_compose`): ceil(log2(n + 1))
-    rounds of numpy calls, shape (n + 1, m).
-    """
-    m = first.shape[0]
-    mats = np.concatenate([np.tile(first, (1, m, 1)), mats])
-    logs = np.concatenate([np.zeros((1, m)), logs])
-    shift = 1
-    while shift < len(mats):
-        mats[shift:], logs[shift:] = _compose(
-            mats[:-shift], logs[:-shift], mats[shift:], logs[shift:]
-        )
-        shift *= 2
-    return mats[:, 0]
-
-
-def _walk_blocks(states: np.ndarray, step, positions: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The recursion inside every block at once, from the K rows of ``states``.
-
-    ``step(t, X)`` advances each row X[k] into position t[k], linearly; row j
-    of ``positions`` (B, K) holds every block's j-th position, and
-    ``out[:, j]`` (a (K, B, m) view) receives the states normalized to sum 1.
-    Returns the normalizers, shape (K, B). A zero sum makes the rest of its
-    block nan; callers check.
-    """
-    ones = np.ones(states.shape[1])
-    sums = np.empty(positions.shape[::-1])
-    for j, t in enumerate(positions):
-        states = step(t, states)
-        sums[:, j] = total = states @ ones
-        out[:, j] = states = states / total[:, None]
-    return sums
-
-
-def _forward(pi: np.ndarray, T: np.ndarray, log_b: np.ndarray) -> tuple:
-    """Scaled forward recursion alpha_t ~ (T alpha_{t-1}) * b_t, walked in blocks.
-
-    As a row vector alpha_t ~ alpha_{t-1} M_t with M_t = T.T diag(b_t). Every
-    block's transfer M_k (:func:`_transfers`), a doubling scan from alpha_0
-    for the block starts (:func:`_scan`) and the recursion inside every block
-    (:func:`_walk_blocks`) take about sqrt(L) + log2(L) / 2 rounds of numpy
-    calls in O(L m) memory. Returns (log-likelihood, alphas, scales, shifted
-    emissions, transfers); alphas are normalized filtering distributions,
-    scales the per-position normalizers, and the transfers (all K blocks',
-    the last one's included) are handed to :func:`_backward`. The first
-    normalizer that is not positive and finite raises.
-    """
-    L, m = log_b.shape
-    shift = _row_max(log_b)
+def _shifted(log_b: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Emissions, a row a column, over each row's maximum and padded with ones to
+    ``width`` columns, so row 1 + k B + j of every block is in ``b[:, 1 + j :: B]``;
+    and the maxima."""
+    shift = log_b.max(axis=0)
     if not np.all(np.isfinite(shift)):
-        raise NumericalError(
-            "some position has zero probability under every state; likelihood is -inf"
-        )
-    b = np.exp(log_b - shift[:, None])
-    size, blocks = _block_grid(L)
-    alphas = np.empty((1 + blocks * size, m))
-    scales = np.empty(1 + blocks * size)
-
-    def step(t, X):
-        return b.take(t, axis=0) * (X @ T.T)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mats, logs = transfers = _transfers(step, L, m)
-        first = pi * b[0]
-        scales[0] = first.sum()
-        alphas[0] = first / scales[0]
-        starts = _scan(alphas[0], mats[:-1], logs[:-1])
-        # the last block repeats the last position; those rows are cut below
-        positions = np.minimum(1 + size * np.arange(blocks) + np.arange(size)[:, None], L - 1)
-        sums = _walk_blocks(starts, step, positions, alphas[1:].reshape(blocks, size, m))
-        scales[1:] = sums.ravel()
-    alphas, scales = alphas[:L], scales[:L]
-    bad = ~np.isfinite(scales) | (scales <= 0.0)
-    if np.any(bad):
-        raise NumericalError(f"forward pass underflowed at position {int(np.argmax(bad))}")
-    log_like = float(np.log(scales).sum() + shift.sum())
-    return log_like, alphas, scales, b, transfers
+        raise NumericalError("some position has zero probability under every state; likelihood is -inf")
+    b = np.ones((log_b.shape[0], width))
+    np.exp(log_b - shift, out=b[:, : log_b.shape[1]])
+    return b, shift
 
 
-def _backward(T: np.ndarray, b: np.ndarray, alphas: np.ndarray, transfers) -> np.ndarray:
-    """Scaled backward recursion, alpha_t . beta_t = 1, gamma_t = alpha_t * beta_t.
+def _transfers(b: np.ndarray, T: np.ndarray, n: int, size: int, blocks: int):
+    """Every block's transfer (A, s) over local rows 1 .. n, shapes (K, m, m) and (K, m).
 
-    As a row vector beta_{t-1} ~ beta_t M_t.T, so a block from lo to hi gives
-    beta_{lo-1} ~ beta_hi M_k.T with the forward's transfers: one
-    :func:`_compose` of their transposes with the identity puts M_k.T in
-    row-scaled form, a doubling scan from beta_{L-1} = 1 gives every block's
-    end, and beta_{t-1} ~ (beta_t * b_t) T runs back from every end at once;
-    the short last block's rows that run past its start are cut. No transfer
-    rounds of its own. A normalizer alpha_t . beta_t that is not positive and
-    finite raises: the messages underflowed to disjoint supports, as a
-    reducible T allows.
+    Row i of A[k] is basis vector i stepped through block k's rows as
+    alpha_t ~ (T alpha_{t-1}) * b_t, renormalized at each step with its log
+    scale kept in s[k, i], so a row the data disfavour does not underflow
+    against another. The short last block is kept as it stood after its rows.
     """
-    L, m = b.shape
-    size, blocks = _block_grid(L)
-    mats, logs = transfers
-    ones = np.ones(m)
-    flat = np.empty((blocks * size, m))
+    m = T.shape[0]
+    short = n - size * (blocks - 1)  # the last block's rows: 0 at length 1
+    state = np.repeat(np.eye(m)[:, :, None], blocks, axis=2)  # [s, i, k]
+    log_scale = np.zeros((m, blocks))
+    flat, ones = state.reshape(m, -1), np.ones(m)
+    for j in range(size):
+        if j == short:
+            kept = state[:, :, -1].copy(), log_scale[:, -1].copy()
+        moved = (T @ flat).reshape(m, m, blocks)
+        moved *= b[:, 1 + j :: size][:, None, :]
+        sums = ones @ moved.reshape(m, -1)
+        log_scale += np.log(sums).reshape(m, blocks)
+        np.divide(moved.reshape(m, -1), np.maximum(sums, _TINY), out=flat)
+    if short < size:
+        state[:, :, -1], log_scale[:, -1] = kept
+    return state.transpose(2, 1, 0), log_scale.T
+
+
+def _pass1(pi: np.ndarray, T: np.ndarray, seq: CountSequence, emissions) -> tuple:
+    """Log-likelihood from every block's transfer, with no per-position walk.
+
+    ``emissions(rows)`` gives a slice's log emissions, a row a column. As row
+    vectors alpha_t ~ alpha_{t-1} M_t with M_t = T.T diag(b_t) and
+    beta_{t-1} ~ beta_t M_t.T, so one doubling scan walks alpha_0 forward
+    through the transfers M_k and a uniform beta_{L-1} back through their
+    transposes. Returns (log-likelihood, bounds, the last step's emissions):
+    bounds[0, k] is alpha before block k and bounds[1, k] beta after block
+    K - 1 - k, each summing to 1.
+    """
+    m = pi.shape[0]
+    size, steps = _steps(len(seq))
+    blocks = sum(count for *_, count in steps)
+    mats = np.empty((2, blocks + 1, m, m))
+    logs = np.zeros((2, blocks + 1, m))
+    shifts, k = 0.0, 1
     with np.errstate(divide="ignore", invalid="ignore"):
+        for a, hi, count in steps:
+            b, shift = _shifted(emissions(seq[a:hi]), 1 + count * size)
+            shifts += shift[1 if a else 0 :].sum()  # row a is the step before's last
+            if a == 0:
+                first = pi * b[:, 0]
+            mats[0, k : k + count], logs[0, k : k + count] = _transfers(b, T, hi - a - 1, size, count)
+            k += count
         # M_k = diag(e^s) A, so row j of M_k.T is column j of A weighted by e^s;
-        # ordered from the last block back to block 1
-        flipped = _compose(mats[:0:-1].transpose(0, 2, 1), 0.0, np.eye(m), logs[:0:-1])
-        ends = _scan(ones / m, *flipped)[::-1]
-        last = np.minimum(size * (1 + np.arange(blocks)), L - 1)
-        _walk_blocks(
-            ends,
-            lambda t, X: (X * b.take(t, axis=0)) @ T,
-            last - np.arange(size)[:, None],
-            flat.reshape(blocks, size, m)[:, ::-1],
-        )
-    # the last block ran back from L - 1, so its first rows repeat positions
-    # that block K - 2 covers
-    cut = (blocks - 1) * size
-    betas = np.concatenate([flat[:cut], flat[cut + blocks * size - (L - 1) :], ones[None]])
-    norms = (alphas * betas) @ ones
-    bad = ~np.isfinite(norms) | (norms <= 0.0)
-    if np.any(bad):
-        raise NumericalError(f"backward pass underflowed at position {int(np.argmax(bad))}")
-    betas /= norms[:, None]
-    return betas
+        # ordered from the last block back to the first
+        back = mats[0, :0:-1].transpose(0, 2, 1), 0.0, np.eye(m), logs[0, :0:-1]
+        mats[1, 1:], logs[1, 1:] = _compose(*back)
+        scale = first.sum()
+        mats[0, 0], mats[1, 0] = first / scale, 1.0 / m  # each maps every row to its start
+        shift = 1
+        while shift <= blocks:
+            mats[:, shift:], logs[:, shift:] = _compose(
+                mats[:, :-shift], logs[:, :-shift], mats[:, shift:], logs[:, shift:]
+            )
+            shift *= 2
+        log_like = float(shifts + np.log(scale) + logs[0, blocks, 0])
+    bounds = mats[:, :, 0].copy()
+    if not math.isfinite(log_like):  # on this path only, the forward walk names the position
+        for a, _, _, scales, _ in _walks(T, seq, emissions, bounds, backward=False):
+            scales[0] = scale if a == 0 else 1.0  # row a > 0 is the step before's
+            bad = ~np.isfinite(scales) | (scales <= 0.0)
+            if np.any(bad):
+                raise NumericalError(f"forward pass underflowed at position {a + int(np.argmax(bad))}")
+        raise NumericalError("forward pass underflowed: the log-likelihood is not finite")
+    return log_like, bounds, b
+
+
+def _walk(T: np.ndarray, b: np.ndarray, starts: np.ndarray, ends: np.ndarray, n: int, size: int):
+    """Alpha forward and beta backward inside every block of a step, in the same rounds.
+
+    ``starts`` (K, m) holds alpha before each block and ``ends`` beta after
+    it. The beta half carries beta_t * b_t, so both step as (T or T.T) X
+    times a column of ``b``: round j takes alpha into row 1 + k B + j and
+    beta to row (k + 1) B - 1 - j; the short last block's beta waits for
+    row n. Returns (alphas, betas, scales) over local rows 0 .. n, a row a
+    column: alphas normalized by the scales, betas at any scale.
+    """
+    blocks, m = starts.shape
+    alphas, betas = np.empty((2, m, 1 + blocks * size))
+    scales = np.empty(1 + blocks * size)
+    alphas[:, 0] = starts[0]
+    mats, ones = np.stack([T, T.T]), np.ones(m)
+    state = np.stack([starts.T, ends.T * b[:, size::size]])
+    wait = size * blocks - n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j in range(size):
+            if j == wait:
+                state[1, :, -1] = ends[-1] * b[:, n]
+            moved = mats @ state
+            betas[:, size - 1 - j : blocks * size : size] = moved[1]
+            moved[0] *= b[:, 1 + j :: size]
+            moved[1] *= b[:, size - 1 - j : blocks * size : size]
+            sums = ones @ moved
+            moved /= sums[:, None, :]
+            alphas[:, 1 + j :: size], scales[1 + j :: size] = moved[0], sums[0]
+            state = moved
+    betas[:, n] = ends[-1]
+    return alphas[:, : n + 1], betas[:, : n + 1], scales[: n + 1]
+
+
+def _walks(T, seq, emissions, bounds, b=None, backward=True):
+    """:func:`_walk` over every step, as (a, alphas, betas, scales, b), the last
+    first when ``backward``; ``b`` is the first step's emissions, if known."""
+    size, steps = _steps(len(seq))
+    ends = bounds[1, ::-1]  # ends[k + 1]: beta after block k
+    firsts = np.cumsum([0] + [count for *_, count in steps])
+    for i in range(len(steps))[:: -1 if backward else 1]:
+        (a, hi, count), k = steps[i], firsts[i]
+        if b is None:
+            b, _ = _shifted(emissions(seq[a:hi]), 1 + count * size)
+        walked = _walk(T, b, bounds[0, k : k + count], ends[k + 1 : k + count + 1], hi - a - 1, size)
+        yield a, *walked, b[:, : hi - a]
+        b = None
+
+
+def _pass2(T: np.ndarray, seq: CountSequence, emissions, passed):
+    """Each step's (a, alphas, betas, scales, b) from :func:`_walks`, betas scaled so
+    that alpha_t . beta_t = 1. The walks start from :func:`_pass1`'s last emissions.
+
+    A normalizer alpha_t . beta_t that is not positive and finite raises: the
+    messages underflowed to disjoint supports, as a reducible T allows.
+    """
+    _, bounds, b = passed
+    for a, alphas, betas, scales, b in _walks(T, seq, emissions, bounds, b):
+        norms = np.ones(T.shape[0]) @ (alphas * betas)
+        bad = ~np.isfinite(norms) | (norms <= 0.0)
+        if np.any(bad):
+            raise NumericalError(f"backward pass underflowed at position {a + int(np.argmax(bad))}")
+        betas /= norms
+        yield a, alphas, betas, scales, b
 
 
 def log_likelihood(params: HmmParams, seq: CountSequence) -> float:
     """Exact log-likelihood of a count sequence under a binomial HMM."""
     if len(seq) < 1:
         raise DataError("cannot score an empty sequence")
-    log_b = emission_log_probs(params, seq)
-    log_like, *_ = _forward(params.initial_dist, params.transition, log_b)
-    return log_like
+
+    def emissions(rows):
+        return emission_log_probs(params, rows).T
+
+    return _pass1(params.initial_dist, params.transition, seq, emissions)[0]
 
 
-def _m_step(
-    seq: CountSequence,
-    alphas: np.ndarray,
-    betas: np.ndarray,
-    scales: np.ndarray,
-    b: np.ndarray,
-    T: np.ndarray,
-) -> HmmParams:
-    L, m = alphas.shape
-    gammas = alphas * betas  # rows sum to 1: _backward scales alpha_t . beta_t to 1
+def _m_step(seq: CountSequence, T: np.ndarray, steps) -> HmmParams:
+    """The M-step from :func:`_pass2`'s steps, summed step by step."""
+    m = T.shape[0]
+    trans_counts = np.zeros((m, m))
+    num = np.zeros((m, seq.num_cells))
+    den = np.zeros((m, seq.num_cells))
+    for a, alphas, betas, scales, b in steps:
+        # expected transition counts: xi_t(i, j) = alpha_{t-1}(j) T[i, j] b_t(i) beta_t(i) / s_t
+        trans_counts += (b[:, 1:] * betas[:, 1:] / scales[1:]) @ alphas[:, :-1].T
+        gammas = alphas * betas  # columns sum to 1
+        if a == 0:
+            pi_new = gammas[:, 0]
+        skip = 1 if a else 0  # row a is the step before's last
+        gammas, rows = gammas[:, skip:], seq[a + skip : a + alphas.shape[1]]
+        num += gammas @ rows.meth.astype(np.float64)
+        den += gammas @ rows.coverage.astype(np.float64)
 
-    pi_new = gammas[0]
-
-    # expected transition counts: xi_t(i, j) = alpha_t(j) T[i, j] b_{t+1}(i) beta_{t+1}(i) / s_{t+1}
-    weighted = (b[1:] * betas[1:]) / scales[1:, None]
-    trans_counts = T * (weighted.T @ alphas[:-1])
+    trans_counts *= T
     col = trans_counts.sum(axis=0)
-    T_new = np.empty_like(T)
-    for j in range(m):
-        if col[j] > 0.0:
-            T_new[:, j] = trans_counts[:, j] / col[j]
-        else:
-            T_new[:, j] = 1.0 / m
-
-    num = gammas.T @ seq.meth.astype(np.float64)
-    den = gammas.T @ seq.coverage.astype(np.float64)
-    p_new = np.empty_like(num)
+    T_new = np.where(col > 0.0, trans_counts / np.where(col > 0.0, col, 1.0), 1.0 / m)
     degenerate = den <= 0.0
     if np.any(degenerate):
         warnings.warn(
-            "a state received zero expected coverage; its success probability "
-            "was reset to 0.5",
+            "a state received zero expected coverage; its success probability was reset to 0.5",
             RuntimeWarning,
             stacklevel=3,
         )
-    with np.errstate(invalid="ignore", divide="ignore"):
-        np.divide(num, den, out=p_new, where=~degenerate)
-    p_new[degenerate] = 0.5
-    np.clip(p_new, 0.0, 1.0, out=p_new)
+    p_new = np.clip(np.where(degenerate, 0.5, num / np.where(degenerate, 1.0, den)), 0.0, 1.0)
     if not all(np.isfinite(x).all() for x in (pi_new, T_new, p_new)):
         raise NumericalError("EM update has non-finite entries")
     return HmmParams(initial_dist=pi_new, transition=T_new, meth_probs=p_new.T)
@@ -376,26 +379,21 @@ def em_fit(seq: CountSequence, num_states: int, config: EmConfig) -> EmTrace:
     if config.init is not None:
         params = config.init
         if params.num_states != num_states:
-            raise ParameterError(
-                f"warm start carries {params.num_states} states, expected {num_states}"
-            )
+            raise ParameterError(f"warm start carries {params.num_states} states, expected {num_states}")
         if params.num_cells != seq.num_cells:
-            raise ParameterError(
-                f"warm start carries {params.num_cells} cell(s), data carries {seq.num_cells}"
-            )
+            raise ParameterError(f"warm start carries {params.num_cells} cell(s), data carries {seq.num_cells}")
     else:
         rng = np.random.default_rng(config.seed)
         params = random_init(num_states, seq.num_cells, rng)
 
-    log_choose = float(_log_choose(seq).sum())  # data only: once per fit
+    # data only: once per fit, a step at a time
+    log_choose = sum(float(_log_choose(seq[lo : lo + _STEP]).sum()) for lo in range(0, len(seq), _STEP))
     lls: list[float] = []
     stamps = [time.perf_counter()]
     for _ in range(config.max_iters):
-        log_b = _count_log_probs(params.cell_probs(), seq)
-        log_like, alphas, scales, b, transfers = _forward(
-            params.initial_dist, params.transition, log_b
-        )
-        lls.append(log_like + log_choose)
+        T, emissions = params.transition, functools.partial(_count_log_probs, params.cell_probs())
+        passed = _pass1(params.initial_dist, T, seq, emissions)
+        lls.append(passed[0] + log_choose)
         stamps.append(time.perf_counter())
         if (
             len(lls) > 1
@@ -403,7 +401,6 @@ def em_fit(seq: CountSequence, num_states: int, config: EmConfig) -> EmTrace:
             and lls[-1] - lls[-2] <= config.rel_ll_tolerance * abs(lls[-2])
         ):
             break
-        betas = _backward(params.transition, b, alphas, transfers)
-        params = _m_step(seq, alphas, betas, scales, b, params.transition)
+        params = _m_step(seq, T, _pass2(T, seq, emissions, passed))
     seconds = np.diff(stamps).tolist()
     return EmTrace(log_likelihoods=lls, seconds=seconds, params=params, iterations=len(lls))

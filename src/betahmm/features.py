@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, ParameterError
-from .model import CountSequence, Observation
+from .model import _STEP, CountSequence, Observation
 
 __all__ = [
     "BetaMapConfig",
@@ -221,13 +221,6 @@ def beta_map(obs, cfg: BetaMapConfig) -> np.ndarray:
 # (c_max 52) a warm-cache feature_table took 2.7 ms this way against 28 ms with
 # the sort. Wider coverages, up to 2**63 - 1, are sorted.
 _DENSE_KEYS = 4
-
-# positions (or windows) per step of every stepped pass: the dense keying, the
-# prior weights' sums, the sampler's count draws and the one window loop under
-# the moment passes, so none holds a temporary as long as the sequence. A
-# moment step's keys are one intp block of this many rows per cell (256 KB a
-# cell), and a pass's weights at most four float64 columns of this length (1 MB)
-_STEP = 1 << 15
 
 
 def _index_dtype(size: int) -> np.dtype:

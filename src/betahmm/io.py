@@ -353,8 +353,10 @@ def _read_table(
                     num_cells = _parse_header(re.match(rb"[^\r\n]*", block)[0].decode())
                 counts, lines = _block_counts(path, first, block, num_cells, bin_size, context_filter)
                 # counts are validated non-negative, so the smallest unsigned
-                # type that holds the block's largest keeps them all
+                # type that holds the block's largest keeps them all; the
+                # int64 block goes before the next block is read
                 parts.append(counts.astype(np.min_scalar_type(int(counts.max(initial=0)))))
+                del counts
                 first += lines
                 continue
             except DataError as exc:

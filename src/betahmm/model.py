@@ -11,6 +11,8 @@ probability of moving to state ``i`` given the current state is ``j``.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -26,6 +28,13 @@ __all__ = [
 ]
 
 _SUM_ATOL = 1e-12
+
+# rows per step of every stepped pass: the dense keying, the prior weights'
+# sums, the sampler's count draws, the one window loop under the moment passes
+# and EM's two passes, so none holds a temporary as long as the sequence. A
+# moment step's keys are one intp block of this many rows per cell (256 KB a
+# cell), and a pass's weights at most four float64 columns of this length (1 MB)
+_STEP = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -189,6 +198,21 @@ class HmmParams:
         """meth_probs viewed as a (num_cells, num_states) matrix."""
         p = self.meth_probs
         return p[None, :] if p.ndim == 1 else p
+
+
+def _check_em_settings(max_iters, rel_ll_tolerance) -> None:
+    """Raise :class:`ParameterError` unless EM may run with these settings.
+
+    ``EmConfig``, the sweep's ``SynthConfig`` and ``betahmm fit`` check them
+    here, with one set of messages, and none of them need load ``em``.
+    """
+    if not isinstance(max_iters, numbers.Integral):
+        raise ParameterError(f"max_iters must be an integer, got {max_iters!r}")
+    if max_iters < 1:
+        raise ParameterError(f"max_iters must be >= 1, got {max_iters}")
+    # a finite bound, so a model's provenance stays strict JSON
+    if not 0.0 <= rel_ll_tolerance < math.inf:
+        raise ParameterError(f"rel_ll_tolerance must lie in [0, inf), got {rel_ll_tolerance}")
 
 
 def validate_params(params: HmmParams) -> HmmParams:

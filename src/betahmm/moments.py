@@ -37,8 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, ParameterError
-from .features import _STEP, BetaMapConfig, feature_table
-from .model import CountSequence
+from .features import BetaMapConfig, feature_table
+from .model import _STEP, CountSequence
 
 __all__ = ["MomentSet", "MomentAccumulator", "MAX_FEATURE_DIM", "pair_sums", "window_sum"]
 

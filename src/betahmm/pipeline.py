@@ -18,6 +18,7 @@ shared.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -321,8 +322,8 @@ def ftd_then_em(
     """
     from .em import EmConfig, EmTrace, em_fit
 
-    if rounds < 0:
-        raise ParameterError(f"rounds must be >= 0, got {rounds}")
+    if not isinstance(rounds, numbers.Integral) or rounds < 0:
+        raise ParameterError(f"rounds must be an integer >= 0, got {rounds!r}")
     model = ftd_fit(seq, num_states, config)
     if rounds == 0:
         return model, EmTrace(log_likelihoods=[], params=model.params, iterations=0)

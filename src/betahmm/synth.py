@@ -17,8 +17,8 @@ import numpy as np
 
 from ._blas import _one_blas_thread
 from .errors import BetaHmmError, ParameterError
-from .features import _STEP, FtdConfig
-from .model import CountSequence, HmmParams
+from .features import FtdConfig
+from .model import _STEP, CountSequence, HmmParams, _check_em_settings
 
 # the fits, hungarian, csv and concurrent.futures are imported by the functions
 # that use them, so sampling a table (simulate, a benchmark's set-up) loads
@@ -78,6 +78,7 @@ class SynthConfig:
             raise ParameterError("lengths must name at least one benchmark length")
         if any(length < 3 for length in self.lengths):
             raise ParameterError("every benchmark length must be >= 3")
+        _check_em_settings(self.em_max_iters, self.em_rel_tol)  # EmConfig's checks, without em
 
 
 def generate_params(cfg: SynthConfig, seed) -> HmmParams:

@@ -385,6 +385,12 @@ def reference_load_records(path, bin_size: int = 100) -> list[ReferenceRecord]:
                     raise DataError(
                         f"{path}:{lineno}: cell {j + 1} has meth {mu} outside [0, {c}]"
                     )
+            # the reader's int64 columns hold no count of 2**63 or more
+            if max(bin_start, *counts) >= 2**63:
+                raise DataError(
+                    f"{path}:{lineno}: bin_start and counts must be plain decimal "
+                    "integers within the 64-bit range"
+                )
             records.append(
                 ReferenceRecord(
                     chrom=fields[0],

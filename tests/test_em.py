@@ -1,4 +1,6 @@
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +17,8 @@ from betahmm import (
     log_likelihood,
     validate_params,
 )
-from betahmm.em import _backward, _forward, emission_log_probs, random_init
+from betahmm import em as em_module
+from betahmm.em import emission_log_probs, random_init
 from betahmm.synth import estimation_error, sample_sequence
 from oracles import brute_force_log_likelihood, sequential_forward_backward
 
@@ -38,6 +41,25 @@ def _random_instance(gen, num_states, length, num_cells=1, max_cov=3):
     cov = gen.integers(0, max_cov + 1, size=(length, num_cells))
     meth = (cov * gen.uniform(size=cov.shape)).astype(np.int64)
     return params, CountSequence(cov, meth)
+
+
+def _emissions(params, rows):
+    return emission_log_probs(params, rows).T
+
+
+def _passes(params, seq):
+    """Log-likelihood from pass 1, then alphas, scales and betas over the
+    whole sequence from pass 2's steps. Pass 2 leaves row 0's scale, the
+    normalizer of pi * b_0, to the caller."""
+    pi, T = params.initial_dist, params.transition
+    emissions = functools.partial(_emissions, params)
+    passed = em_module._pass1(pi, T, seq, emissions)
+    steps = list(em_module._pass2(T, seq, emissions, passed))[::-1]
+    alphas, scales, betas = (
+        np.concatenate([part[i].T[1 if a else 0 :] for a, *part in steps]) for i in (0, 2, 1)
+    )
+    scales[0] = pi @ steps[0][4][:, 0]
+    return passed[0], alphas, scales, betas
 
 
 def _stuck_chain(length, bad):
@@ -90,8 +112,20 @@ class TestLogLikelihood:
             log_likelihood(params, seq)
 
     # at 5,000 positions the block-start scan takes several doubling rounds
-    # across the dead rows that follow the impossible position
-    @pytest.mark.parametrize("length,bad", [(5, 1), (100, 37), (5000, 4321)])
+    # across the dead rows that follow the impossible position; the step
+    # edge cases put it in the last row of step 0, the first of step 1 or
+    # a short last step
+    @pytest.mark.parametrize(
+        "length,bad",
+        [
+            (5, 1),
+            (100, 37),
+            (5000, 4321),
+            (2 * em_module._STEP, em_module._STEP - 1),
+            (2 * em_module._STEP, em_module._STEP),
+            (2 * em_module._STEP + 3, 2 * em_module._STEP + 1),
+        ],
+    )
     def test_underflow_names_the_first_impossible_position(self, length, bad):
         params, seq = _stuck_chain(length, bad)
         message = f"forward pass underflowed at position {bad}$"
@@ -102,23 +136,40 @@ class TestLogLikelihood:
 
 
 class TestBlockedWalkMatchesSequentialLoop:
-    """The blocked walk against one loop step per position, at block edges."""
+    """The two passes against one loop step per position, at block and step edges."""
+
+    @staticmethod
+    def _check(length, num_states, num_cells):
+        gen = np.random.default_rng(1000 * length + 10 * num_states + num_cells)
+        params, seq = _random_instance(gen, num_states, length, num_cells, max_cov=30)
+        log_b = emission_log_probs(params, seq)
+        ll_ref, alphas_ref, scales_ref, betas_ref = sequential_forward_backward(
+            params.initial_dist, params.transition, log_b
+        )
+        log_like, alphas, scales, betas = _passes(params, seq)
+        assert log_like == pytest.approx(ll_ref, rel=1e-12)
+        assert log_likelihood(params, seq) == log_like
+        np.testing.assert_allclose(alphas, alphas_ref, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(scales, scales_ref, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(betas, betas_ref, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("num_cells", [1, 2])
     @pytest.mark.parametrize("num_states", [1, 2, 4, 6])
     @pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 10, 17, 26, 101, 4097, 4100, 8193])
     def test_alphas_betas_and_likelihood(self, length, num_states, num_cells):
-        gen = np.random.default_rng(1000 * length + 10 * num_states + num_cells)
-        params, seq = _random_instance(gen, num_states, length, num_cells, max_cov=30)
-        pi, T = params.initial_dist, params.transition
-        log_b = emission_log_probs(params, seq)
-        ll_ref, alphas_ref, scales_ref, betas_ref = sequential_forward_backward(pi, T, log_b)
-        log_like, alphas, scales, b, transfers = _forward(pi, T, log_b)
-        betas = _backward(T, b, alphas, transfers)
-        assert log_like == pytest.approx(ll_ref, rel=1e-12)
-        np.testing.assert_allclose(alphas, alphas_ref, rtol=1e-12, atol=0.0)
-        np.testing.assert_allclose(scales, scales_ref, rtol=1e-12, atol=0.0)
-        np.testing.assert_allclose(betas, betas_ref, rtol=1e-12, atol=0.0)
+        self._check(length, num_states, num_cells)
+
+    # steps of 50 rows: block size 3 and 17 blocks a step, the last one short
+    @pytest.mark.parametrize("num_cells", [1, 2])
+    @pytest.mark.parametrize("num_states", [1, 2, 4, 6])
+    @pytest.mark.parametrize("length", [49, 50, 51, 103, 257])
+    def test_at_step_edges(self, monkeypatch, length, num_states, num_cells):
+        monkeypatch.setattr(em_module, "_STEP", 50)
+        self._check(length, num_states, num_cells)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1, 3 + em_module._STEP])
+    def test_at_the_step_edges_of_the_real_step(self, offset):
+        self._check(em_module._STEP + offset, 3, 2)
 
     @pytest.mark.parametrize("length", [200, 5000])
     def test_chain_held_in_the_state_the_data_disfavour(self, length):
@@ -129,9 +180,53 @@ class TestBlockedWalkMatchesSequentialLoop:
         seq = CountSequence(np.full(length, 25), np.zeros(length, dtype=np.int64))
         expected = length * 25 * math.log(0.1)
         assert log_likelihood(params, seq) == pytest.approx(expected, rel=1e-12)
+        # the forward half of pass 2's walk, alone: the backward messages of
+        # this chain do underflow to disjoint supports
+        pi, T = params.initial_dist, params.transition
+        emissions = functools.partial(_emissions, params)
+        _, bounds, b = em_module._pass1(pi, T, seq, emissions)
+        size, _ = em_module._steps(length)
+        alphas, *_ = em_module._walk(T, b, bounds[0, :-1], bounds[0, :-1], length - 1, size)
+        assert np.array_equal(alphas.T, np.tile([0.0, 1.0], (length, 1)))
+
+
+class TestSteps:
+    """EM over sequences of several steps."""
+
+    def test_one_iteration_matches_the_m_step_of_the_sequential_loop(self):
+        gen = np.random.default_rng(5)
+        length = 2 * em_module._STEP + 3
+        params, seq = _random_instance(gen, 3, length, num_cells=2, max_cov=30)
+        pi, T = params.initial_dist, params.transition
         log_b = emission_log_probs(params, seq)
-        _, alphas, *_ = _forward(params.initial_dist, params.transition, log_b)
-        assert np.array_equal(alphas, np.tile([0.0, 1.0], (length, 1)))
+        _, alphas, scales, betas = sequential_forward_backward(pi, T, log_b)
+        b = np.exp(log_b - log_b.max(axis=1)[:, None])
+        gammas = alphas * betas
+        trans = T * ((b[1:] * betas[1:] / scales[1:, None]).T @ alphas[:-1])
+        meth_probs = (gammas.T @ seq.meth) / (gammas.T @ seq.coverage)
+        fitted = em_fit(seq, 3, EmConfig(max_iters=1, init=params)).params
+        np.testing.assert_allclose(fitted.initial_dist, gammas[0], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(fitted.transition, trans / trans.sum(axis=0), rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(fitted.meth_probs, meth_probs.T, rtol=1e-12, atol=0.0)
+
+    def test_peak_memory_grows_by_a_few_bytes_a_row(self):
+        # beyond the counts, a fit holds every block's transfer (about 90 rows
+        # a block at the full step) and one step's messages: measured 0.7 B a
+        # row from 4 to 8 steps at 4 states, about 10 MiB a step, where a fit
+        # that held every row's messages grew by about 250 B a row
+        peaks = []
+        for steps in (4, 8):
+            gen = np.random.default_rng(steps)
+            cov = gen.integers(0, 30, size=steps * em_module._STEP)
+            seq = CountSequence(cov, gen.binomial(cov, 0.4))
+            tracemalloc.start()
+            try:
+                em_fit(seq, 4, EmConfig(max_iters=1, seed=0))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        per_row = (peaks[1] - peaks[0]) / (4 * em_module._STEP)
+        assert per_row < 4.0, f"{per_row:.1f} B a row, peaks {peaks}"
 
 
 class TestEmissionLogProbs:
@@ -341,6 +436,12 @@ class TestEmFit:
             EmConfig(max_iters=0)
         with pytest.raises(ParameterError, match="rel_ll_tolerance"):
             EmConfig(rel_ll_tolerance=-0.1)
+
+    @pytest.mark.parametrize("iters", [2.5, 3.0, "3"])
+    def test_max_iters_must_be_an_integer(self, iters):
+        # a float count would reach range() in em_fit and raise TypeError there
+        with pytest.raises(ParameterError, match="max_iters must be an integer"):
+            EmConfig(max_iters=iters)
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf])
     def test_tolerance_must_be_finite(self, tol):

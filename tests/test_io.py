@@ -508,8 +508,7 @@ class TestChunkBoundaries:
         path = _write(tmp_path / "t.tsv", HEADER_1 + "\n".join(rows) + "\n")
         with pytest.raises(DataError, match=rf"t\.tsv:32: {message}"):
             load_methylation_tsv(path)
-        # the row parser cannot hold counts beyond int64, so one read is the reference
-        _assert_same_as_one_chunk(path)
+        _assert_same_as_reference(path)
 
     def test_bad_row_the_filter_would_drop_in_a_later_chunk(self, tmp_path, chunk_bytes):
         rows = _rows(40)
@@ -885,6 +884,32 @@ class TestLoadMemory:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+    def test_no_block_is_read_beside_the_last_blocks_counts(self, tmp_path, monkeypatch):
+        # eight cells of one-digit counts: a 256 KB block's int64 counts take
+        # about 720 KB. At each block's entry the reader holds the narrow parts
+        # kept so far and its read buffers, about three blocks' bytes
+        # (measured: 775 KB; 1,490 KB while the last block's counts lived on)
+        gen = np.random.default_rng(3)
+        cov = gen.integers(0, 10, size=(60_000, 8))
+        path = tmp_path / "t.tsv"
+        write_methylation_tsv(path, CountSequence(cov, gen.binomial(cov, 0.4)))
+        block_counts, held, kept = io_module._block_counts, [], [0]
+
+        def traced(*args, **kwargs):
+            held.append(tracemalloc.get_traced_memory()[0] - kept[-1])
+            counts, lines = block_counts(*args, **kwargs)
+            kept.append(kept[-1] + counts.size)  # uint8 parts: a byte a count
+            return counts, lines
+
+        monkeypatch.setattr(io_module, "_block_counts", traced)
+        tracemalloc.start()
+        try:
+            load_methylation_tsv(path)
+        finally:
+            tracemalloc.stop()
+        assert len(held) > 5
+        assert max(held) < 3.5 * io_module._CHUNK_BYTES, [h // 1024 for h in held]
 
     @pytest.mark.parametrize("ending", [b"\r\n", b"\r"])
     def test_peak_with_crlf_and_cr_line_ends(self, tmp_path, ending):

@@ -429,3 +429,9 @@ class TestFtdThenEm:
         _, seq = _benchmark_like_sequence(64)
         with pytest.raises(ParameterError, match="rounds"):
             ftd_then_em(seq, 2, FtdConfig(granularity=6), rounds=-1)
+
+    @pytest.mark.parametrize("rounds", [2.5, 3.0])
+    def test_fractional_rounds(self, rounds):
+        _, seq = _benchmark_like_sequence(64)
+        with pytest.raises(ParameterError, match="rounds must be an integer >= 0"):
+            ftd_then_em(seq, 2, FtdConfig(granularity=6), rounds=rounds)

@@ -14,6 +14,7 @@ import pytest
 
 import betahmm
 from betahmm import (
+    EmConfig,
     FtdConfig,
     HmmParams,
     ParameterError,
@@ -88,6 +89,36 @@ class TestGenerateParams:
             SynthConfig(diag_weight=1.5)
         with pytest.raises(ParameterError):
             SynthConfig(lengths=(2,))
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("em_max_iters", 0, "max_iters must be >= 1, got 0"),
+            ("em_max_iters", 2.5, "max_iters must be an integer, got 2.5"),
+            ("em_max_iters", 3.0, "max_iters must be an integer, got 3.0"),
+            ("em_rel_tol", math.nan, r"rel_ll_tolerance must lie in \[0, inf\), got nan"),
+            ("em_rel_tol", -0.1, r"rel_ll_tolerance must lie in \[0, inf\), got -0.1"),
+        ],
+    )
+    def test_em_settings_are_checked_with_em_configs_messages(self, field, value, message):
+        # each would otherwise fail every EM row of a sweep, or crash it
+        with pytest.raises(ParameterError, match=message):
+            SynthConfig(**{field: value})
+        with pytest.raises(ParameterError, match=message):
+            EmConfig(**{{"em_max_iters": "max_iters", "em_rel_tol": "rel_ll_tolerance"}[field]: value})
+
+    def test_checking_the_em_settings_loads_no_em(self):
+        src = str(Path(betahmm.__file__).resolve().parent.parent)
+        probe = (
+            "import sys; from betahmm.synth import SynthConfig; SynthConfig(em_max_iters=5); "
+            "print('betahmm.em' in sys.modules)"
+        )
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert out.stdout.strip() == "False"
 
     def test_zero_cells_rejected(self):
         with pytest.raises(ParameterError, match="num_cells must be >= 1, got 0"):
