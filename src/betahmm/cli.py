@@ -95,8 +95,10 @@ def _check_train_frac(frac: float) -> None:
 def _cmd_simulate(args) -> int:
     from . import io as model_io
     from .features import prior_weights
+    from .model import _check_integer
     from .synth import SynthConfig, generate_params, sample_sequence
 
+    _check_integer("--length", args.length, 1)  # before it seeds the draws
     cfg = SynthConfig(
         num_states=args.states,
         num_cells=args.cells,
@@ -134,18 +136,16 @@ def _cmd_simulate(args) -> int:
 def _cmd_fit(args) -> int:
     from . import io as model_io
     from .features import FtdConfig
-    from .model import _check_em_settings
+    from .model import _check_em_settings, _check_integer
 
     # every flag is checked before the table is read; the EM flags are
     # recorded in every model's provenance, so they are checked for every
     # --algo, with EmConfig's messages, and an ftd fit need not load em
     _check_train_frac(args.train_frac)
-    if args.states < 1:
-        raise ParameterError(f"--states must be >= 1, got {args.states}")
-    if args.em_rounds < 0:
-        raise ParameterError(f"--em-rounds must be >= 0, got {args.em_rounds}")
+    _check_integer("--states", args.states, 1)
+    _check_integer("--em-rounds", args.em_rounds, 0)
     ftd_cfg = FtdConfig(granularity=args.granularity)
-    _check_em_settings(args.em_iters, args.em_tol)
+    _check_em_settings(args.em_iters, args.em_tol, args.seed)
     seq = model_io.load_methylation_tsv(
         args.data, context_filter=args.context, merge_replicates=args.merge_replicates
     )

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, NumericalError, ParameterError
-from .model import _STEP, CountSequence, HmmParams, _check_em_settings
+from .model import _STEP, CountSequence, HmmParams, _check_em_settings, _check_integer
 
 __all__ = ["EmConfig", "EmTrace", "log_likelihood", "em_fit", "random_init"]
 
@@ -52,7 +52,7 @@ class EmConfig:
     init: HmmParams | None = None
 
     def __post_init__(self) -> None:
-        _check_em_settings(self.max_iters, self.rel_ll_tolerance)
+        _check_em_settings(self.max_iters, self.rel_ll_tolerance, self.seed)
 
 
 @dataclass(eq=False)
@@ -372,8 +372,7 @@ def em_fit(seq: CountSequence, num_states: int, config: EmConfig) -> EmTrace:
     iteration; the trace is non-decreasing up to round-off. Stops on the
     fractional-improvement rule of ``config`` or after ``max_iters`` updates.
     """
-    if num_states < 1:
-        raise ParameterError(f"num_states must be >= 1, got {num_states}")
+    _check_integer("num_states", num_states, 1)
     if len(seq) < 2:
         raise DataError(f"need at least 2 positions to fit transitions, got {len(seq)}")
     if config.init is not None:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, ParameterError
-from .model import _STEP, CountSequence, Observation
+from .model import _STEP, CountSequence, Observation, _check_integer
 
 __all__ = [
     "BetaMapConfig",
@@ -49,8 +49,7 @@ class BetaMapConfig:
     granularity: int = 30
 
     def __post_init__(self) -> None:
-        if not (1 <= self.granularity < math.inf and int(self.granularity) == self.granularity):
-            raise ParameterError(f"granularity must be a positive integer, got {self.granularity}")
+        _check_integer("granularity", self.granularity, 1)
 
 
 # the spectral fit's controls live here, beside the map's, and pipeline
@@ -68,20 +67,20 @@ class FtdConfig:
     direction comes from the disagreement of the pair moments of two half
     streams, which ``pipeline.ftd_fit`` sums separately and
     ``pipeline.ftd_fit_moments`` takes as ``split_halves``. Without them it is
-    ``noise_level`` times the norm of the third-view operator, where ``noise_level`` is ``moment_ridge`` or, if that is None, a
-    closed-form stand-in; only such fits report ``noise_level``, and with
-    halves ``moment_ridge`` has no effect.
+    ``noise_level`` times the norm of the third-view operator, where
+    ``noise_level`` is ``moment_ridge`` or, if that is None, a closed-form
+    stand-in; only such fits report ``noise_level``, and with halves
+    ``moment_ridge`` has no effect. ``granularity`` is an integer >= 1 and
+    ``moment_ridge`` is None or lies in [0, inf).
     """
 
     granularity: int = 30
     moment_ridge: float | None = None
 
     def __post_init__(self) -> None:
-        if self.granularity < 1:
-            raise ParameterError(f"granularity must be >= 1, got {self.granularity}")
         BetaMapConfig(self.granularity)  # the map's integer rule
-        if self.moment_ridge is not None and self.moment_ridge < 0.0:
-            raise ParameterError(f"moment_ridge must be >= 0, got {self.moment_ridge}")
+        if self.moment_ridge is not None and not 0.0 <= self.moment_ridge < math.inf:
+            raise ParameterError(f"moment_ridge must lie in [0, inf), got {self.moment_ridge}")
 
 
 class _FeatureCache:

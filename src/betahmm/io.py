@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, ParameterError
-from .model import CountSequence, HmmParams
+from .model import CountSequence, HmmParams, _check_integer
 
 __all__ = [
     "ModelFile",
@@ -60,11 +60,6 @@ __all__ = [
 SCHEMA_VERSION = 1
 TSV_COLUMNS = ("chrom", "bin_start", "context")
 DEFAULT_BIN_SIZE = 100
-
-
-def _check_bin_size(bin_size: int) -> None:
-    if bin_size < 1:
-        raise ParameterError(f"bin_size must be >= 1, got {bin_size}")
 
 
 # bytes per read of the table reader, and so about the size of a block of
@@ -338,7 +333,7 @@ def _read_table(
     outranks a bad header or row, which are raised only once the rest of the
     file has decoded.
     """
-    _check_bin_size(bin_size)
+    _check_integer("bin_size", bin_size, 1)
     parts = []
     error = None
     first = 0  # lines before the block
@@ -454,7 +449,7 @@ def write_methylation_tsv(
     the sequence's columns, so the writer's memory does not grow with the
     sequence's length.
     """
-    _check_bin_size(bin_size)
+    _check_integer("bin_size", bin_size, 1)
     for name, text in (("chrom", chrom), ("context", context)):
         if any(c in text for c in "\t\n\r"):
             raise ParameterError(f"{name} must hold no tab or line end, got {text!r}")

@@ -29,11 +29,12 @@ __all__ = [
 
 _SUM_ATOL = 1e-12
 
-# rows per step of every stepped pass: the dense keying, the prior weights'
-# sums, the sampler's count draws, the one window loop under the moment passes
-# and EM's two passes, so none holds a temporary as long as the sequence. A
-# moment step's keys are one intp block of this many rows per cell (256 KB a
-# cell), and a pass's weights at most four float64 columns of this length (1 MB)
+# rows per step of every stepped pass: a sequence's check, the dense keying,
+# the prior weights' sums, the sampler's count draws, the one window loop under
+# the moment passes and EM's two passes, so none holds a temporary as long as
+# the sequence. A moment step's keys are one intp block of this many rows per
+# cell (256 KB a cell), and a pass's weights at most four float64 columns of
+# this length (1 MB)
 _STEP = 1 << 15
 
 
@@ -60,18 +61,10 @@ def _read_only_int64(values) -> np.ndarray:
     return np.array(values, dtype=np.int64)
 
 
-# rows a sequence's check looks at a time, so its boolean temporaries take
-# 64 KB per cell whatever the length
-_CHECK_ROWS = 1 << 16
-
-
 def _first_bad(cov: np.ndarray, mu: np.ndarray, bad) -> tuple[int, int] | None:
-    """(position, cell) of the first entry where ``bad(cov, mu)`` holds, or None.
-
-    The rows are checked ``_CHECK_ROWS`` at a time.
-    """
-    for lo in range(0, len(cov), _CHECK_ROWS):
-        hit = bad(cov[lo : lo + _CHECK_ROWS], mu[lo : lo + _CHECK_ROWS])
+    """(position, cell) of the first entry where ``bad(cov, mu)`` holds, or None."""
+    for lo in range(0, len(cov), _STEP):
+        hit = bad(cov[lo : lo + _STEP], mu[lo : lo + _STEP])
         if hit.any():
             t, j = np.argwhere(hit)[0]
             return lo + int(t), int(j)
@@ -200,16 +193,23 @@ class HmmParams:
         return p[None, :] if p.ndim == 1 else p
 
 
-def _check_em_settings(max_iters, rel_ll_tolerance) -> None:
+def _check_integer(name: str, value, minimum: int) -> None:
+    """The rule of every count and seed setting: an integer (so not 8.0) >= ``minimum``."""
+    if not isinstance(value, numbers.Integral):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ParameterError(f"{name} must be >= {minimum}, got {value}")
+
+
+def _check_em_settings(max_iters, rel_ll_tolerance, seed=None) -> None:
     """Raise :class:`ParameterError` unless EM may run with these settings.
 
     ``EmConfig``, the sweep's ``SynthConfig`` and ``betahmm fit`` check them
-    here, with one set of messages, and none of them need load ``em``.
+    here, seed (None or >= 0) included, and none of them need load ``em``.
     """
-    if not isinstance(max_iters, numbers.Integral):
-        raise ParameterError(f"max_iters must be an integer, got {max_iters!r}")
-    if max_iters < 1:
-        raise ParameterError(f"max_iters must be >= 1, got {max_iters}")
+    _check_integer("max_iters", max_iters, 1)
+    if seed is not None:
+        _check_integer("seed", seed, 0)
     # a finite bound, so a model's provenance stays strict JSON
     if not 0.0 <= rel_ll_tolerance < math.inf:
         raise ParameterError(f"rel_ll_tolerance must lie in [0, inf), got {rel_ll_tolerance}")

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import DataError, ParameterError
 from .features import BetaMapConfig, feature_table
-from .model import _STEP, CountSequence
+from .model import _STEP, CountSequence, _check_integer
 
 __all__ = ["MomentSet", "MomentAccumulator", "MAX_FEATURE_DIM", "pair_sums", "window_sum"]
 
@@ -251,8 +251,7 @@ class MomentAccumulator:
     """
 
     def __init__(self, feature_dim: int, num_blocks: int = 1) -> None:
-        if feature_dim < 1:
-            raise ParameterError(f"feature_dim must be >= 1, got {feature_dim}")
+        _check_integer("feature_dim", feature_dim, 1)
         if feature_dim > MAX_FEATURE_DIM:
             raise ParameterError(
                 f"feature_dim {feature_dim} exceeds the dense-storage cap {MAX_FEATURE_DIM}"

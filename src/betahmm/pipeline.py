@@ -18,16 +18,15 @@ shared.
 
 from __future__ import annotations
 
-import numbers
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DataError, NumericalError, ParameterError
+from .errors import DataError, NumericalError
 from .features import BetaMapConfig, FtdConfig, feature_table, prior_weights
-from .model import CountSequence, HmmParams
+from .model import CountSequence, HmmParams, _check_integer
 from .moments import MomentSet, _window_fibres, pair_sums, window_sum
 from .recovery import chain_from_joint, estimate_joint_lsq, recover_meth_probs
 from .spectral import (
@@ -79,11 +78,6 @@ _PAIR_NOISE_CONST = 16.0
 _PROB_MARGIN = 1e-6
 
 
-def _check_states(num_states: int) -> None:
-    if num_states < 1:
-        raise ParameterError(f"num_states must be >= 1, got {num_states}")
-
-
 def _readout(fibres, s1: np.ndarray, s3: np.ndarray, u: np.ndarray) -> np.ndarray:
     """``g(u_l, u_l, .)`` for every column u_l of ``u``, a D x m array.
 
@@ -119,7 +113,7 @@ def _fit(
     if halves is not None:
         half_pairs = []
         for h12, h13, h23 in halves:
-            s3h = h12.T @ _pinv(h13.T, rank=num_states)
+            s3h = h12.T @ _pinv(h13, rank=num_states)[0].T
             half_pairs.append(s3h @ h23.T)
         delta = 0.5 * (half_pairs[0] - half_pairs[1])
         delta = 0.5 * (delta + delta.T)
@@ -230,7 +224,7 @@ def ftd_fit_moments(
     disagreement calibrates the noise floor of each pair direction, which
     selects the rank.
     """
-    _check_states(num_states)
+    _check_integer("num_states", num_states, 1)
     halves = None
     if split_halves is not None:
         halves = [(half.p12, half.p13, half.p23) for half in split_halves]
@@ -270,7 +264,7 @@ def ftd_fit(
     The triple moment is contracted straight from the keys
     (``moments.window_sum``), as ``ftd_fit_moments`` contracts a dense one.
     """
-    _check_states(num_states)
+    _check_integer("num_states", num_states, 1)
     if len(seq) < 3:
         raise DataError(f"insufficient length: need at least 3 positions, got {len(seq)}")
     start = time.perf_counter()
@@ -322,8 +316,7 @@ def ftd_then_em(
     """
     from .em import EmConfig, EmTrace, em_fit
 
-    if not isinstance(rounds, numbers.Integral) or rounds < 0:
-        raise ParameterError(f"rounds must be an integer >= 0, got {rounds!r}")
+    _check_integer("rounds", rounds, 0)
     model = ftd_fit(seq, num_states, config)
     if rounds == 0:
         return model, EmTrace(log_likelihoods=[], params=model.params, iterations=0)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .spectral import _effective_rank, _pinv
+from .spectral import _pinv
 
 __all__ = [
     "StateJoint",
@@ -127,7 +127,7 @@ def estimate_joint_lsq(p21: np.ndarray, feature_means: np.ndarray) -> StateJoint
         raise ParameterError(
             f"pair moment shape {p21.shape} does not match feature dimension {C.shape[0]}"
         )
-    if _effective_rank(C) < m:
+    if _pinv(C)[1] < m:
         raise NumericalError(
             "feature mean matrix is rank deficient; the joint fit is not identifiable"
         )
@@ -215,11 +215,11 @@ def chain_via_pinv(
     """
     C = np.asarray(feature_means, dtype=np.float64)
     m = C.shape[1]
-    if _effective_rank(C) < m:
+    pinv_c, rank = _pinv(C)
+    if rank < m:
         raise NumericalError(
             "feature mean matrix is rank deficient; cannot invert for the joint"
         )
-    pinv_c = _pinv(C)
     raw = pinv_c @ p21 @ pinv_c.T
     clamp_mass = float(-raw[raw < 0.0].sum())
     np.maximum(raw, 0.0, out=raw)

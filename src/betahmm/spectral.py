@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, ParameterError
+from .model import _check_integer
 
 __all__ = [
     "WhiteningData",
@@ -75,25 +76,19 @@ class DecompositionResult:
     sign_flips: int = 0
 
 
-def _pinv(mat: np.ndarray, rank: int | None = None) -> np.ndarray:
-    """Pseudoinverse at the ``RANK_RTOL`` cutoff, optionally truncated to ``rank``.
+def _pinv(mat: np.ndarray, rank: int | None = None) -> tuple[np.ndarray, int]:
+    """Pseudoinverse at the ``RANK_RTOL`` cutoff, optionally truncated to
+    ``rank``, and the effective rank of ``mat``, both from one SVD.
 
-    Truncation matters on noisy inputs: the population pair moments have rank
-    equal to the number of states, and inverting the noise directions beyond
-    it amplifies them by their inverse singular values.
+    The effective rank counts the singular values above the cutoff. Truncation
+    matters on noisy inputs: the population pair moments have rank equal to
+    the number of states, and inverting the noise directions beyond it
+    amplifies them by their inverse singular values.
     """
-    if rank is None:
-        return np.linalg.pinv(mat, rcond=max(mat.shape) * RANK_RTOL)
     u, s, vt = np.linalg.svd(mat, full_matrices=False)
-    keep = min(rank, int(np.sum(s > max(mat.shape) * RANK_RTOL * s[0])))
-    return (vt[:keep].T / s[:keep]) @ u[:, :keep].T
-
-
-def _effective_rank(mat: np.ndarray) -> int:
-    s = np.linalg.svd(mat, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > max(mat.shape) * RANK_RTOL * s[0]))
+    found = int(np.sum(s > max(mat.shape) * RANK_RTOL * s.max(initial=0.0)))
+    keep = found if rank is None else min(rank, found)
+    return (vt[:keep].T / s[:keep]) @ u[:, :keep].T, found
 
 
 def _symmetric_part(t: np.ndarray) -> np.ndarray:
@@ -117,18 +112,16 @@ def symmetrize_moments(
     same for the third position. The triple contracted with them,
     ``raw(x, y, z) = t123(s1.T x, y, s3.T z)``, is symmetric for population
     moments; its symmetric part is the tensor that is whitened and decomposed.
-    Both pseudoinverses are truncated to ``num_states`` directions.
+    Both pseudoinverses are truncated to ``num_states`` directions; p31 is the
+    transpose of p13, so one SVD gives the rank check and both.
     """
-    # p31 is the transpose of p13, so one rank check covers both
-    rank = _effective_rank(p13)
+    inverse, rank = _pinv(p13, rank=num_states)
     if rank < num_states:
         raise NumericalError(
             f"rank condition violated: effective rank of p13 is {rank}, "
             f"need at least {num_states}"
         )
-    s1 = p23 @ _pinv(p13, rank=num_states)
-    s3 = p12.T @ _pinv(p13.T, rank=num_states)
-    return s1, s3
+    return p23 @ inverse, p12.T @ inverse.T
 
 
 def pair_spectrum(
@@ -203,8 +196,8 @@ def tensor_power_method(
         raise ParameterError(
             f"num_components must be in [1, {dim}], got {num_components}"
         )
-    if iters_per_component < 1 or restarts < 1:
-        raise ParameterError("iters_per_component and restarts must be >= 1")
+    _check_integer("iters_per_component", iters_per_component, 1)
+    _check_integer("restarts", restarts, 1)
     rng = np.random.default_rng(seed)
     input_norm = float(np.linalg.norm(h))
     if lambda_tol is None:

@@ -18,7 +18,7 @@ import numpy as np
 from ._blas import _one_blas_thread
 from .errors import BetaHmmError, ParameterError
 from .features import FtdConfig
-from .model import _STEP, CountSequence, HmmParams, _check_em_settings
+from .model import _STEP, CountSequence, HmmParams, _check_em_settings, _check_integer
 
 # the fits, hungarian, csv and concurrent.futures are imported by the functions
 # that use them, so sampling a table (simulate, a benchmark's set-up) loads
@@ -66,18 +66,16 @@ class SynthConfig:
     em_rel_tol: float = 0.001
 
     def __post_init__(self) -> None:
-        if self.num_states < 1:
-            raise ParameterError(f"num_states must be >= 1, got {self.num_states}")
-        if self.num_cells < 1:
-            raise ParameterError(f"num_cells must be >= 1, got {self.num_cells}")
-        if self.trials < 1:
-            raise ParameterError(f"trials must be >= 1, got {self.trials}")
+        _check_integer("num_states", self.num_states, 1)
+        _check_integer("num_cells", self.num_cells, 1)
+        _check_integer("trials", self.trials, 1)
+        _check_integer("seed", self.seed, 0)
         if not 0.0 <= self.diag_weight <= 1.0:
             raise ParameterError(f"diag_weight must lie in [0, 1], got {self.diag_weight}")
         if not self.lengths:
             raise ParameterError("lengths must name at least one benchmark length")
-        if any(length < 3 for length in self.lengths):
-            raise ParameterError("every benchmark length must be >= 3")
+        for length in self.lengths:
+            _check_integer("benchmark length", length, 3)
         _check_em_settings(self.em_max_iters, self.em_rel_tol)  # EmConfig's checks, without em
 
 
@@ -162,8 +160,7 @@ def sample_sequence(
     The counts are drawn ``_STEP`` rows at a time, in the row order of one whole
     draw, so no float array as long as the sequence is held beside them; they
     are made read-only, so the sequence keeps them without a copy."""
-    if length < 1:
-        raise ParameterError(f"length must be >= 1, got {length}")
+    _check_integer("length", length, 1)
     if not 0.0 <= coverage_mean <= _MAX_COVERAGE_MEAN:
         raise ParameterError(
             f"coverage_mean must lie in [0, {_MAX_COVERAGE_MEAN:.4g}], got {coverage_mean}"
@@ -347,6 +344,7 @@ def run_benchmark(cfg: SynthConfig, threads: int = 1) -> ExperimentReport:
     """
     from concurrent.futures import ThreadPoolExecutor
 
+    _check_integer("threads", threads, 1)
     tasks = [
         (length, trial, algo)
         for length in cfg.lengths

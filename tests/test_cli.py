@@ -193,6 +193,33 @@ class TestExitCodes:
         assert code == 1
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["simulate", "--length", "10", "--seed", "-1"], "seed must be >= 0, got -1"),
+            (["simulate", "--length", "-1"], "--length must be >= 1, got -1"),
+            (["fit", "--algo", "em", "--states", "2", "--seed", "-1"], "seed must be >= 0, got -1"),
+            (["fit", "--algo", "ftd", "--states", "2", "--seed", "-1"], "seed must be >= 0, got -1"),
+            (["benchmark", "--lengths", "128", "--trials", "1", "--seed", "-1"],
+             "seed must be >= 0, got -1"),
+            (["benchmark", "--lengths", "128", "--trials", "1", "--threads", "0"],
+             "threads must be >= 1, got 0"),
+        ],
+        ids=["simulate-seed", "simulate-length", "fit-em-seed", "fit-ftd-seed", "benchmark-seed",
+             "benchmark-threads"],
+    )
+    def test_bad_count_or_seed_is_a_data_error(self, tmp_path, capsys, argv, message):
+        # each was a numpy ValueError traceback (exit 1), or a silent one-thread run
+        if argv[0] == "fit":
+            argv = [*argv, "--data", str(_simulate(tmp_path, length=50))]
+        out = tmp_path / "out"
+        flag = {"simulate": "--out", "fit": "--out", "benchmark": "--out-dir"}[argv[0]]
+        capsys.readouterr()
+        assert main([*argv, flag, str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"data error: {message}" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_zero_cells_is_parameter_error(self, tmp_path, capsys):
         out = tmp_path / "x.tsv"
         code = main(["simulate", "--length", "10", "--cells", "0", "--out", str(out)])

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -14,6 +15,13 @@ from betahmm import (
     validate_params,
 )
 from betahmm import model as model_module
+from betahmm.em import EmConfig, em_fit
+from betahmm.features import BetaMapConfig, FtdConfig
+from betahmm.io import load_methylation_tsv, write_methylation_tsv
+from betahmm.moments import MomentAccumulator
+from betahmm.pipeline import ftd_fit, ftd_fit_moments, ftd_then_em
+from betahmm.spectral import tensor_power_method
+from betahmm.synth import SynthConfig, run_benchmark, sample_sequence
 
 
 def _params(pi, T, p):
@@ -85,7 +93,7 @@ class TestCountSequence:
     def test_checks_in_steps_name_the_first_bad_entry(self, monkeypatch, num_cells):
         # steps of 4 rows: the bad entries sit past the first step, and a
         # negative coverage outranks an earlier meth count above its coverage
-        monkeypatch.setattr(model_module, "_CHECK_ROWS", 4)
+        monkeypatch.setattr(model_module, "_STEP", 4)
         cov = np.full((11, num_cells), 5)
         meth = np.full((11, num_cells), 2)
         meth[6, -1] = 6
@@ -250,3 +258,78 @@ def test_validate_accepts_normalized_random_params(m, seed):
     p = gen.uniform(0.0, 1.0, size=m)
     params = _params(pi, T, p)
     assert validate_params(params) is params
+
+
+_SEQ = CountSequence(np.full(40, 6), np.arange(40) % 7)
+_TWO_STATES = HmmParams(
+    initial_dist=[0.5, 0.5], transition=[[0.9, 0.1], [0.1, 0.9]], meth_probs=[0.2, 0.8]
+)
+
+# each count or seed setting, called with a value: every one is checked where
+# the setting is made, before any work is done
+_SETTINGS = {
+    "BetaMapConfig.granularity": ("granularity", lambda v: BetaMapConfig(v)),
+    "FtdConfig.granularity": ("granularity", lambda v: FtdConfig(granularity=v)),
+    "SynthConfig.num_states": ("num_states", lambda v: SynthConfig(num_states=v)),
+    "SynthConfig.num_cells": ("num_cells", lambda v: SynthConfig(num_cells=v)),
+    "SynthConfig.trials": ("trials", lambda v: SynthConfig(trials=v)),
+    "SynthConfig.lengths": ("benchmark length", lambda v: SynthConfig(lengths=(128, v))),
+    "SynthConfig.seed": ("seed", lambda v: SynthConfig(seed=v)),
+    "EmConfig.max_iters": ("max_iters", lambda v: EmConfig(max_iters=v)),
+    "EmConfig.seed": ("seed", lambda v: EmConfig(seed=v)),
+    "sample_sequence.length": ("length", lambda v: sample_sequence(_TWO_STATES, v, 5.0, 0)),
+    "em_fit.num_states": ("num_states", lambda v: em_fit(_SEQ, v, EmConfig())),
+    "ftd_fit.num_states": ("num_states", lambda v: ftd_fit(_SEQ, v)),
+    "ftd_fit_moments.num_states": (
+        "num_states",
+        lambda v: ftd_fit_moments(
+            MomentAccumulator(4).add_sequence(_SEQ, BetaMapConfig(4)).finalize(), v, [0.125]
+        ),
+    ),
+    "ftd_then_em.rounds": ("rounds", lambda v: ftd_then_em(_SEQ, 2, FtdConfig(4), rounds=v)),
+    "MomentAccumulator.feature_dim": ("feature_dim", lambda v: MomentAccumulator(v)),
+    "tensor_power_method.iters_per_component": (
+        "iters_per_component", lambda v: tensor_power_method(np.ones((2, 2, 2)), 1, v)
+    ),
+    "tensor_power_method.restarts": (
+        "restarts", lambda v: tensor_power_method(np.ones((2, 2, 2)), 1, restarts=v)
+    ),
+    "load_methylation_tsv.bin_size": (
+        "bin_size", lambda v: load_methylation_tsv("no-such-table.tsv", bin_size=v)
+    ),
+    "write_methylation_tsv.bin_size": (
+        "bin_size", lambda v: write_methylation_tsv("never-written.tsv", _SEQ, bin_size=v)
+    ),
+    "run_benchmark.threads": (
+        "threads", lambda v: run_benchmark(SynthConfig(lengths=(16,), trials=1), threads=v)
+    ),
+}
+
+# the smallest value each setting takes where it is not 1; a seed's is 0
+_MINIMUM = {"SynthConfig.lengths": 3, "ftd_then_em.rounds": 0, "SynthConfig.seed": 0,
+            "EmConfig.seed": 0}
+
+
+class TestIntegerSettings:
+    @pytest.mark.parametrize("setting", sorted(_SETTINGS))
+    @pytest.mark.parametrize("value", [8.0, 2.5, math.nan, math.inf, np.float64(4.0)])
+    def test_a_value_that_is_not_an_integer_is_refused(self, setting, value):
+        name, make = _SETTINGS[setting]
+        with pytest.raises(ParameterError, match=rf"^{name} must be an integer, got "):
+            make(value)
+
+    @pytest.mark.parametrize("setting", sorted(_SETTINGS))
+    def test_a_value_below_the_minimum_is_refused(self, setting):
+        name, make = _SETTINGS[setting]
+        low = _MINIMUM.get(setting, 1) - 1
+        with pytest.raises(ParameterError, match=rf"^{name} must be >= {low + 1}, got {low}$"):
+            make(low)
+
+    @pytest.mark.parametrize("value", [np.int64(3), True, 7])
+    def test_numpy_and_python_integers_are_taken(self, value):
+        model_module._check_integer("count", value, 1)
+
+    @pytest.mark.parametrize("ridge", [math.nan, math.inf, -1.0])
+    def test_moment_ridge_lies_in_zero_to_inf(self, ridge):
+        with pytest.raises(ParameterError, match=r"^moment_ridge must lie in \[0, inf\), got "):
+            FtdConfig(moment_ridge=ridge)

@@ -433,5 +433,5 @@ class TestFtdThenEm:
     @pytest.mark.parametrize("rounds", [2.5, 3.0])
     def test_fractional_rounds(self, rounds):
         _, seq = _benchmark_like_sequence(64)
-        with pytest.raises(ParameterError, match="rounds must be an integer >= 0"):
+        with pytest.raises(ParameterError, match="rounds must be an integer, got"):
             ftd_then_em(seq, 2, FtdConfig(granularity=6), rounds=rounds)

@@ -24,19 +24,26 @@ def _column_wise(T):
 class TestPinv:
     def test_matches_numpy_on_full_rank(self, rng):
         mat = rng.standard_normal((5, 3))
-        np.testing.assert_allclose(
-            _pinv(mat), np.linalg.pinv(mat), atol=1e-12
-        )
+        out, rank = _pinv(mat)
+        np.testing.assert_allclose(out, np.linalg.pinv(mat), atol=1e-12)
+        assert rank == 3
 
     def test_rank_truncation_on_diagonal(self):
         mat = np.diag([4.0, 2.0, 1.0])
-        out = _pinv(mat, rank=2)
+        out, rank = _pinv(mat, rank=2)
         np.testing.assert_allclose(out, np.diag([0.25, 0.5, 0.0]), atol=1e-14)
+        assert rank == 3  # the effective rank, not the truncation
 
     def test_truncation_drops_tiny_directions(self):
         mat = np.diag([1.0, 1e-14])
-        out = _pinv(mat)
+        out, rank = _pinv(mat)
         np.testing.assert_allclose(out, np.diag([1.0, 0.0]), atol=1e-12)
+        assert rank == 1
+
+    def test_zero_matrix_has_rank_zero(self):
+        out, rank = _pinv(np.zeros((3, 2)))
+        assert rank == 0
+        np.testing.assert_array_equal(out, np.zeros((2, 3)))
 
 
 class TestSymmetrize:
