@@ -11,9 +11,10 @@ and the log-likelihood. It is all that :func:`log_likelihood` runs. Pass 2
 (:func:`_pass2`), run only before an M-step, walks alpha forward and beta
 backward inside every block of a step in the same rounds, the last step
 first, and the M-step sums that step's share. An iteration thus makes about
-2 B rounds of numpy calls a step and log2(K) for the scan, and beyond the
-counts it holds the transfers and one step's messages: under a byte a row
-at 4 states, on top of about 10 MiB for the step.
+2 B rounds of numpy calls a step and log2(K) for the scan, which composes
+``_CHUNK`` blocks a call. Beyond the counts it holds the transfers and one
+step's arrays, each step's released before the next one's are made: 3.6 B
+a row at 4 states from 32 to 128 steps, on top of about 5 MB for the step.
 Emissions multiply one binomial likelihood per cell type, treating cells as
 conditionally independent given the shared hidden state. The module needs
 numpy alone: the binomial coefficients come from ``math.lgamma`` once per
@@ -83,7 +84,9 @@ def emission_log_probs(params: HmmParams, seq: CountSequence) -> np.ndarray:
     p = params.cell_probs()
     if p.shape[0] != seq.num_cells:
         raise ParameterError(f"model carries {p.shape[0]} cell(s) but data carries {seq.num_cells}")
-    return (_log_choose(seq) + _count_log_probs(p, seq)).T
+    out = _count_log_probs(p, seq)
+    out += _log_choose(seq)
+    return out.T
 
 
 def _log_choose(seq: CountSequence) -> np.ndarray:
@@ -115,7 +118,10 @@ def _count_log_probs(p: np.ndarray, seq: CountSequence) -> np.ndarray:
         log_q = np.where(one, 0.0, np.log1p(-p))
     cov, meth = seq.coverage.T, seq.meth.T
     mu = meth.astype(np.float64)
-    out = log_p.T @ mu + log_q.T @ (cov.astype(np.float64) - mu)
+    rest = cov.astype(np.float64)
+    rest -= mu
+    out = log_p.T @ mu
+    out += log_q.T @ rest
     if zero.any() or one.any():
         out[zero.T @ (meth > 0) | one.T @ (cov > meth)] = -np.inf
     return out
@@ -157,6 +163,16 @@ def _compose(a1, s1, a2, s2) -> tuple[np.ndarray, np.ndarray]:
     return product, s1 + top + np.log(row_sums)
 
 
+# blocks that one call of the scan composes: about 1 MB a (2, C, m, m) term at 4 states
+_CHUNK = 4096
+
+
+def _chunks(lo: int, hi: int):
+    """Slices of at most ``_CHUNK`` blocks over lo .. hi - 1, the highest first."""
+    for top in range(hi, lo, -_CHUNK):
+        yield slice(max(top - _CHUNK, lo), top)
+
+
 def _steps(length: int) -> tuple[int, list]:
     """The block size B and each step's (a, hi, K): K blocks over rows a + 1 .. hi - 1.
 
@@ -176,8 +192,10 @@ def _shifted(log_b: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
     shift = log_b.max(axis=0)
     if not np.all(np.isfinite(shift)):
         raise NumericalError("some position has zero probability under every state; likelihood is -inf")
-    b = np.ones((log_b.shape[0], width))
-    np.exp(log_b - shift, out=b[:, : log_b.shape[1]])
+    b = np.empty((log_b.shape[0], width))
+    rows = b[:, : log_b.shape[1]]
+    np.exp(np.subtract(log_b, shift, out=rows), out=rows)
+    b[:, log_b.shape[1] :] = 1.0
     return b, shift
 
 
@@ -226,6 +244,7 @@ def _pass1(pi: np.ndarray, T: np.ndarray, seq: CountSequence, emissions) -> tupl
     shifts, k = 0.0, 1
     with np.errstate(divide="ignore", invalid="ignore"):
         for a, hi, count in steps:
+            b = shift = None  # the step before's emissions go before this step's are made
             b, shift = _shifted(emissions(seq[a:hi]), 1 + count * size)
             shifts += shift[1 if a else 0 :].sum()  # row a is the step before's last
             if a == 0:
@@ -234,15 +253,21 @@ def _pass1(pi: np.ndarray, T: np.ndarray, seq: CountSequence, emissions) -> tupl
             k += count
         # M_k = diag(e^s) A, so row j of M_k.T is column j of A weighted by e^s;
         # ordered from the last block back to the first
-        back = mats[0, :0:-1].transpose(0, 2, 1), 0.0, np.eye(m), logs[0, :0:-1]
-        mats[1, 1:], logs[1, 1:] = _compose(*back)
+        for rows in _chunks(1, blocks + 1):
+            back = slice(blocks + 1 - rows.start, blocks + 1 - rows.stop, -1)
+            mats[1, rows], logs[1, rows] = _compose(
+                mats[0, back].transpose(0, 2, 1), 0.0, np.eye(m), logs[0, back]
+            )
         scale = first.sum()
         mats[0, 0], mats[1, 0] = first / scale, 1.0 / m  # each maps every row to its start
         shift = 1
         while shift <= blocks:
-            mats[:, shift:], logs[:, shift:] = _compose(
-                mats[:, :-shift], logs[:, :-shift], mats[:, shift:], logs[:, shift:]
-            )
+            # the highest chunk first, so each reads only blocks this round has not written
+            for rows in _chunks(shift, blocks + 1):
+                before = slice(rows.start - shift, rows.stop - shift)
+                mats[:, rows], logs[:, rows] = _compose(
+                    mats[:, before], logs[:, before], mats[:, rows], logs[:, rows]
+                )
             shift *= 2
         log_like = float(shifts + np.log(scale) + logs[0, blocks, 0])
     bounds = mats[:, :, 0].copy()
@@ -299,26 +324,33 @@ def _walks(T, seq, emissions, bounds, b=None, backward=True):
         (a, hi, count), k = steps[i], firsts[i]
         if b is None:
             b, _ = _shifted(emissions(seq[a:hi]), 1 + count * size)
-        walked = _walk(T, b, bounds[0, k : k + count], ends[k + 1 : k + count + 1], hi - a - 1, size)
-        yield a, *walked, b[:, : hi - a]
-        b = None
+        starts, stops = bounds[0, k : k + count], ends[k + 1 : k + count + 1]
+        yield a, *_walk(T, b, starts, stops, hi - a - 1, size), b[:, : hi - a]
+        b = None  # released before the next step's emissions are made
 
 
 def _pass2(T: np.ndarray, seq: CountSequence, emissions, passed):
     """Each step's (a, alphas, betas, scales, b) from :func:`_walks`, betas scaled so
-    that alpha_t . beta_t = 1. The walks start from :func:`_pass1`'s last emissions.
+    that alpha_t . beta_t = 1. The walks start from :func:`_pass1`'s last emissions,
+    and only the step being consumed is held.
+    """
+    _, bounds, b = passed
+    return map(_normalized, _walks(T, seq, emissions, bounds, b))
+
+
+def _normalized(step: tuple) -> tuple:
+    """``step`` with its betas scaled in place so that alpha_t . beta_t = 1.
 
     A normalizer alpha_t . beta_t that is not positive and finite raises: the
     messages underflowed to disjoint supports, as a reducible T allows.
     """
-    _, bounds, b = passed
-    for a, alphas, betas, scales, b in _walks(T, seq, emissions, bounds, b):
-        norms = np.ones(T.shape[0]) @ (alphas * betas)
-        bad = ~np.isfinite(norms) | (norms <= 0.0)
-        if np.any(bad):
-            raise NumericalError(f"backward pass underflowed at position {a + int(np.argmax(bad))}")
-        betas /= norms
-        yield a, alphas, betas, scales, b
+    a, alphas, betas, _, _ = step
+    norms = np.ones(alphas.shape[0]) @ (alphas * betas)
+    bad = ~np.isfinite(norms) | (norms <= 0.0)
+    if np.any(bad):
+        raise NumericalError(f"backward pass underflowed at position {a + int(np.argmax(bad))}")
+    betas /= norms
+    return step
 
 
 def log_likelihood(params: HmmParams, seq: CountSequence) -> float:
@@ -333,21 +365,29 @@ def log_likelihood(params: HmmParams, seq: CountSequence) -> float:
 
 
 def _m_step(seq: CountSequence, T: np.ndarray, steps) -> HmmParams:
-    """The M-step from :func:`_pass2`'s steps, summed step by step."""
+    """The M-step from :func:`_pass2`'s steps, summed step by step.
+
+    Each step's ``b`` and ``betas`` are consumed: the sums are formed in them.
+    """
     m = T.shape[0]
     trans_counts = np.zeros((m, m))
     num = np.zeros((m, seq.num_cells))
     den = np.zeros((m, seq.num_cells))
     for a, alphas, betas, scales, b in steps:
         # expected transition counts: xi_t(i, j) = alpha_{t-1}(j) T[i, j] b_t(i) beta_t(i) / s_t
-        trans_counts += (b[:, 1:] * betas[:, 1:] / scales[1:]) @ alphas[:, :-1].T
-        gammas = alphas * betas  # columns sum to 1
+        xi = b[:, 1:]
+        xi *= betas[:, 1:]
+        xi /= scales[1:]
+        trans_counts += xi @ alphas[:, :-1].T
+        gammas = betas
+        gammas *= alphas  # columns sum to 1
         if a == 0:
-            pi_new = gammas[:, 0]
+            pi_new = gammas[:, 0].copy()
         skip = 1 if a else 0  # row a is the step before's last
-        gammas, rows = gammas[:, skip:], seq[a + skip : a + alphas.shape[1]]
-        num += gammas @ rows.meth.astype(np.float64)
-        den += gammas @ rows.coverage.astype(np.float64)
+        rows = seq[a + skip : a + alphas.shape[1]]
+        num += gammas[:, skip:] @ rows.meth.astype(np.float64)
+        den += gammas[:, skip:] @ rows.coverage.astype(np.float64)
+        del alphas, betas, scales, b, xi, gammas  # none held while the next step is made
 
     trans_counts *= T
     col = trans_counts.sum(axis=0)
@@ -400,6 +440,8 @@ def em_fit(seq: CountSequence, num_states: int, config: EmConfig) -> EmTrace:
             and lls[-1] - lls[-2] <= config.rel_ll_tolerance * abs(lls[-2])
         ):
             break
-        params = _m_step(seq, T, _pass2(T, seq, emissions, passed))
+        steps = _pass2(T, seq, emissions, passed)
+        del passed  # pass 1's emissions then live only until the walks are done with them
+        params = _m_step(seq, T, steps)
     seconds = np.diff(stamps).tolist()
     return EmTrace(log_likelihoods=lls, seconds=seconds, params=params, iterations=len(lls))

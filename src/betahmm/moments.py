@@ -207,6 +207,7 @@ class MomentSet:
                 arr = arr.copy()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        _check_integer("num_blocks", self.num_blocks, 0)
         if self.num_blocks < 1 or self.dim % self.num_blocks != 0:
             raise ParameterError(
                 f"moment dimension {self.dim} is not divisible by its block count {self.num_blocks}"
@@ -256,6 +257,7 @@ class MomentAccumulator:
             raise ParameterError(
                 f"feature_dim {feature_dim} exceeds the dense-storage cap {MAX_FEATURE_DIM}"
             )
+        _check_integer("num_blocks", num_blocks, 0)
         if num_blocks < 1 or feature_dim % num_blocks != 0:
             raise ParameterError(
                 f"num_blocks {num_blocks} does not divide feature_dim {feature_dim}"

@@ -209,13 +209,11 @@ class TestSteps:
         np.testing.assert_allclose(fitted.transition, trans / trans.sum(axis=0), rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(fitted.meth_probs, meth_probs.T, rtol=1e-12, atol=0.0)
 
-    def test_peak_memory_grows_by_a_few_bytes_a_row(self):
-        # beyond the counts, a fit holds every block's transfer (about 90 rows
-        # a block at the full step) and one step's messages: measured 0.7 B a
-        # row from 4 to 8 steps at 4 states, about 10 MiB a step, where a fit
-        # that held every row's messages grew by about 250 B a row
+    @staticmethod
+    def _peaks(step_counts):
+        """em_fit's tracemalloc peak at 4 states over each count of steps."""
         peaks = []
-        for steps in (4, 8):
+        for steps in step_counts:
             gen = np.random.default_rng(steps)
             cov = gen.integers(0, 30, size=steps * em_module._STEP)
             seq = CountSequence(cov, gen.binomial(cov, 0.4))
@@ -225,8 +223,47 @@ class TestSteps:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
+        return peaks
+
+    def test_peak_memory_grows_by_a_few_bytes_a_row(self):
+        # beyond the counts, a fit holds every block's transfer (about 90 rows
+        # a block at the full step) and one step's messages: measured 0.7 B a
+        # row from 4 to 8 steps at 4 states, with about 5 MB for the step,
+        # where a fit that held every row's messages grew by about 250 B a row
+        peaks = self._peaks((4, 8))
         per_row = (peaks[1] - peaks[0]) / (4 * em_module._STEP)
         assert per_row < 4.0, f"{per_row:.1f} B a row, peaks {peaks}"
+
+    def test_scan_memory_is_bounded_by_a_chunk(self, monkeypatch):
+        # steps of 4,096 rows (31-row blocks) and chunks of 256 blocks, so 32
+        # steps scan 16 chunks: beyond the kept transfers, the scan's terms do
+        # not grow with the length. Measured 9.6 B a row from 4 to 32 steps,
+        # against 29.9 when every block of a round was composed at once
+        monkeypatch.setattr(em_module, "_STEP", 4096)
+        monkeypatch.setattr(em_module, "_CHUNK", 256)
+        peaks = self._peaks((4, 32))
+        per_row = (peaks[1] - peaks[0]) / (28 * em_module._STEP)
+        assert per_row < 16.0, f"{per_row:.1f} B a row, peaks {peaks}"
+
+    def test_chunk_size_changes_no_bit(self, monkeypatch):
+        # steps of 50 rows: 17 blocks a step and about 680 in all, so one
+        # chunk at the default size and many at 1 and 5
+        monkeypatch.setattr(em_module, "_STEP", 50)
+        gen = np.random.default_rng(29)
+        params, seq = _random_instance(gen, 3, 2003, num_cells=2, max_cov=30)
+
+        def run():
+            trace = em_fit(seq, 3, EmConfig(max_iters=3, rel_ll_tolerance=0.0, seed=0))
+            return log_likelihood(params, seq), trace.log_likelihoods, trace.params
+
+        want = run()
+        for chunk in (1, 5):
+            monkeypatch.setattr(em_module, "_CHUNK", chunk)
+            log_like, lls, fitted = run()
+            assert log_like == want[0]
+            assert lls == want[1]
+            for name in ("initial_dist", "transition", "meth_probs"):
+                np.testing.assert_array_equal(getattr(fitted, name), getattr(want[2], name))
 
 
 class TestEmissionLogProbs:

@@ -370,6 +370,16 @@ class TestConstructionErrors:
         with pytest.raises(ParameterError, match="divide"):
             MomentAccumulator(6, num_blocks=4)
 
+    @pytest.mark.parametrize("num_blocks", [2.0, np.float64(2.0)])
+    def test_block_count_must_be_an_integer(self, num_blocks):
+        with pytest.raises(ParameterError, match="num_blocks must be an integer"):
+            MomentAccumulator(6, num_blocks=num_blocks)
+        moments = MomentAccumulator(2)
+        _add_window(moments, np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([1.0, 0.0]))
+        moments = moments.finalize()
+        with pytest.raises(ParameterError, match="num_blocks must be an integer"):
+            dataclasses.replace(moments, num_blocks=num_blocks)
+
     def test_finalize_empty(self):
         with pytest.raises(DataError, match="empty"):
             MomentAccumulator(3).finalize()
